@@ -142,12 +142,15 @@ def cmd_run(args) -> int:
     all_recovered = True
 
     if noise_cfg:
+        for key in ("kind", "gamma"):
+            if key not in noise_cfg:
+                raise ConfigError(f"noise block is missing {key!r}")
         kind = _noise_kind(noise_cfg["kind"])
         gamma = float(noise_cfg["gamma"])
         policy = OutcomePolicy(cfg.get("policy", "averaged"))
         run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
-        f_a1 = fidelity_density(equatorial_state(bob), run.a1_ensemble.density_matrix())
-        f_b2 = fidelity_density(equatorial_state(alice), run.b2_ensemble.density_matrix())
+        f_a1 = fidelity_density(equatorial_state(bob), run.rho_a1)
+        f_b2 = fidelity_density(equatorial_state(alice), run.rho_b2)
         report["noise"] = run.diagnostics
         report["fidelity_a1"] = f_a1
         report["fidelity_b2"] = f_b2
@@ -199,8 +202,8 @@ def cmd_sweep(args) -> int:
     target_b2 = equatorial_state(alice)
     for gamma in grid:
         run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
-        f_a1 = fidelity_density(target_a1, run.a1_ensemble.density_matrix())
-        f_b2 = fidelity_density(target_b2, run.b2_ensemble.density_matrix())
+        f_a1 = fidelity_density(target_a1, run.rho_a1)
+        f_b2 = fidelity_density(target_b2, run.rho_b2)
         paper = closed_form_fidelity(kind, bob, gamma)
         rows.append((gamma, f_a1, f_b2, paper))
 
@@ -338,7 +341,7 @@ def cmd_verify(args) -> int:
 
     zero4 = PhaseVector.zero(4)
     run = noisy_protocol_run(zero4, zero4, 4, NoiseKind.QUDIT_FLIP, 0.6)
-    f = fidelity_density(equatorial_state(zero4), run.a1_ensemble.density_matrix())
+    f = fidelity_density(equatorial_state(zero4), run.rho_a1)
     record("qudit-flip unity fidelity (gamma=0.6)", abs(f - 1.0) < 1e-10, f"F={f:.12f}")
 
     q = _random_unitary(rng, 4)

@@ -97,6 +97,21 @@ class TestRun:
         assert report["fidelity_a1"] == pytest.approx(1.0, abs=1e-10)
         assert report["noise"]["branch_count"] == 256
 
+    @pytest.mark.parametrize("missing", ["kind", "gamma"])
+    def test_noise_block_missing_field_is_config_error(self, tmp_path, capsys, missing):
+        noise = {"kind": "qudit-flip", "gamma": 0.8}
+        del noise[missing]
+        cfg = write_config(
+            tmp_path,
+            "partial_noise.json",
+            {"dimension": 4, "alice_phases": [0, 0, 0], "bob_phases": [0, 0, 0],
+             "noise": noise},
+        )
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert missing in err
+
 
 class TestSweep:
     def test_flip_exact_column_is_unity(self, tmp_path, capsys):

@@ -220,6 +220,42 @@ class TestExactEvaluator:
         run = noisy_protocol_run(ZERO4, ZERO4, 4, NoiseKind.QUDIT_PHASE_FLIP, 0.2)
         assert run.diagnostics["branch_count"] == 10**4
 
+    @pytest.mark.parametrize("policy", list(OutcomePolicy))
+    def test_invariant_residuals_reported(self, policy):
+        rng = np.random.default_rng(17)
+        alice, bob = random_phase_vector(4, rng), random_phase_vector(4, rng)
+        run = noisy_protocol_run(
+            alice, bob, 4, NoiseKind.DEPHASING, 0.6, policy=policy,
+            conditioned_outcome=OutcomeTuple(2, 1, 3, 0),
+        )
+        for name, rho in (("a1", run.rho_a1), ("b2", run.rho_b2)):
+            diag = run.diagnostics
+            assert diag[f"hermiticity_{name}"] == np.max(np.abs(rho - rho.conj().T))
+            assert diag[f"hermiticity_{name}"] <= 1e-14
+            assert diag[f"min_eigenvalue_{name}"] == pytest.approx(
+                np.min(np.linalg.eigvalsh(rho)), abs=1e-15
+            )
+            assert diag[f"min_eigenvalue_{name}"] >= -1e-14
+            assert diag[f"trace_error_{name}"] == pytest.approx(
+                abs(np.trace(rho) - 1.0), abs=1e-15
+            )
+            assert diag[f"trace_error_{name}"] <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_sizes_beyond_history_enumeration(self, n):
+        # (N^2-2N+2)^4 Kraus histories: 83,521 at N=5 and 456,976 at N=6
+        rng = np.random.default_rng(n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        run = noisy_protocol_run(alice, bob, n, NoiseKind.QUDIT_PHASE_FLIP, 0.5)
+        assert run.diagnostics["branch_count"] == (n * n - 2 * n + 2) ** 4
+        for rho in (run.rho_a1, run.rho_b2):
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
+        flat = PhaseVector.zero(n)
+        f_a1, f_b2 = exact_fidelities(flat, flat, n, NoiseKind.QUDIT_FLIP, 0.7)
+        assert f_a1 == pytest.approx(1.0, abs=1e-10)
+        assert f_b2 == pytest.approx(1.0, abs=1e-10)
+
 
 class TestAgainstNaiveOracle:
     def test_flip_qubit_averaged(self):
@@ -227,8 +263,8 @@ class TestAgainstNaiveOracle:
         alice, bob = random_phase_vector(2, rng), random_phase_vector(2, rng)
         run = noisy_protocol_run(alice, bob, 2, NoiseKind.QUDIT_FLIP, 0.37)
         rho_a1, rho_b2 = naive_noisy_marginals(alice, bob, 2, NoiseKind.QUDIT_FLIP, 0.37)
-        np.testing.assert_allclose(run.a1_ensemble.density_matrix(), rho_a1, atol=1e-10)
-        np.testing.assert_allclose(run.b2_ensemble.density_matrix(), rho_b2, atol=1e-10)
+        np.testing.assert_allclose(run.rho_a1, rho_a1, atol=1e-10)
+        np.testing.assert_allclose(run.rho_b2, rho_b2, atol=1e-10)
 
     def test_phase_flip_qubit_averaged(self):
         rng = np.random.default_rng(4)
@@ -237,8 +273,8 @@ class TestAgainstNaiveOracle:
         rho_a1, rho_b2 = naive_noisy_marginals(
             alice, bob, 2, NoiseKind.QUDIT_PHASE_FLIP, 0.61
         )
-        np.testing.assert_allclose(run.a1_ensemble.density_matrix(), rho_a1, atol=1e-10)
-        np.testing.assert_allclose(run.b2_ensemble.density_matrix(), rho_b2, atol=1e-10)
+        np.testing.assert_allclose(run.rho_a1, rho_a1, atol=1e-10)
+        np.testing.assert_allclose(run.rho_b2, rho_b2, atol=1e-10)
 
     def test_dephasing_four_level_conditioned(self):
         rng = np.random.default_rng(6)
@@ -251,8 +287,8 @@ class TestAgainstNaiveOracle:
         rho_a1, rho_b2 = naive_noisy_marginals(
             alice, bob, 4, NoiseKind.DEPHASING, 0.3, conditioned=oc
         )
-        np.testing.assert_allclose(run.a1_ensemble.density_matrix(), rho_a1, atol=1e-10)
-        np.testing.assert_allclose(run.b2_ensemble.density_matrix(), rho_b2, atol=1e-10)
+        np.testing.assert_allclose(run.rho_a1, rho_a1, atol=1e-10)
+        np.testing.assert_allclose(run.rho_b2, rho_b2, atol=1e-10)
 
     def test_phase_flip_qutrit_conditioned_off_zero(self):
         rng = np.random.default_rng(8)
@@ -265,7 +301,29 @@ class TestAgainstNaiveOracle:
         rho_a1, _ = naive_noisy_marginals(
             alice, bob, 3, NoiseKind.QUDIT_PHASE_FLIP, 0.5, conditioned=oc
         )
-        np.testing.assert_allclose(run.a1_ensemble.density_matrix(), rho_a1, atol=1e-10)
+        np.testing.assert_allclose(run.rho_a1, rho_a1, atol=1e-10)
+
+    def test_flip_qutrit_averaged(self):
+        rng = np.random.default_rng(9)
+        alice, bob = random_phase_vector(3, rng), random_phase_vector(3, rng)
+        run = noisy_protocol_run(alice, bob, 3, NoiseKind.QUDIT_FLIP, 0.44)
+        rho_a1, rho_b2 = naive_noisy_marginals(alice, bob, 3, NoiseKind.QUDIT_FLIP, 0.44)
+        np.testing.assert_allclose(run.rho_a1, rho_a1, atol=1e-10)
+        np.testing.assert_allclose(run.rho_b2, rho_b2, atol=1e-10)
+
+    def test_phase_flip_four_level_conditioned_off_zero(self):
+        rng = np.random.default_rng(10)
+        alice, bob = random_phase_vector(4, rng), random_phase_vector(4, rng)
+        oc = OutcomeTuple(1, 2, 3, 1)
+        run = noisy_protocol_run(
+            alice, bob, 4, NoiseKind.QUDIT_PHASE_FLIP, 0.45,
+            policy=OutcomePolicy.CONDITIONED, conditioned_outcome=oc,
+        )
+        rho_a1, rho_b2 = naive_noisy_marginals(
+            alice, bob, 4, NoiseKind.QUDIT_PHASE_FLIP, 0.45, conditioned=oc
+        )
+        np.testing.assert_allclose(run.rho_a1, rho_a1, atol=1e-10)
+        np.testing.assert_allclose(run.rho_b2, rho_b2, atol=1e-10)
 
 
 class TestClosedForms:
@@ -342,6 +400,18 @@ class TestComparisonReport:
 
 
 class TestPolicies:
+    def test_conditioned_probabilities_sum_to_one(self):
+        rng = np.random.default_rng(21)
+        alice, bob = random_phase_vector(3, rng), random_phase_vector(3, rng)
+        total = sum(
+            noisy_protocol_run(
+                alice, bob, 3, NoiseKind.QUDIT_PHASE_FLIP, 0.5,
+                policy=OutcomePolicy.CONDITIONED, conditioned_outcome=oc,
+            ).diagnostics["outcome_probability"]
+            for oc in all_outcomes(3)
+        )
+        assert total == pytest.approx(1.0, abs=1e-12)
+
     def test_conditioned_diagnostics(self):
         run = noisy_protocol_run(
             ZERO4, ZERO4, 4, NoiseKind.QUDIT_FLIP, 0.5,
