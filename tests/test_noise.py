@@ -228,8 +228,8 @@ class TestExactEvaluator:
             alice, bob, 4, NoiseKind.DEPHASING, 0.6, policy=policy,
             conditioned_outcome=OutcomeTuple(2, 1, 3, 0),
         )
+        diag = run.diagnostics
         for name, rho in (("a1", run.rho_a1), ("b2", run.rho_b2)):
-            diag = run.diagnostics
             assert diag[f"hermiticity_{name}"] == np.max(np.abs(rho - rho.conj().T))
             assert diag[f"hermiticity_{name}"] <= 1e-14
             assert diag[f"min_eigenvalue_{name}"] == pytest.approx(
