@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import optics
-from .core import fidelity_density, unitarity_deviation
+from .core import fidelity_density, random_unitary, unitarity_deviation
 from .noise import (
     NoiseKind,
     OutcomePolicy,
@@ -75,9 +75,19 @@ class ConfigError(Exception):
     pass
 
 
+def _number(raw, cast, name: str):
+    """cast(raw), reporting a value of the wrong type as a config error."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+
+
 def _phase_vector(dim: int, raw, name: str) -> PhaseVector:
     if raw is None:
         raise ConfigError(f"missing {name}")
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list, got {raw!r}")
     phases = tuple(parse_phase(v) for v in raw)
     if len(phases) != dim - 1:
         raise ConfigError(
@@ -88,9 +98,13 @@ def _phase_vector(dim: int, raw, name: str) -> PhaseVector:
 
 def load_config(path: Optional[str]) -> dict:
     if path is None or path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -111,13 +125,28 @@ def _noise_kind(name: str) -> NoiseKind:
         )
 
 
+def _noise_block(raw, required: tuple[str, ...]) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"noise must be a JSON object, got {raw!r}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"noise block is missing {key!r}")
+    return raw
+
+
 def _gamma_grid(raw) -> list[float]:
     if raw is None:
         raw = {"start": 0.0, "stop": 1.0, "steps": 11}
     if isinstance(raw, dict):
-        grid = np.linspace(raw.get("start", 0.0), raw.get("stop", 1.0), raw.get("steps", 11))
+        grid = np.linspace(
+            _number(raw.get("start", 0.0), float, "gamma_grid start"),
+            _number(raw.get("stop", 1.0), float, "gamma_grid stop"),
+            _number(raw.get("steps", 11), int, "gamma_grid steps"),
+        )
         return [float(g) for g in grid]
-    return [float(g) for g in raw]
+    if not isinstance(raw, list):
+        raise ConfigError(f"gamma_grid must be an object or a list, got {raw!r}")
+    return [_number(g, float, "gamma") for g in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +155,17 @@ def _gamma_grid(raw) -> list[float]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    n = int(cfg.get("dimension", 0))
+    n = _number(cfg.get("dimension", 0), int, "dimension")
     if n < 2:
         raise ConfigError(f"dimension must be at least 2, got {n}")
     alice = _phase_vector(n, cfg.get("alice_phases"), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases"), "bob_phases")
-    trials = int(cfg.get("trials", 1))
+    trials = _number(cfg.get("trials", 1), int, "trials")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is not None:
+        seed = _number(seed, int, "seed")
     forced = cfg.get("forced_outcome")
     noise_cfg = cfg.get("noise")
 
@@ -142,11 +173,9 @@ def cmd_run(args) -> int:
     all_recovered = True
 
     if noise_cfg:
-        for key in ("kind", "gamma"):
-            if key not in noise_cfg:
-                raise ConfigError(f"noise block is missing {key!r}")
+        noise_cfg = _noise_block(noise_cfg, ("kind", "gamma"))
         kind = _noise_kind(noise_cfg["kind"])
-        gamma = float(noise_cfg["gamma"])
+        gamma = _number(noise_cfg["gamma"], float, "gamma")
         policy = OutcomePolicy(cfg.get("policy", "averaged"))
         run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
         f_a1 = fidelity_density(equatorial_state(bob), run.rho_a1)
@@ -155,13 +184,15 @@ def cmd_run(args) -> int:
         report["fidelity_a1"] = f_a1
         report["fidelity_b2"] = f_b2
     elif forced is not None:
-        oc = OutcomeTuple(*[int(v) for v in forced])
+        if not isinstance(forced, list) or len(forced) != 4:
+            raise ConfigError(f"forced_outcome needs four indices l, n, m, k, got {forced!r}")
+        oc = OutcomeTuple(*[_number(v, int, "forced_outcome index") for v in forced])
         res = run_protocol(alice, bob, n, outcome=oc)
         all_recovered = all(res.recovered)
         report["trials"].append(_trial_row(0, res, alice, bob))
     else:
         for t in range(trials):
-            trial_seed = None if seed is None else [int(seed), t]
+            trial_seed = None if seed is None else [seed, t]
             ses = new_session(alice, bob, n, charlie_consents=True, seed=trial_seed)
             ses.run_to_completion()
             res = ses.result()
@@ -187,13 +218,10 @@ def _trial_row(index: int, res, alice: PhaseVector, bob: PhaseVector) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    n = int(cfg.get("dimension", 4))
+    n = _number(cfg.get("dimension", 4), int, "dimension")
     alice = _phase_vector(n, cfg.get("alice_phases", [0.0] * (n - 1)), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases", [0.0] * (n - 1)), "bob_phases")
-    noise_cfg = cfg.get("noise")
-    if not noise_cfg or "kind" not in noise_cfg:
-        raise ConfigError("sweep requires a noise kind")
-    kind = _noise_kind(noise_cfg["kind"])
+    kind = _noise_kind(_noise_block(cfg.get("noise", {}), ("kind",))["kind"])
     policy = OutcomePolicy(cfg.get("policy", "averaged"))
     grid = _gamma_grid(cfg.get("gamma_grid"))
 
@@ -233,7 +261,7 @@ def cmd_table(args) -> int:
     n = args.dimension
     if n is None:
         cfg = load_config(args.config) if args.config else {}
-        n = int(cfg.get("dimension", 3))
+        n = _number(cfg.get("dimension", 3), int, "dimension")
     if not 2 <= n <= 6:
         raise ConfigError(f"table dimension must be in 2..6, got {n}")
     table = build_correction_table(n)
@@ -344,7 +372,7 @@ def cmd_verify(args) -> int:
     f = fidelity_density(equatorial_state(zero4), run.rho_a1)
     record("qudit-flip unity fidelity (gamma=0.6)", abs(f - 1.0) < 1e-10, f"F={f:.12f}")
 
-    q = _random_unitary(rng, 4)
+    q = random_unitary(rng, 4)
     net = optics.reck_decompose(q)
     record(
         "mesh synthesis round trip (4 modes)",
@@ -376,12 +404,6 @@ def cmd_verify(args) -> int:
     out_lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
     _write_out("\n".join(out_lines) + "\n", args.out)
     return 0 if failed == 0 else 1
-
-
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense linear algebra for systems of several qudits.
 
 States are plain complex vectors tagged with the list of subsystem
-dimensions; mixed states are kept exact as weighted lists of pure states
-instead of dense density matrices, which stays cheap even for six qudits.
+dimensions; mixed states are kept exact, either as weighted lists of pure
+states or as dense density matrices.
 """
 
 from __future__ import annotations
@@ -111,6 +111,13 @@ class Operator:
 
     def dagger(self) -> "Operator":
         return Operator(self.entries.conj().T, unitary=self.unitary)
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random n x n unitary: QR of a complex Gaussian, phases fixed by R."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def unitarity_deviation(mat: np.ndarray) -> float:

@@ -40,6 +40,7 @@ from .protocol import (
     PhaseVector,
     equatorial_state,
     fourier_basis,
+    phase_table,
     sender_basis,
 )
 
@@ -107,9 +108,7 @@ def phase_flip_kraus(gamma: float, n: int = 4) -> KrausSet:
     ops = [Operator(np.sqrt(1 - (n - 1) * gamma / n) * np.eye(n, dtype=complex))]
     if gamma > 0:
         coef = np.sqrt(gamma / (n * (n - 1)))
-        j = np.arange(n)
-        for s1 in range(1, n):
-            phases = np.exp(2j * np.pi * ((j * s1) % n) / n)
+        for phases in phase_table(n)[1:]:
             for s2 in range(1, n):
                 ops.append(Operator(coef * _shift_matrix(n, s2, phases)))
     return KrausSet(n, tuple(ops))
@@ -147,14 +146,6 @@ class NoisyRunResult:
         return ensemble_from_density(self.rho_b2, (self.rho_b2.shape[0],))
 
 
-def _correction_phase_table(n: int) -> np.ndarray:
-    """u[p, j] = e^{i 2 pi j p / N}, the diagonal of U_p."""
-    j = np.arange(n)
-    return np.array(
-        [np.exp(2j * np.pi * ((j * p) % n) / n) for p in range(n)]
-    )
-
-
 def _corrected_factors(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """F[s, a, q] = sum_i w[i, s, a] conj(w[i, s, q]), w[i, s] = U_s (<r_s| K_i)^T.
 
@@ -165,7 +156,7 @@ def _corrected_factors(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
     U_{s+t} = U_s U_t is diagonal, so conjugating by it multiplies entry
     (a, q) by a phase that splits between the two slots.
     """
-    w = _correction_phase_table(rows.shape[0]) * (rows @ ops)
+    w = phase_table(rows.shape[0]) * (rows @ ops)
     return np.einsum("isa,isq->saq", w, w.conj())
 
 

@@ -6,8 +6,13 @@ leftover qudits collapse onto phase-shifted copies of the target states,
 fixed up by diagonal feed-forward unitaries chosen from the broadcast
 outcomes.
 
-Subsystem order is fixed globally as (A1, B1, C1, A2, B2, C2); every index
-below derives from that single convention.
+The two GHZ states never interact, so the engine runs them as two
+three-qudit legs: A1·B1·C1 carries Bob's state to A1 and B2·A2·C2 carries
+Alice's state to B2. Each leg is held in (kept, sender, controller) order,
+so the slot measured next always sits at axis 1 and each leg ends as the
+single kept qudit. The six-qudit order (A1, B1, C1, A2, B2, C2) is used
+only by `channel_state` and `verify_decomposition`, the four-basis
+expansion of the whole resource.
 """
 
 from __future__ import annotations
@@ -23,14 +28,19 @@ from .core import (
     MeasurementBasis,
     Operator,
     StateVector,
+    apply_on,
     measure,
     project,
     states_equal,
     tensor,
 )
 
-# positions in the six-qudit register
+# positions in the six-qudit register of channel_state
 A1, B1, C1, A2, B2, C2 = range(6)
+
+# The four measurements in protocol order, each with the leg it acts on:
+# leg 0 is A1·B1·C1 and leg 1 is B2·A2·C2, both as (kept, sender, controller).
+PROTOCOL_ORDER = (("l", 1), ("n", 0), ("m", 0), ("k", 1))
 
 
 @dataclass(frozen=True)
@@ -99,10 +109,16 @@ class ProtocolResult:
     recovered: tuple[bool, bool]
 
 
-def _phase_column(dim: int, idx: int) -> np.ndarray:
-    """exp(i 2 pi j idx / dim) for j = 0..dim-1, with the angle reduced mod 2 pi."""
-    j = np.arange(dim)
-    return np.exp(2j * np.pi * ((j * idx) % dim) / dim)
+@functools.lru_cache(maxsize=64)
+def phase_table(n: int) -> np.ndarray:
+    """Read-only u[p, j] = e^{i 2 pi j p / N}, with the angle reduced mod 2 pi.
+
+    Row p is the diagonal of U_p and sqrt(N) times the Fourier vector tau-bar_p.
+    """
+    j = np.arange(n)
+    table = np.exp(2j * np.pi * (np.outer(j, j) % n) / n)
+    table.flags.writeable = False
+    return table
 
 
 def equatorial_state(p: PhaseVector) -> StateVector:
@@ -127,7 +143,7 @@ def sender_basis(p: PhaseVector) -> MeasurementBasis:
     n = p.dim
     dephase = np.exp(-1j * p.full())
     vectors = tuple(
-        StateVector((n,), _phase_column(n, l) * dephase / np.sqrt(n)) for l in range(n)
+        StateVector((n,), row * dephase / np.sqrt(n)) for row in phase_table(n)
     )
     return MeasurementBasis(n, vectors)
 
@@ -137,9 +153,7 @@ def fourier_basis(n: int) -> MeasurementBasis:
     """tau-bar_k = (1/sqrt(N)) sum_j e^{i 2pi jk/N} |j> (the controller's basis)."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    vectors = tuple(
-        StateVector((n,), _phase_column(n, k) / np.sqrt(n)) for k in range(n)
-    )
+    vectors = tuple(StateVector((n,), row / np.sqrt(n)) for row in phase_table(n))
     return MeasurementBasis(n, vectors)
 
 
@@ -147,7 +161,7 @@ def correction_unitary(k: int, n: int) -> Operator:
     """Diagonal U_k = sum_j e^{i 2pi jk/N} |j><j|."""
     if not 0 <= k < n:
         raise ValueError(f"correction index {k} out of range for dim {n}")
-    return Operator(np.diag(_phase_column(n, k)), unitary=True)
+    return Operator(np.diag(phase_table(n)[k]), unitary=True)
 
 
 def collapsed_state(p: PhaseVector, idx: int) -> StateVector:
@@ -158,7 +172,7 @@ def collapsed_state(p: PhaseVector, idx: int) -> StateVector:
     """
     if not 0 <= idx < p.dim:
         raise ValueError(f"index {idx} out of range for dim {p.dim}")
-    amps = np.conj(_phase_column(p.dim, idx)) * np.exp(1j * p.full()) / np.sqrt(p.dim)
+    amps = np.conj(phase_table(p.dim)[idx]) * np.exp(1j * p.full()) / np.sqrt(p.dim)
     return StateVector((p.dim,), amps)
 
 
@@ -173,64 +187,80 @@ def mod_add(a: int, b: int, n: int) -> int:
     return (a + b) % n
 
 
-# measurement order and the register index of each slot after earlier removals
-_MEASUREMENT_PLAN = (
-    ("l", A2, 3),  # A2 measured first, register still full
-    ("n", B1, 1),  # after A2 is removed B1 still sits at axis 1
-    ("m", C1, 1),  # register is now (A1, C1, B2, C2)
-    ("k", C2, 2),  # register is now (A1, B2, C2)
-)
-
-
 def _measurement_bases(alice: PhaseVector, bob: PhaseVector, n: int):
     four = fourier_basis(n)
     return {"l": sender_basis(alice), "n": sender_basis(bob), "m": four, "k": four}
 
 
-def _project_sequence(
-    state: StateVector,
+def channel_legs(n: int) -> list[StateVector]:
+    """The two GHZ legs, [A1·B1·C1, B2·A2·C2], before any measurement."""
+    ghz = ghz_state(n)
+    return [ghz, ghz]
+
+
+def sample_slots(
+    legs: list[StateVector],
+    bases: dict[str, MeasurementBasis],
+    slots: Iterable[tuple[str, int]],
+    rng: np.random.Generator,
+) -> dict[str, int]:
+    """Born-sample the listed (slot, leg) pairs in order, collapsing `legs` in place."""
+    drawn = {}
+    for slot, leg in slots:
+        drawn[slot], legs[leg] = measure(legs[leg], bases[slot], 1, rng)
+    return drawn
+
+
+def _project_outcome(
+    legs: list[StateVector],
     bases: dict[str, MeasurementBasis],
     outcome: OutcomeTuple,
-) -> tuple[float, StateVector]:
-    """Force the four outcomes in protocol order; returns (joint prob, remainder)."""
+) -> float:
+    """Force the four outcomes in protocol order, collapsing `legs` in place.
+
+    Returns the joint probability.
+    """
     joint = 1.0
     indices = {"l": outcome.l, "n": outcome.n, "m": outcome.m, "k": outcome.k}
-    for slot, _, axis in _MEASUREMENT_PLAN:
-        prob, state = project(state, bases[slot].vectors[indices[slot]], axis)
-        if state is None:
+    for slot, leg in PROTOCOL_ORDER:
+        prob, legs[leg] = project(legs[leg], bases[slot].vectors[indices[slot]], 1)
+        if legs[leg] is None:
             raise RuntimeError(
                 f"outcome {indices} has zero probability at slot {slot}"
             )
         joint *= prob
-    return joint, state
+    return joint
 
 
-def _sample_sequence(
-    state: StateVector,
-    bases: dict[str, MeasurementBasis],
-    rng: np.random.Generator,
-) -> tuple[OutcomeTuple, StateVector]:
-    drawn = {}
-    for slot, _, axis in _MEASUREMENT_PLAN:
-        drawn[slot], state = measure(state, bases[slot], axis, rng)
-    return OutcomeTuple(drawn["l"], drawn["n"], drawn["m"], drawn["k"]), state
-
-
-def _split_product_pair(state: StateVector) -> tuple[StateVector, StateVector]:
-    """Factor a two-qudit product state into its single-qudit parts.
-
-    The joint amplitudes form a rank-one matrix; the factors are read off
-    from the dominant column and row (global phase lands arbitrarily).
-    """
-    d0, d1 = state.dims
-    m = state.amplitudes.reshape(d0, d1)
-    col = int(np.argmax(np.linalg.norm(m, axis=0)))
-    row = int(np.argmax(np.linalg.norm(m, axis=1)))
-    a = m[:, col]
-    b = m[row, :]
-    return (
-        StateVector((d0,), a / np.linalg.norm(a)),
-        StateVector((d1,), b / np.linalg.norm(b)),
+def finish(
+    alice: PhaseVector,
+    bob: PhaseVector,
+    outcome: OutcomeTuple,
+    legs: list[StateVector],
+    probability: float,
+) -> ProtocolResult:
+    """Correct the two one-qudit remainders: U_{m+n} on A1, U_{k+l} on B2."""
+    n = alice.dim
+    rule = CorrectionRule(
+        a1_index=mod_add(outcome.m, outcome.n, n),
+        b2_index=mod_add(outcome.k, outcome.l, n),
+    )
+    a1_before, b2_before = legs
+    alice_final = apply_on(correction_unitary(rule.a1_index, n), a1_before, 0)
+    bob_final = apply_on(correction_unitary(rule.b2_index, n), b2_before, 0)
+    recovered = (
+        states_equal(alice_final, equatorial_state(bob)),
+        states_equal(bob_final, equatorial_state(alice)),
+    )
+    return ProtocolResult(
+        outcome=outcome,
+        probability=probability,
+        corrections=rule,
+        a1_before=a1_before,
+        b2_before=b2_before,
+        alice_final=alice_final,
+        bob_final=bob_final,
+        recovered=recovered,
     )
 
 
@@ -242,8 +272,6 @@ def apply_corrections(
     targets: tuple[int, int] = (0, 1),
 ) -> StateVector:
     """Apply U_{a1_index} and U_{b2_index} on the two listed qudits."""
-    from .core import apply_on
-
     state = apply_on(correction_unitary(a1_index, n), state, targets[0])
     return apply_on(correction_unitary(b2_index, n), state, targets[1])
 
@@ -265,36 +293,16 @@ def run_protocol(
             f"phase vectors have dims {alice.dim}/{bob.dim}, protocol dim is {n}"
         )
     bases = _measurement_bases(alice, bob, n)
-    state = channel_state(n)
+    legs = channel_legs(n)
     if outcome is not None:
         outcome.validate(n)
-        probability, remainder = _project_sequence(state, bases, outcome)
+        probability = _project_outcome(legs, bases, outcome)
     else:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        outcome, remainder = _sample_sequence(state, bases, rng)
+        outcome = OutcomeTuple(**sample_slots(legs, bases, PROTOCOL_ORDER, rng))
         probability = 1.0 / n**4
-    rule = CorrectionRule(
-        a1_index=mod_add(outcome.m, outcome.n, n),
-        b2_index=mod_add(outcome.k, outcome.l, n),
-    )
-    a1_before, b2_before = _split_product_pair(remainder)
-    corrected = apply_corrections(remainder, rule.a1_index, rule.b2_index, n)
-    alice_final, bob_final = _split_product_pair(corrected)
-    recovered = (
-        states_equal(alice_final, equatorial_state(bob)),
-        states_equal(bob_final, equatorial_state(alice)),
-    )
-    return ProtocolResult(
-        outcome=outcome,
-        probability=probability,
-        corrections=rule,
-        a1_before=a1_before,
-        b2_before=b2_before,
-        alice_final=alice_final,
-        bob_final=bob_final,
-        recovered=recovered,
-    )
+    return finish(alice, bob, outcome, legs, probability)
 
 
 def outcome_probability(n: int, outcome: OutcomeTuple) -> float:
@@ -305,10 +313,7 @@ def outcome_probability(n: int, outcome: OutcomeTuple) -> float:
     """
     outcome.validate(n)
     zero = PhaseVector.zero(n)
-    prob, _ = _project_sequence(
-        channel_state(n), _measurement_bases(zero, zero, n), outcome
-    )
-    return prob
+    return _project_outcome(channel_legs(n), _measurement_bases(zero, zero, n), outcome)
 
 
 def all_outcomes(n: int) -> Iterable[OutcomeTuple]:

@@ -17,18 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateVector, measure, states_equal
+from .core import StateVector
 from .protocol import (
-    CorrectionRule,
+    PROTOCOL_ORDER,
     OutcomeTuple,
     PhaseVector,
     ProtocolResult,
     _measurement_bases,
-    _split_product_pair,
-    apply_corrections,
-    channel_state,
-    equatorial_state,
-    mod_add,
+    channel_legs,
+    finish,
+    sample_slots,
 )
 
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -63,8 +61,9 @@ class Session:
 
     Step 1 performs the senders' measurements and four announcements,
     step 2 the controller's measurements and four announcements (or the
-    abort), step 3 the local corrections. The same measurement primitives
-    as the bare engine are used, so equal seeds give bitwise-equal states.
+    abort), step 3 the local corrections. The same measurement and
+    correction steps as the bare engine are used, so equal seeds give
+    bitwise-equal states.
     """
 
     def __init__(
@@ -85,17 +84,13 @@ class Session:
         self.charlie_consents = bool(charlie_consents)
         self._rng = np.random.default_rng(seed)
         self._bases = _measurement_bases(alice, bob, n)
-        self.state: StateVector = channel_state(n)
+        # [A1·B1·C1, B2·A2·C2], each shrinking to its kept qudit
+        self.legs: list[StateVector] = channel_legs(n)
         self.status = SessionStatus.RUNNING
         self.step = 0
         self.transcript: list[ClassicalMessage] = []
         self.outcomes: dict[str, int] = {}
-        self.corrections: Optional[CorrectionRule] = None
-        self.a1_before: Optional[StateVector] = None
-        self.b2_before: Optional[StateVector] = None
-        self.alice_final: Optional[StateVector] = None
-        self.bob_final: Optional[StateVector] = None
-        self.recovered: Optional[tuple[bool, bool]] = None
+        self._result: Optional[ProtocolResult] = None
 
     # -- step bodies --------------------------------------------------
 
@@ -112,12 +107,12 @@ class Session:
         )
 
     def _step_senders(self):
-        # serialized A2-then-B1; the projectors act on disjoint qudits so
-        # the order is unobservable
-        l, self.state = measure(self.state, self._bases["l"], 3, self._rng)
-        nn, self.state = measure(self.state, self._bases["n"], 1, self._rng)
-        self.outcomes["l"] = l
-        self.outcomes["n"] = nn
+        # serialized A2-then-B1; the two act on different legs so the order
+        # is unobservable
+        self.outcomes.update(
+            sample_slots(self.legs, self._bases, PROTOCOL_ORDER[:2], self._rng)
+        )
+        l, nn = self.outcomes["l"], self.outcomes["n"]
         self._announce(PartyId.ALICE, PartyId.BOB, "A2", l)
         self._announce(PartyId.ALICE, PartyId.CHARLIE, "A2", l)
         self._announce(PartyId.BOB, PartyId.ALICE, "B1", nn)
@@ -127,29 +122,18 @@ class Session:
         if not self.charlie_consents:
             self.status = SessionStatus.ABORTED
             return
-        m, self.state = measure(self.state, self._bases["m"], 1, self._rng)
-        k, self.state = measure(self.state, self._bases["k"], 2, self._rng)
-        self.outcomes["m"] = m
-        self.outcomes["k"] = k
+        self.outcomes.update(
+            sample_slots(self.legs, self._bases, PROTOCOL_ORDER[2:], self._rng)
+        )
+        m, k = self.outcomes["m"], self.outcomes["k"]
         self._announce(PartyId.CHARLIE, PartyId.ALICE, "C1", m)
         self._announce(PartyId.CHARLIE, PartyId.ALICE, "C2", k)
         self._announce(PartyId.CHARLIE, PartyId.BOB, "C1", m)
         self._announce(PartyId.CHARLIE, PartyId.BOB, "C2", k)
 
     def _step_corrections(self):
-        oc = self.outcome_tuple()
-        self.corrections = CorrectionRule(
-            a1_index=mod_add(oc.m, oc.n, self.n),
-            b2_index=mod_add(oc.k, oc.l, self.n),
-        )
-        self.a1_before, self.b2_before = _split_product_pair(self.state)
-        self.state = apply_corrections(
-            self.state, self.corrections.a1_index, self.corrections.b2_index, self.n
-        )
-        self.alice_final, self.bob_final = _split_product_pair(self.state)
-        self.recovered = (
-            states_equal(self.alice_final, equatorial_state(self.bob)),
-            states_equal(self.bob_final, equatorial_state(self.alice)),
+        self._result = finish(
+            self.alice, self.bob, self.outcome_tuple(), self.legs, 1.0 / self.n**4
         )
         self.status = SessionStatus.COMPLETED
 
@@ -174,29 +158,17 @@ class Session:
         return self.status
 
     def outcome_tuple(self) -> OutcomeTuple:
-        return OutcomeTuple(
-            l=self.outcomes["l"],
-            n=self.outcomes["n"],
-            m=self.outcomes.get("m", 0),
-            k=self.outcomes.get("k", 0),
-        )
+        if len(self.outcomes) < len(PROTOCOL_ORDER):
+            raise RuntimeError(
+                f"session is {self.status.value}; only {sorted(self.outcomes)} were measured"
+            )
+        return OutcomeTuple(**self.outcomes)
 
     def result(self) -> ProtocolResult:
-        """Completed session repackaged like a bare engine run."""
-        if self.status is not SessionStatus.COMPLETED:
+        """The completed session's result, shaped like a bare engine run."""
+        if self._result is None:
             raise RuntimeError("session did not complete")
-        oc = self.outcome_tuple()
-        assert self.corrections is not None
-        return ProtocolResult(
-            outcome=oc,
-            probability=1.0 / self.n**4,
-            corrections=self.corrections,
-            a1_before=self.a1_before,
-            b2_before=self.b2_before,
-            alice_final=self.alice_final,
-            bob_final=self.bob_final,
-            recovered=self.recovered,
-        )
+        return self._result
 
 
 def new_session(

@@ -18,12 +18,6 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _sweep(kind: NoiseKind) -> dict[float, tuple[float, float]]:
     zero = PhaseVector.zero(4)
     return {g: exact_fidelities(zero, zero, 4, kind, g) for g in GAMMA_GRID}
@@ -42,5 +36,5 @@ def dephasing_sweep():
 
 @pytest.fixture(scope="session")
 def phaseflip_sweep():
-    """The 10^4-branch channel; this is the long pole of the suite."""
+    """The shift-and-phase channel, exact over its 10^4 Kraus histories."""
     return _sweep(NoiseKind.QUDIT_PHASE_FLIP)

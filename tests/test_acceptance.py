@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bcrsp.cli import main as cli_main
-from bcrsp.core import fidelity_density, reduced_density
+from bcrsp.core import fidelity_density, random_unitary, reduced_density
 from bcrsp.noise import (
     NoiseKind,
     compare_paper_vs_exact,
@@ -43,7 +43,7 @@ from bcrsp.protocol import (
     verify_decomposition,
 )
 from bcrsp.session import SessionStatus, new_session
-from conftest import GAMMA_GRID, random_phase_vector, random_unitary
+from conftest import GAMMA_GRID, random_phase_vector
 
 TOL = 1e-10
 
@@ -279,13 +279,13 @@ def test_criterion_09_session_layer():
         ses.status is SessionStatus.COMPLETED
         and len(ses.transcript) == 8
         and steps == sorted(steps)
-        and ses.recovered == (True, True)
+        and ses.result().recovered == (True, True)
     )
 
     declined = new_session(alice, bob, 3, charlie_consents=False, seed=43)
     declined.advance()
     declined.advance()
-    rho_a1 = reduced_density(declined.state, 0)
+    rho_a1 = reduced_density(declined.legs[0], 0)
     fid = fidelity_density(equatorial_state(bob), rho_a1)
     ok_declined = (
         declined.status is SessionStatus.ABORTED

@@ -50,6 +50,22 @@ class TestRun:
             assert row["fidelity_a1"] == pytest.approx(1.0, abs=1e-10)
             assert row["fidelity_b2"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_seeded_draw_order_is_pinned(self, tmp_path, capsys):
+        # outcome tuples recorded from the six-qudit engine; the per-leg
+        # engine must keep drawing l, n, m, k in this order
+        cfg = write_config(
+            tmp_path,
+            "seeded.json",
+            {"dimension": 5, "alice_phases": [0.1, 0.2, 0.3, 0.4],
+             "bob_phases": ["pi/3", "pi/3", "pi/3", "pi/3"], "trials": 6, "seed": 7},
+        )
+        assert main(["run", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["outcome"] for row in report["trials"]] == [
+            [3, 4, 3, 1], [3, 0, 0, 0], [1, 2, 4, 3],
+            [4, 4, 1, 3], [1, 1, 2, 2], [0, 3, 2, 2],
+        ]
+
     def test_forced_outcome_reports_corrections(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -111,6 +127,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert missing in err
+
+
+RUN_BASE = {"dimension": 3, "alice_phases": [0, 0], "bob_phases": [0, 0]}
+SWEEP_BASE = {"dimension": 3, "noise": {"kind": "dephasing"}}
+MALFORMED = {
+    "run-null-gamma": ("run", {**RUN_BASE, "noise": {"kind": "qudit-flip", "gamma": None}}),
+    "run-list-noise-with-keys": ("run", {**RUN_BASE, "noise": ["kind", "gamma"]}),
+    "run-list-noise": ("run", {**RUN_BASE, "noise": [1, 2]}),
+    "run-short-forced": ("run", {**RUN_BASE, "forced_outcome": [1, 2]}),
+    "run-null-forced-index": ("run", {**RUN_BASE, "forced_outcome": [1, 2, None, 0]}),
+    "run-scalar-phases": ("run", {**RUN_BASE, "alice_phases": 5}),
+    "run-list-seed": ("run", {**RUN_BASE, "seed": [1]}),
+    "run-array": ("run", [RUN_BASE]),
+    "sweep-array": ("sweep", [SWEEP_BASE]),
+    "sweep-text-steps": ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": "x"}}),
+    "sweep-list-noise": ("sweep", {**SWEEP_BASE, "noise": ["kind"]}),
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command,payload", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestSweep:

@@ -17,6 +17,7 @@ from bcrsp.core import (
     measure,
     project,
     projection_probabilities,
+    random_unitary,
     reduced_density,
     states_equal,
     tensor,
@@ -31,7 +32,7 @@ from bcrsp.protocol import (
     ghz_state,
     sender_basis,
 )
-from conftest import random_state, random_unitary
+from conftest import random_state
 
 
 class TestStateVector:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcrsp.core import unitarity_deviation
+from bcrsp.core import random_unitary, unitarity_deviation
 from bcrsp.optics import (
     BeamSplitter,
     InterferometerNetwork,
@@ -28,7 +28,7 @@ from bcrsp.optics import (
     verify_correction_circuits,
 )
 from bcrsp.protocol import PhaseVector, correction_unitary, ghz_state, sender_basis
-from conftest import random_phase_vector, random_unitary
+from conftest import random_phase_vector
 
 
 class TestCnot:

@@ -28,7 +28,7 @@ class TestLifecycle:
         assert ses.advance() is SessionStatus.RUNNING
         assert ses.advance() is SessionStatus.RUNNING
         assert ses.advance() is SessionStatus.COMPLETED
-        assert ses.recovered == (True, True)
+        assert ses.result().recovered == (True, True)
 
     def test_matches_bare_engine_bitwise(self, qutrit_pair):
         alice, bob = qutrit_pair
@@ -37,12 +37,12 @@ class TestLifecycle:
             ses.run_to_completion()
             res = run_protocol(alice, bob, 3, rng=seed)
             assert ses.outcome_tuple() == res.outcome
-            assert ses.corrections == res.corrections
+            assert ses.result().corrections == res.corrections
             np.testing.assert_array_equal(
-                ses.alice_final.amplitudes, res.alice_final.amplitudes
+                ses.result().alice_final.amplitudes, res.alice_final.amplitudes
             )
             np.testing.assert_array_equal(
-                ses.bob_final.amplitudes, res.bob_final.amplitudes
+                ses.result().bob_final.amplitudes, res.bob_final.amplitudes
             )
 
     def test_four_level_session(self):
@@ -50,7 +50,16 @@ class TestLifecycle:
         alice, bob = random_phase_vector(4, rng), random_phase_vector(4, rng)
         ses = new_session(alice, bob, 4, charlie_consents=True, seed=9)
         ses.run_to_completion()
-        assert ses.recovered == (True, True)
+        assert ses.result().recovered == (True, True)
+
+    def test_sixteen_level_session(self):
+        # two three-qudit legs keep N=16 cheap; a six-qudit register would
+        # hold 16^6 amplitudes
+        rng = np.random.default_rng(1616)
+        alice, bob = random_phase_vector(16, rng), random_phase_vector(16, rng)
+        ses = new_session(alice, bob, 16, charlie_consents=True, seed=16)
+        ses.run_to_completion()
+        assert ses.result().recovered == (True, True)
 
     def test_degenerate_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +154,16 @@ class TestDecline:
         assert ses.advance() is SessionStatus.RUNNING
         assert ses.advance() is SessionStatus.ABORTED
         assert len(ses.transcript) == 4
-        assert ses.corrections is None
+        with pytest.raises(RuntimeError, match="did not complete"):
+            ses.result()
+
+    def test_aborted_outcome_tuple_raises(self, qutrit_pair):
+        # m and k were never measured, so no outcome tuple exists
+        alice, bob = qutrit_pair
+        ses = new_session(alice, bob, 3, charlie_consents=False, seed=21)
+        ses.run_to_completion()
+        with pytest.raises(RuntimeError, match="aborted"):
+            ses.outcome_tuple()
 
     def test_leftover_qudit_is_maximally_mixed(self, qutrit_pair):
         # without the controller's help the reduced state at A1 averages to
@@ -154,7 +172,7 @@ class TestDecline:
         ses = new_session(alice, bob, 3, charlie_consents=False, seed=22)
         ses.advance()
         ses.advance()
-        rho_a1 = reduced_density(ses.state, 0)
+        rho_a1 = reduced_density(ses.legs[0], 0)
         np.testing.assert_allclose(rho_a1, np.eye(3) / 3, atol=1e-10)
         for target in (equatorial_state(bob), equatorial_state(alice)):
             assert fidelity_density(target, rho_a1) == pytest.approx(
@@ -166,8 +184,8 @@ class TestDecline:
         ses = new_session(alice, bob, 3, charlie_consents=False, seed=23)
         ses.advance()
         ses.advance()
-        # register after step 1 is (A1, C1, B2, C2)
-        rho_b2 = reduced_density(ses.state, 2)
+        # legs after step 1 are (A1, C1) and (B2, C2)
+        rho_b2 = reduced_density(ses.legs[1], 0)
         np.testing.assert_allclose(rho_b2, np.eye(3) / 3, atol=1e-10)
 
 
