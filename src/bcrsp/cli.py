@@ -282,21 +282,33 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _matrix_cell(cell) -> complex:
+    if _is_real(cell):
+        return complex(cell)
+    if isinstance(cell, list) and len(cell) == 2 and all(_is_real(x) for x in cell):
+        return complex(cell[0], cell[1])
+    raise ConfigError(f"matrix cell must be a number or a [re, im] pair, got {cell!r}")
+
+
 def _load_matrix(path: str) -> np.ndarray:
+    """A square, non-empty JSON matrix, bare or under the key "matrix"."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
+        if "matrix" not in doc:
+            raise ConfigError("matrix document is missing 'matrix'")
         doc = doc["matrix"]
-    rows = []
+    if not isinstance(doc, list) or not doc:
+        raise ConfigError(f"matrix must be a non-empty list of rows, got {doc!r}")
+    size = len(doc)
     for row in doc:
-        out_row = []
-        for cell in row:
-            if isinstance(cell, (list, tuple)):
-                out_row.append(complex(cell[0], cell[1]))
-            else:
-                out_row.append(complex(cell))
-        rows.append(out_row)
-    return np.array(rows, dtype=complex)
+        if not isinstance(row, list) or len(row) != size:
+            raise ConfigError(f"matrix must be square ({size}x{size}), got row {row!r}")
+    return np.array([[_matrix_cell(cell) for cell in row] for row in doc], dtype=complex)
 
 
 _BUILTIN_MATRICES = {

@@ -3,6 +3,11 @@
 States are plain complex vectors tagged with the list of subsystem
 dimensions; mixed states are kept exact, either as weighted lists of pure
 states or as dense density matrices.
+
+`project` and `measure` validate their `StateVector` arguments and delegate
+to `project_raw` and `sample_raw`, which work on bare amplitude tensors and
+conjugated basis rows. Hot loops (the protocol engine and sessions) call the
+raw helpers directly and build validated types only for their results.
 """
 
 from __future__ import annotations
@@ -76,11 +81,14 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector((dim,), amps)
 
 
+def same_ray(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
+    """Equality of normalized amplitude arrays up to a global phase."""
+    return abs(abs(complex(np.vdot(a, b))) - 1.0) <= atol
+
+
 def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
     """Equality up to a global phase: | <a|b> | = 1 within atol."""
-    if a.dims != b.dims:
-        return False
-    return abs(abs(a.overlap(b)) - 1.0) <= atol
+    return a.dims == b.dims and same_ray(a.amplitudes, b.amplitudes, atol)
 
 
 @dataclass(frozen=True)
@@ -277,6 +285,50 @@ def apply_on(op: Operator, state: StateVector, targets: int | Sequence[int]) -> 
     return StateVector(dims, out, normalized=state.normalized and op.unitary)
 
 
+def project_raw(
+    amps: np.ndarray, bra: np.ndarray, target: int
+) -> tuple[float, Optional[np.ndarray]]:
+    """Contract axis `target` of the amplitude tensor with the conjugated row `bra`.
+
+    Returns (probability, renormalized remainder tensor), or (0.0, None) when
+    the probability vanishes. No validation: callers pass matching shapes.
+    """
+    remainder = np.tensordot(bra, amps, axes=([0], [target]))
+    prob = float(np.real(np.vdot(remainder, remainder)))
+    if prob <= _PRUNE_EPS:
+        return 0.0, None
+    return prob, remainder / np.sqrt(prob)
+
+
+def _born_raw(amps: np.ndarray, bras: np.ndarray, target: int) -> np.ndarray:
+    """Unclipped Born probabilities of every row of `bras` on axis `target`."""
+    amp = np.tensordot(bras, amps, axes=([1], [target]))
+    return np.real(np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim))))
+
+
+def sample_raw(
+    amps: np.ndarray, bras: np.ndarray, target: int, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Born-draw one row of `bras` (conjugated basis rows) on axis `target`.
+
+    `amps` must be a normalized amplitude tensor. Returns (outcome,
+    renormalized remainder tensor). Raises ValueError when a probability is
+    negative beyond roundoff or the probabilities do not sum to one.
+    """
+    probs = _born_raw(amps, bras, target)
+    if np.any(probs < -WEIGHT_ATOL):
+        raise ValueError(f"negative outcome probability {float(probs.min())!r}")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= ATOL:
+        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    outcome = int(rng.choice(len(probs), p=probs))
+    _, post = project_raw(amps, bras[outcome], target)
+    assert post is not None  # sampled outcomes have positive probability
+    return outcome, post
+
+
 def project(
     state: StateVector, basis_vec: StateVector, target: int
 ) -> tuple[float, Optional[StateVector]]:
@@ -292,15 +344,11 @@ def project(
         raise ValueError(
             f"basis vector dims {basis_vec.dims} do not match subsystem dim {dims[target]}"
         )
-    remainder = np.tensordot(
-        basis_vec.amplitudes.conj(), state.tensor_view(), axes=([0], [target])
-    ).reshape(-1)
-    prob = float(np.real(np.vdot(remainder, remainder)))
-    if prob <= _PRUNE_EPS:
+    prob, post = project_raw(state.tensor_view(), basis_vec.amplitudes.conj(), target)
+    if post is None:
         return 0.0, None
     rest_dims = dims[:target] + dims[target + 1 :]
-    post = StateVector(rest_dims, remainder / np.sqrt(prob), normalized=state.normalized)
-    return prob, post
+    return prob, StateVector(rest_dims, post.reshape(-1), normalized=state.normalized)
 
 
 def projection_probabilities(
@@ -310,9 +358,7 @@ def projection_probabilities(
     dims = state.dims
     if basis.dim != dims[target]:
         raise ValueError(f"basis dim {basis.dim} != subsystem dim {dims[target]}")
-    # contract the conjugated basis matrix along the target axis in one go
-    amp = np.tensordot(basis.matrix().conj(), state.tensor_view(), axes=([1], [target]))
-    return np.real(np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim))))
+    return _born_raw(state.tensor_view(), basis.matrix().conj(), target)
 
 
 def measure(
@@ -322,15 +368,19 @@ def measure(
     rng: np.random.Generator | int | None = None,
 ) -> tuple[int, StateVector]:
     """Sample one projective outcome; deterministic for a fixed seed."""
+    dims = state.dims
+    if not 0 <= target < len(dims):
+        raise ValueError(f"target {target} out of range for dims {dims}")
+    if basis.dim != dims[target]:
+        raise ValueError(f"basis dim {basis.dim} != subsystem dim {dims[target]}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    probs = projection_probabilities(state, basis, target)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
-    _, post = project(state, basis.vectors[outcome], target)
-    assert post is not None  # sampled outcomes have positive probability
-    return outcome, post
+    amps = state.tensor_view()
+    if not state.normalized:
+        amps = amps / np.linalg.norm(amps)
+    outcome, post = sample_raw(amps, basis.matrix().conj(), target, rng)
+    rest_dims = dims[:target] + dims[target + 1 :]
+    return outcome, StateVector(rest_dims, post.reshape(-1), normalized=state.normalized)
 
 
 def apply_kraus(ens: BranchEnsemble, kraus: KrausSet, target: int) -> BranchEnsemble:

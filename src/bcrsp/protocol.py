@@ -8,11 +8,13 @@ outcomes.
 
 The two GHZ states never interact, so the engine runs them as two
 three-qudit legs: A1·B1·C1 carries Bob's state to A1 and B2·A2·C2 carries
-Alice's state to B2. Each leg is held in (kept, sender, controller) order,
-so the slot measured next always sits at axis 1 and each leg ends as the
-single kept qudit. The six-qudit order (A1, B1, C1, A2, B2, C2) is used
-only by `channel_state` and `verify_decomposition`, the four-basis
-expansion of the whole resource.
+Alice's state to B2. Each leg is a plain (N, N, N) amplitude array in
+(kept, sender, controller) order, so the slot measured next always sits at
+axis 1 and each leg ends as the single kept qudit; validated `StateVector`s
+are built only by `finish`, for the `ProtocolResult` fields. The four-basis
+expansion is checked per leg as well. The six-qudit order
+(A1, B1, C1, A2, B2, C2) is used only by `channel_state`, the whole
+resource as one register.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .core import (
     Operator,
     StateVector,
     apply_on,
-    measure,
-    project,
-    states_equal,
+    project_raw,
+    same_ray,
+    sample_raw,
     tensor,
 )
 
@@ -121,20 +123,30 @@ def phase_table(n: int) -> np.ndarray:
     return table
 
 
+def _equatorial_amplitudes(p: PhaseVector) -> np.ndarray:
+    return np.exp(1j * p.full()) / np.sqrt(p.dim)
+
+
 def equatorial_state(p: PhaseVector) -> StateVector:
     """(1/sqrt(N)) sum_j e^{i theta_j} |j>."""
-    amps = np.exp(1j * p.full()) / np.sqrt(p.dim)
-    return StateVector((p.dim,), amps)
+    return StateVector((p.dim,), _equatorial_amplitudes(p))
+
+
+@functools.lru_cache(maxsize=64)
+def _ghz_tensor(n: int) -> np.ndarray:
+    """Read-only (N, N, N) amplitudes of (1/sqrt(N)) sum_j |jjj>."""
+    amps = np.zeros(n**3, dtype=complex)
+    stride = n * n + n + 1
+    amps[np.arange(n) * stride] = 1.0 / np.sqrt(n)
+    amps.flags.writeable = False
+    return amps.reshape(n, n, n)
 
 
 def ghz_state(n: int) -> StateVector:
     """(1/sqrt(N)) sum_j |jjj> on three qudits."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    amps = np.zeros(n**3, dtype=complex)
-    stride = n * n + n + 1
-    amps[np.arange(n) * stride] = 1.0 / np.sqrt(n)
-    return StateVector((n, n, n), amps)
+    return StateVector((n, n, n), _ghz_tensor(n).reshape(-1))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -164,6 +176,11 @@ def correction_unitary(k: int, n: int) -> Operator:
     return Operator(np.diag(phase_table(n)[k]), unitary=True)
 
 
+def _collapsed_rows(p: PhaseVector) -> np.ndarray:
+    """Row idx holds the amplitudes of collapsed_state(p, idx)."""
+    return np.conj(phase_table(p.dim)) * np.exp(1j * p.full()) / np.sqrt(p.dim)
+
+
 def collapsed_state(p: PhaseVector, idx: int) -> StateVector:
     """Post-measurement remainder with e^{-i 2pi j idx/N} alongside the target phases.
 
@@ -172,8 +189,7 @@ def collapsed_state(p: PhaseVector, idx: int) -> StateVector:
     """
     if not 0 <= idx < p.dim:
         raise ValueError(f"index {idx} out of range for dim {p.dim}")
-    amps = np.conj(phase_table(p.dim)[idx]) * np.exp(1j * p.full()) / np.sqrt(p.dim)
-    return StateVector((p.dim,), amps)
+    return StateVector((p.dim,), _collapsed_rows(p)[idx])
 
 
 @functools.lru_cache(maxsize=16)
@@ -187,33 +203,52 @@ def mod_add(a: int, b: int, n: int) -> int:
     return (a + b) % n
 
 
-def _measurement_bases(alice: PhaseVector, bob: PhaseVector, n: int):
-    four = fourier_basis(n)
-    return {"l": sender_basis(alice), "n": sender_basis(bob), "m": four, "k": four}
+def _read_only_bras(basis: MeasurementBasis) -> np.ndarray:
+    bras = basis.matrix().conj()
+    bras.flags.writeable = False
+    return bras
 
 
-def channel_legs(n: int) -> list[StateVector]:
-    """The two GHZ legs, [A1·B1·C1, B2·A2·C2], before any measurement."""
-    ghz = ghz_state(n)
+@functools.lru_cache(maxsize=1024)
+def _sender_bras(p: PhaseVector) -> np.ndarray:
+    """Conjugated rows of sender_basis(p), ready for project_raw/sample_raw."""
+    return _read_only_bras(sender_basis(p))
+
+
+@functools.lru_cache(maxsize=64)
+def _fourier_bras(n: int) -> np.ndarray:
+    """Conjugated rows of fourier_basis(n)."""
+    return _read_only_bras(fourier_basis(n))
+
+
+def _measurement_bases(alice: PhaseVector, bob: PhaseVector, n: int) -> dict[str, np.ndarray]:
+    """Conjugated basis rows per slot; row i is the bra of outcome i."""
+    four = _fourier_bras(n)
+    return {"l": _sender_bras(alice), "n": _sender_bras(bob), "m": four, "k": four}
+
+
+def channel_legs(n: int) -> list[np.ndarray]:
+    """The two GHZ legs, [A1·B1·C1, B2·A2·C2], as read-only (N, N, N) arrays."""
+    ghz = _ghz_tensor(n)
     return [ghz, ghz]
 
 
 def sample_slots(
-    legs: list[StateVector],
-    bases: dict[str, MeasurementBasis],
+    legs: list[np.ndarray],
+    bases: dict[str, np.ndarray],
     slots: Iterable[tuple[str, int]],
     rng: np.random.Generator,
 ) -> dict[str, int]:
     """Born-sample the listed (slot, leg) pairs in order, collapsing `legs` in place."""
     drawn = {}
     for slot, leg in slots:
-        drawn[slot], legs[leg] = measure(legs[leg], bases[slot], 1, rng)
+        drawn[slot], legs[leg] = sample_raw(legs[leg], bases[slot], 1, rng)
     return drawn
 
 
 def _project_outcome(
-    legs: list[StateVector],
-    bases: dict[str, MeasurementBasis],
+    legs: list[np.ndarray],
+    bases: dict[str, np.ndarray],
     outcome: OutcomeTuple,
 ) -> float:
     """Force the four outcomes in protocol order, collapsing `legs` in place.
@@ -223,7 +258,7 @@ def _project_outcome(
     joint = 1.0
     indices = {"l": outcome.l, "n": outcome.n, "m": outcome.m, "k": outcome.k}
     for slot, leg in PROTOCOL_ORDER:
-        prob, legs[leg] = project(legs[leg], bases[slot].vectors[indices[slot]], 1)
+        prob, legs[leg] = project_raw(legs[leg], bases[slot][indices[slot]], 1)
         if legs[leg] is None:
             raise RuntimeError(
                 f"outcome {indices} has zero probability at slot {slot}"
@@ -236,30 +271,35 @@ def finish(
     alice: PhaseVector,
     bob: PhaseVector,
     outcome: OutcomeTuple,
-    legs: list[StateVector],
+    legs: list[np.ndarray],
     probability: float,
 ) -> ProtocolResult:
-    """Correct the two one-qudit remainders: U_{m+n} on A1, U_{k+l} on B2."""
+    """Correct the two one-qudit remainders: U_{m+n} on A1, U_{k+l} on B2.
+
+    U_p is diagonal, so each correction is an elementwise product with row p
+    of `phase_table`. Recovery means the same ray as the target, up to ATOL.
+    """
     n = alice.dim
     rule = CorrectionRule(
         a1_index=mod_add(outcome.m, outcome.n, n),
         b2_index=mod_add(outcome.k, outcome.l, n),
     )
     a1_before, b2_before = legs
-    alice_final = apply_on(correction_unitary(rule.a1_index, n), a1_before, 0)
-    bob_final = apply_on(correction_unitary(rule.b2_index, n), b2_before, 0)
+    table = phase_table(n)
+    alice_final = table[rule.a1_index] * a1_before
+    bob_final = table[rule.b2_index] * b2_before
     recovered = (
-        states_equal(alice_final, equatorial_state(bob)),
-        states_equal(bob_final, equatorial_state(alice)),
+        same_ray(alice_final, _equatorial_amplitudes(bob)),
+        same_ray(bob_final, _equatorial_amplitudes(alice)),
     )
     return ProtocolResult(
         outcome=outcome,
         probability=probability,
         corrections=rule,
-        a1_before=a1_before,
-        b2_before=b2_before,
-        alice_final=alice_final,
-        bob_final=bob_final,
+        a1_before=StateVector((n,), a1_before),
+        b2_before=StateVector((n,), b2_before),
+        alice_final=StateVector((n,), alice_final),
+        bob_final=StateVector((n,), bob_final),
         recovered=recovered,
     )
 
@@ -347,34 +387,36 @@ class DecompositionCheck:
         return self.ok
 
 
+def _leg_deviation(target: PhaseVector, n: int) -> float:
+    """max |(1/N) sum_{s,t} z~_{s+t} (x) tau_s (x) tau-bar_t - GHZ| on one leg.
+
+    The leg is in (kept, sender, controller) order: s is the sender's outcome
+    in sender_basis(target), t the controller's in fourier_basis(n).
+    """
+    s = np.arange(n)
+    kept = _collapsed_rows(target)[(s[:, None] + s[None, :]) % n]
+    acc = np.einsum(
+        "sta,sb,tc->abc", kept, sender_basis(target).matrix(), fourier_basis(n).matrix()
+    ) / n
+    return float(np.max(np.abs(acc - _ghz_tensor(n))))
+
+
 def verify_decomposition(
     alice: PhaseVector, bob: PhaseVector, n: int, atol: float = ATOL
 ) -> DecompositionCheck:
-    """Rebuild the channel from the four-basis expansion and compare entrywise.
+    """Check the four-basis expansion of the channel, one GHZ leg at a time.
 
-    Sums (1/N^2) tau-bar_k (x) tau_l (x) tau-bar_m (x) tau~_n (x)
-    z~_{m+n} (x) z_{k+l} over all N^4 tuples, arranged in the global
-    (A1, B1, C1, A2, B2, C2) order, against GHZ (x) GHZ.
+    The six-qudit identity GHZ (x) GHZ = (1/N^2) sum over all N^4 tuples of
+    tau-bar_k (x) tau_l (x) tau-bar_m (x) tau~_n (x) z~_{m+n} (x) z_{k+l}
+    factors exactly into one N^2-term identity per leg,
+    GHZ = (1/N) sum_{s,t} z~_{s+t} (x) tau_s (x) tau-bar_t: (s, t) = (n, m)
+    with Bob's phases on A1·B1·C1 and (l, k) with Alice's on B2·A2·C2.
+    Each leg is one einsum against ghz_state(n); max_deviation is the larger
+    of the two legs' entrywise deviations. No N^6 array is built.
     """
-    if n > 4:
-        raise ValueError("reconstruction cost grows as N^4 terms; use N <= 4")
-    send_a = sender_basis(alice)
-    send_b = sender_basis(bob)
-    four = fourier_basis(n)
-    acc = np.zeros(n**6, dtype=complex)
-    for oc in all_outcomes(n):
-        parts = (
-            collapsed_state(bob, mod_add(oc.m, oc.n, n)).amplitudes,    # A1
-            send_b.vectors[oc.n].amplitudes,                            # B1
-            four.vectors[oc.m].amplitudes,                              # C1
-            send_a.vectors[oc.l].amplitudes,                            # A2
-            collapsed_state(alice, mod_add(oc.k, oc.l, n)).amplitudes,  # B2
-            four.vectors[oc.k].amplitudes,                              # C2
+    if alice.dim != n or bob.dim != n:
+        raise ValueError(
+            f"phase vectors have dims {alice.dim}/{bob.dim}, protocol dim is {n}"
         )
-        term = parts[0]
-        for p in parts[1:]:
-            term = np.kron(term, p)
-        acc += term
-    acc /= n**2
-    dev = float(np.max(np.abs(acc - channel_state(n).amplitudes)))
+    dev = max(_leg_deviation(bob, n), _leg_deviation(alice, n))
     return DecompositionCheck(dev <= atol, dev)

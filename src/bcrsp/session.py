@@ -84,8 +84,8 @@ class Session:
         self.charlie_consents = bool(charlie_consents)
         self._rng = np.random.default_rng(seed)
         self._bases = _measurement_bases(alice, bob, n)
-        # [A1·B1·C1, B2·A2·C2], each shrinking to its kept qudit
-        self.legs: list[StateVector] = channel_legs(n)
+        # raw [A1·B1·C1, B2·A2·C2] amplitudes, each shrinking to its kept qudit
+        self._legs = channel_legs(n)
         self.status = SessionStatus.RUNNING
         self.step = 0
         self.transcript: list[ClassicalMessage] = []
@@ -110,7 +110,7 @@ class Session:
         # serialized A2-then-B1; the two act on different legs so the order
         # is unobservable
         self.outcomes.update(
-            sample_slots(self.legs, self._bases, PROTOCOL_ORDER[:2], self._rng)
+            sample_slots(self._legs, self._bases, PROTOCOL_ORDER[:2], self._rng)
         )
         l, nn = self.outcomes["l"], self.outcomes["n"]
         self._announce(PartyId.ALICE, PartyId.BOB, "A2", l)
@@ -123,7 +123,7 @@ class Session:
             self.status = SessionStatus.ABORTED
             return
         self.outcomes.update(
-            sample_slots(self.legs, self._bases, PROTOCOL_ORDER[2:], self._rng)
+            sample_slots(self._legs, self._bases, PROTOCOL_ORDER[2:], self._rng)
         )
         m, k = self.outcomes["m"], self.outcomes["k"]
         self._announce(PartyId.CHARLIE, PartyId.ALICE, "C1", m)
@@ -133,11 +133,16 @@ class Session:
 
     def _step_corrections(self):
         self._result = finish(
-            self.alice, self.bob, self.outcome_tuple(), self.legs, 1.0 / self.n**4
+            self.alice, self.bob, self.outcome_tuple(), self._legs, 1.0 / self.n**4
         )
         self.status = SessionStatus.COMPLETED
 
     # -- public surface -----------------------------------------------
+
+    @property
+    def legs(self) -> list[StateVector]:
+        """The current [A1·B1·C1, B2·A2·C2] legs, kept qudit first."""
+        return [StateVector(leg.shape, leg.reshape(-1)) for leg in self._legs]
 
     def advance(self) -> SessionStatus:
         """Execute the next protocol step; raises on a terminal session."""

@@ -301,6 +301,31 @@ class TestDecompose:
     def test_unknown_builtin(self, capsys):
         assert main(["decompose", "--builtin", "nosuch"]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"x": 1},
+            [[1, [2]]],
+            [],
+            5,
+            [[[1, 2, 3]]],
+            [[1, 0]],
+            [[1, 0], [0]],
+            [["1", 0], [0, 1]],
+            [[True, 0], [0, 1]],
+            {"matrix": "1"},
+        ],
+        ids=["no-matrix-key", "short-pair", "empty", "scalar", "long-pair",
+             "non-square", "ragged", "text-cell", "bool-cell", "text-matrix"],
+    )
+    def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_invariant_suite_passes(self, capsys):

@@ -16,9 +16,11 @@ from bcrsp.core import (
     fidelity_density,
     measure,
     project,
+    project_raw,
     projection_probabilities,
     random_unitary,
     reduced_density,
+    sample_raw,
     states_equal,
     tensor,
 )
@@ -196,6 +198,35 @@ class TestMeasure:
         run2 = [measure(ghz_state(3), basis, 0, rng2)[0] for _ in range(50)]
         assert run1 == run2
         assert len(set(seq1)) == 1  # fresh generator with equal seed every call
+
+
+class TestRawHelpers:
+    def test_sample_raw_rejects_unnormalized_state(self):
+        # twice a GHZ tensor, passed to the raw helper as if normalized:
+        # its outcome probabilities sum to 4, which must not be renormalized away
+        amps = 2.0 * ghz_state(3).tensor_view()
+        bras = fourier_basis(3).matrix().conj()
+        with pytest.raises(ValueError, match="sum to"):
+            sample_raw(amps, bras, 0, np.random.default_rng(0))
+
+    def test_sample_raw_replays_measure(self):
+        state = tensor(ghz_state(3), equatorial_state(PhaseVector(3, (0.4, 1.9))))
+        basis = fourier_basis(3)
+        bras = basis.matrix().conj()
+        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+        for target in (0, 1, 3, 2):
+            outcome, post = measure(state, basis, target, rng_a)
+            raw_outcome, raw_post = sample_raw(state.tensor_view(), bras, target, rng_b)
+            assert outcome == raw_outcome
+            np.testing.assert_array_equal(post.amplitudes, raw_post.reshape(-1))
+
+    def test_project_raw_matches_project(self):
+        vec = sender_basis(PhaseVector(3, (0.7, -1.3))).vectors[2]
+        prob, post = project(ghz_state(3), vec, 1)
+        raw_prob, raw_post = project_raw(ghz_state(3).tensor_view(), vec.amplitudes.conj(), 1)
+        assert prob == raw_prob
+        assert raw_post.shape == (3, 3)
+        np.testing.assert_array_equal(post.amplitudes, raw_post.reshape(-1))
 
 
 class TestApplyKraus:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcrsp.core import states_equal
+from bcrsp import protocol
+from bcrsp.core import ATOL, states_equal
 from bcrsp.protocol import (
     CorrectionRule,
     OutcomeTuple,
@@ -17,6 +18,7 @@ from bcrsp.protocol import (
     fourier_basis,
     ghz_state,
     outcome_probability,
+    phase_table,
     run_protocol,
     sender_basis,
     verify_decomposition,
@@ -324,6 +326,34 @@ class TestCorrectionTable:
             assert run_protocol(a, b, 3, outcome=oc).corrections == table[oc]
 
 
+def six_qudit_decomposition_deviation(alice, bob, n):
+    """Oracle: the four-basis expansion summed over all N^4 tuples.
+
+    (1/N^2) sum of tau-bar_k (x) tau_l (x) tau-bar_m (x) tau~_n (x)
+    z~_{m+n} (x) z_{k+l}, one kron per term in the global
+    (A1, B1, C1, A2, B2, C2) order, against GHZ (x) GHZ.
+    """
+    send_a = sender_basis(alice)
+    send_b = sender_basis(bob)
+    four = fourier_basis(n)
+    acc = np.zeros(n**6, dtype=complex)
+    for oc in all_outcomes(n):
+        parts = (
+            collapsed_state(bob, (oc.m + oc.n) % n).amplitudes,    # A1
+            send_b.vectors[oc.n].amplitudes,                       # B1
+            four.vectors[oc.m].amplitudes,                         # C1
+            send_a.vectors[oc.l].amplitudes,                       # A2
+            collapsed_state(alice, (oc.k + oc.l) % n).amplitudes,  # B2
+            four.vectors[oc.k].amplitudes,                         # C2
+        )
+        term = parts[0]
+        for part in parts[1:]:
+            term = np.kron(term, part)
+        acc += term
+    acc /= n**2
+    return float(np.max(np.abs(acc - channel_state(n).amplitudes)))
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_phases(self, n):
@@ -336,9 +366,38 @@ class TestDecomposition:
         chk = verify_decomposition(PhaseVector.zero(2), PhaseVector.zero(2), 2)
         assert bool(chk)
 
-    def test_large_dimension_rejected(self):
-        with pytest.raises(ValueError, match="N <= 4"):
-            verify_decomposition(PhaseVector.zero(5), PhaseVector.zero(5), 5)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agrees_with_six_qudit_oracle(self, n):
+        rng = np.random.default_rng(23 * n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        assert six_qudit_decomposition_deviation(alice, bob, n) <= ATOL
+        chk = verify_decomposition(alice, bob, n)
+        assert bool(chk)
+        assert chk.max_deviation <= ATOL
+
+    def test_dimensions_five_to_sixteen(self):
+        rng = np.random.default_rng(5)
+        for n in range(5, 17):
+            chk = verify_decomposition(
+                random_phase_vector(n, rng), random_phase_vector(n, rng), n
+            )
+            assert bool(chk), n
+            assert chk.max_deviation <= ATOL, n
+
+    def test_wrong_collapse_sign_is_flagged(self, monkeypatch):
+        # with e^{+i 2pi j idx/N} in place of e^{-i 2pi j idx/N} the kept
+        # qudits no longer sum back to GHZ, so the check must fail
+        n = 3
+        rng = np.random.default_rng(8)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        monkeypatch.setattr(
+            protocol,
+            "_collapsed_rows",
+            lambda p: phase_table(p.dim) * np.exp(1j * p.full()) / np.sqrt(p.dim),
+        )
+        chk = verify_decomposition(alice, bob, n)
+        assert not chk
+        assert chk.max_deviation > 0.1
 
 
 class TestPhaseShiftCovariance:
