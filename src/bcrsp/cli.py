@@ -8,6 +8,7 @@ and seed give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import re
 import sys
@@ -282,16 +283,19 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _matrix_cell(cell) -> complex:
-    if _is_real(cell):
-        return complex(cell)
-    if isinstance(cell, list) and len(cell) == 2 and all(_is_real(x) for x in cell):
-        return complex(cell[0], cell[1])
-    raise ConfigError(f"matrix cell must be a number or a [re, im] pair, got {cell!r}")
+    """A finite number, or a [re, im] pair of them, as a complex value."""
+    parts = cell if isinstance(cell, list) and len(cell) == 2 else (cell, 0)
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        try:
+            value = complex(parts[0], parts[1])
+        except OverflowError:
+            value = complex("nan")
+        if cmath.isfinite(value):
+            return value
+    raise ConfigError(
+        f"matrix cell must be a finite number or a [re, im] pair, got {cell!r}"
+    )
 
 
 def _load_matrix(path: str) -> np.ndarray:

@@ -314,9 +314,13 @@ class TestDecompose:
             [["1", 0], [0, 1]],
             [[True, 0], [0, 1]],
             {"matrix": "1"},
+            [[float("nan"), 0], [0, 1]],
+            [[1, 0], [0, [float("inf"), 0]]],
+            [[10**400, 0], [0, 1]],
         ],
         ids=["no-matrix-key", "short-pair", "empty", "scalar", "long-pair",
-             "non-square", "ragged", "text-cell", "bool-cell", "text-matrix"],
+             "non-square", "ragged", "text-cell", "bool-cell", "text-matrix",
+             "nan-cell", "inf-pair", "huge-int"],
     )
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
