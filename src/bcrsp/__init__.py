@@ -32,6 +32,7 @@ from .noise import (
     paper_fidelity_phaseflip_equatorial,
     phase_flip_kraus,
     qudit_flip_kraus,
+    run_fidelities,
 )
 from .optics import (
     BeamSplitter,

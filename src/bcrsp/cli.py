@@ -17,11 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import optics
-from .core import fidelity_density, random_unitary, unitarity_deviation
+from .core import random_unitary, unitarity_deviation
 from .noise import (
     NoiseKind,
     OutcomePolicy,
     closed_form_fidelity,
+    run_fidelities,
     kraus_for,
     noisy_protocol_run,
 )
@@ -179,8 +180,7 @@ def cmd_run(args) -> int:
         gamma = _number(noise_cfg["gamma"], float, "gamma")
         policy = OutcomePolicy(cfg.get("policy", "averaged"))
         run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
-        f_a1 = fidelity_density(equatorial_state(bob), run.rho_a1)
-        f_b2 = fidelity_density(equatorial_state(alice), run.rho_b2)
+        f_a1, f_b2 = run_fidelities(run, alice, bob)
         report["noise"] = run.diagnostics
         report["fidelity_a1"] = f_a1
         report["fidelity_b2"] = f_b2
@@ -227,12 +227,9 @@ def cmd_sweep(args) -> int:
     grid = _gamma_grid(cfg.get("gamma_grid"))
 
     rows = []
-    target_a1 = equatorial_state(bob)
-    target_b2 = equatorial_state(alice)
     for gamma in grid:
         run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
-        f_a1 = fidelity_density(target_a1, run.rho_a1)
-        f_b2 = fidelity_density(target_b2, run.rho_b2)
+        f_a1, f_b2 = run_fidelities(run, alice, bob)
         paper = closed_form_fidelity(kind, bob, gamma)
         rows.append((gamma, f_a1, f_b2, paper))
 
@@ -377,15 +374,13 @@ def cmd_verify(args) -> int:
     )
 
     for kind in NoiseKind:
-        devs = [
-            kraus_for(kind, g, 4).completeness_deviation(kraus_for(kind, g, 4).operators)
-            for g in np.linspace(0, 1, 20)
-        ]
+        sets = [kraus_for(kind, g, 4) for g in np.linspace(0, 1, 20)]
+        devs = [ks.completeness_deviation(ks.operators) for ks in sets]
         record(f"kraus completeness {kind.value}", max(devs) <= 1e-10, f"max {max(devs):.2e}")
 
     zero4 = PhaseVector.zero(4)
     run = noisy_protocol_run(zero4, zero4, 4, NoiseKind.QUDIT_FLIP, 0.6)
-    f = fidelity_density(equatorial_state(zero4), run.rho_a1)
+    f, _ = run_fidelities(run, zero4, zero4)
     record("qudit-flip unity fidelity (gamma=0.6)", abs(f - 1.0) < 1e-10, f"F={f:.12f}")
 
     q = random_unitary(rng, 4)

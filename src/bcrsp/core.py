@@ -2,7 +2,11 @@
 
 States are plain complex vectors tagged with the list of subsystem
 dimensions; mixed states are kept exact, either as weighted lists of pure
-states or as dense density matrices.
+states or as dense density matrices. A `StateVector` checks its amplitude
+count and its norm (one `vdot`) on every construction, so building one is
+cheap but never unchecked. The weighted-list form (`BranchEnsemble`,
+`ensemble_from_density`) serves only the eigen-views of noisy results
+and the branch-by-branch oracles in the tests.
 
 `project` and `measure` validate their `StateVector` arguments and delegate
 to `project_raw` and `sample_raw`, which work on bare amplitude tensors and
@@ -12,6 +16,7 @@ raw helpers directly and build validated types only for their results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,13 +53,13 @@ class StateVector:
             raise ValueError(f"invalid dims {dims}")
         object.__setattr__(self, "dims", dims)
         amps = _as_complex_vector(self.amplitudes)
-        if len(amps) != int(np.prod(dims)):
+        if len(amps) != math.prod(dims):
             raise ValueError(
                 f"amplitude length {len(amps)} does not match dims {dims}"
             )
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
-            norm = np.linalg.norm(amps)
+            norm = math.sqrt(np.vdot(amps, amps).real)
             if abs(norm - 1.0) > ATOL:
                 raise ValueError(f"state is not normalized (|psi| = {norm!r})")
 
@@ -215,11 +220,9 @@ class BranchEnsemble:
 
     def density_matrix(self) -> np.ndarray:
         """Dense sum_b w_b |b><b| (fine at desk scale, O(dim^2) memory)."""
-        dim = len(self.branches[0][1].amplitudes)
-        rho = np.zeros((dim, dim), dtype=complex)
-        for w, s in self.branches:
-            rho += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        return rho
+        weights = np.array([w for w, _ in self.branches])
+        amps = np.array([s.amplitudes for _, s in self.branches])
+        return (amps.T * weights) @ amps.conj()
 
     @staticmethod
     def pure(state: StateVector) -> "BranchEnsemble":
@@ -233,11 +236,12 @@ def ensemble_from_density(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsem
     renormalized so they sum to one.
     """
     vals, vecs = np.linalg.eigh(rho)
-    pairs = []
-    for w, v in zip(vals[::-1], vecs.T[::-1]):
-        if w < 1e-14:
-            continue
-        pairs.append((float(w), StateVector(dims, v / np.linalg.norm(v))))
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    pairs = [
+        (float(w), StateVector(dims, v))
+        for w, v in zip(vals[::-1], vecs.T[::-1])
+        if w >= 1e-14
+    ]
     total = sum(w for w, _ in pairs)
     if total <= 0:
         raise ValueError("density matrix has no positive weight")

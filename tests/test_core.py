@@ -46,6 +46,20 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector((2,), np.array([1.0, 1.0]))
 
+    def test_rejects_length_mismatch_of_normalized_amplitudes(self):
+        with pytest.raises(ValueError, match="does not match dims"):
+            StateVector((2, 3), np.full(5, 1 / np.sqrt(5)))
+
+    @pytest.mark.parametrize("offset", [2e-10, -2e-10])
+    def test_rejects_norm_just_outside_tolerance(self, offset):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector((2, 2), np.full(4, 0.5) * (1 + offset))
+
+    @pytest.mark.parametrize("offset", [5e-11, -5e-11])
+    def test_accepts_norm_within_tolerance(self, offset):
+        amps = np.full(4, 0.5j) * (1 + offset)
+        assert StateVector((2, 2), amps).amplitudes[3] == amps[3]
+
     def test_unnormalized_flag_allows_intermediates(self):
         s = StateVector((2,), np.array([1.0, 1.0]), normalized=False)
         assert s.amplitudes[1] == 1.0

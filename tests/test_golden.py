@@ -63,7 +63,7 @@ def _render(argv: list[str], cfg: dict, workdir: Path) -> bytes:
     config = workdir / "config.json"
     out = workdir / "out.txt"
     config.write_text(json.dumps(cfg))
-    main([*argv, "--config", str(config), "--out", str(out)])
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
     return out.read_bytes()
 
 

@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from bcrsp import noise
 from bcrsp.core import BranchEnsemble, apply_kraus, fidelity_density, project, tensor
 from bcrsp.noise import (
     DISTRIBUTED_SITES,
@@ -130,6 +134,88 @@ class TestKrausSets:
             kraus_for(kind, -0.1, 4)
 
 
+def reference_kraus(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
+    """Operator-by-operator construction of each channel, the form the Kraus
+    stack replaced; the stack must reproduce it bit for bit."""
+    col = np.arange(n)
+
+    def shift(s, phases=None):
+        mat = np.zeros((n, n), dtype=complex)
+        mat[(col + s) % n, col] = 1.0 if phases is None else phases
+        return mat
+
+    if kind is NoiseKind.DEPHASING:
+        diag = np.concatenate(([1.0], np.full(n - 1, np.sqrt(1 - gamma))))
+        ops = [np.diag(diag).astype(complex)]
+        for s in range(1, n) if gamma > 0 else ():
+            mat = np.zeros((n, n), dtype=complex)
+            mat[s, s] = np.sqrt(gamma)
+            ops.append(mat)
+        return np.array(ops)
+    ops = [np.sqrt(1 - (n - 1) * gamma / n) * np.eye(n, dtype=complex)]
+    if gamma > 0 and kind is NoiseKind.QUDIT_FLIP:
+        ops.extend(np.sqrt(gamma / n) * shift(s) for s in range(1, n))
+    elif gamma > 0:
+        table = np.exp(2j * np.pi * (np.outer(col, col) % n) / n)
+        coef = np.sqrt(gamma / (n * (n - 1)))
+        ops.extend(coef * shift(b, phases) for phases in table[1:] for b in range(1, n))
+    return np.array(ops)
+
+
+BUILDERS = {
+    NoiseKind.QUDIT_FLIP: qudit_flip_kraus,
+    NoiseKind.DEPHASING: dephasing_kraus,
+    NoiseKind.QUDIT_PHASE_FLIP: phase_flip_kraus,
+}
+SHAPES = {
+    NoiseKind.QUDIT_FLIP: "_shift_shapes",
+    NoiseKind.DEPHASING: "_projector_shapes",
+    NoiseKind.QUDIT_PHASE_FLIP: "_weyl_shapes",
+}
+
+
+class TestKrausStack:
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_public_builders_equal_raw_stack_bitwise(self, kind):
+        for n in range(2, 9):
+            for gamma in (0.0, 0.37, 1.0):
+                stack = noise._kraus_stack(kind, gamma, n)
+                assert stack.tobytes() == reference_kraus(kind, gamma, n).tobytes()
+                for chan in (BUILDERS[kind](gamma, n), kraus_for(kind, gamma, n)):
+                    ops = np.array([op.entries for op in chan.operators])
+                    assert ops.shape == stack.shape
+                    assert ops.tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_corrupted_shape_is_not_complete(self, kind, monkeypatch):
+        bad = getattr(noise, SHAPES[kind])(4).copy()
+        bad[2] *= 1.1
+        monkeypatch.setattr(noise, SHAPES[kind], lambda n: bad)
+        with pytest.raises(ValueError, match="not complete"):
+            noise._kraus_stack(kind, 0.5, 4)
+        with pytest.raises(ValueError, match="not complete"):
+            noisy_protocol_run(ZERO4, ZERO4, 4, kind, 0.5)
+
+    def test_shape_caches_are_keyed_by_dimension_only(self):
+        noise._weyl_shapes.cache_clear()
+        for gamma in (0.1, 0.37, 0.9):
+            noise._kraus_stack(NoiseKind.QUDIT_PHASE_FLIP, gamma, 5)
+        info = noise._weyl_shapes.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert not noise._weyl_shapes(5).flags.writeable
+
+    def test_shape_caches_are_empty_after_import(self):
+        code = (
+            "import bcrsp.noise as m; "
+            "print([f.cache_info().currsize for f in "
+            "(m._shift_shapes, m._weyl_shapes, m._projector_shapes)])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[0, 0, 0]"
+
+
 def naive_noisy_marginals(alice, bob, n, kind, gamma, conditioned=None):
     """Independent slow-path oracle: explicit branch ensemble via apply_kraus,
     then per-branch sequential projection over outcome tuples."""
@@ -240,6 +326,25 @@ class TestExactEvaluator:
                 abs(np.trace(rho) - 1.0), abs=1e-15
             )
             assert diag[f"trace_error_{name}"] <= 1e-12
+
+    @pytest.mark.parametrize("policy", list(OutcomePolicy))
+    def test_batched_residuals_equal_per_leg_values(self, policy):
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 4, 5):
+            for kind in NoiseKind:
+                alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+                oc = OutcomeTuple(*(int(v) for v in rng.integers(0, n, 4)))
+                run = noisy_protocol_run(alice, bob, n, kind, 0.37, policy, oc)
+                diag = run.diagnostics
+                for name, rho in (("a1", run.rho_a1), ("b2", run.rho_b2)):
+                    assert diag[f"trace_{name}"] == float(np.real(np.trace(rho)))
+                    assert diag[f"hermiticity_{name}"] == float(
+                        np.max(np.abs(rho - rho.conj().T))
+                    )
+                    assert diag[f"min_eigenvalue_{name}"] == float(
+                        np.min(np.linalg.eigvalsh(rho))
+                    )
+                    assert diag[f"trace_error_{name}"] == float(abs(np.trace(rho) - 1.0))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_sizes_beyond_history_enumeration(self, n):
