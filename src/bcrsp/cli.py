@@ -22,9 +22,9 @@ from .noise import (
     NoiseKind,
     OutcomePolicy,
     closed_form_fidelity,
-    run_fidelities,
     kraus_for,
     noisy_protocol_run,
+    run_fidelities,
 )
 from .protocol import (
     OutcomeTuple,

@@ -129,7 +129,7 @@ def _dephasing_stack(gamma: float, n: int) -> np.ndarray:
     weights = np.zeros((n, n))
     weights[0] = np.concatenate(([1.0], np.full(n - 1, np.sqrt(1 - gamma))))
     weights[1:, 1:] = np.sqrt(gamma) * np.eye(n - 1)
-    return np.einsum("ks,sij->kij", weights[: n if gamma > 0 else 1], _projector_shapes(n))
+    return np.tensordot(weights[: n if gamma > 0 else 1], _projector_shapes(n), axes=1)
 
 
 def _kraus_stack(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
@@ -146,8 +146,8 @@ def _kraus_stack(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
         stack = _shift_stack(_shift_shapes(n), np.sqrt(gamma / n), gamma, n)
     else:
         stack = _shift_stack(_weyl_shapes(n), np.sqrt(gamma / (n * (n - 1))), gamma, n)
-    gram = np.einsum("kji,kjl->il", stack.conj(), stack)
-    dev = float(np.max(np.abs(gram - np.eye(n))))
+    rows = stack.reshape(-1, n)
+    dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(n))))
     if dev > ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
     return stack
