@@ -17,7 +17,7 @@ only; agreement with the exact simulation is reported, never assumed.
 
 Each channel use is one raw (K, N, N) Kraus stack: gamma-free shapes
 (shifts, Weyl operators, diagonal projectors), cached per dimension, scaled
-per call and checked for completeness with one einsum. The public builders
+per call and checked for completeness with one matmul. The public builders
 wrap that stack into a validated `KrausSet`; the evaluator works on it
 directly, with the cached conjugated basis rows of `protocol`, and takes its
 invariant residuals in one stacked pass over both outputs.
