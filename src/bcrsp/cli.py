@@ -78,11 +78,19 @@ class ConfigError(Exception):
 
 
 def _number(raw, cast, name: str):
-    """cast(raw), reporting a value of the wrong type as a config error."""
-    try:
-        return cast(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+    """cast(raw), reporting a value of the wrong type as a config error.
+
+    A boolean is not a number, and an integer field takes a float only when
+    it is integral (4.0, not 2.7), so no value is silently truncated.
+    """
+    truncates = cast is int and isinstance(raw, float) and not raw.is_integer()
+    if not isinstance(raw, bool) and not truncates:
+        try:
+            return cast(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    kind = "an integer" if cast is int else "a number"
+    raise ConfigError(f"{name} must be {kind}, got {raw!r}")
 
 
 def _phase_vector(dim: int, raw, name: str) -> PhaseVector:

@@ -9,9 +9,11 @@ cheap but never unchecked. The weighted-list form (`BranchEnsemble`,
 and the branch-by-branch oracles in the tests.
 
 `project` and `measure` validate their `StateVector` arguments and delegate
-to `project_raw` and `sample_raw`, which work on bare amplitude tensors and
-conjugated basis rows. Hot loops (the protocol engine and sessions) call the
-raw helpers directly and build validated types only for their results.
+to `project_raw` and `sample_raw`, the general tensor API: they work on bare
+amplitude tensors and conjugated basis rows. The protocol engine and
+sessions do not need it, because a GHZ leg stays diagonal under every slot
+measurement; they carry each leg as its diagonal and share only the Born
+draw, `born_draw`, whose checks every sampled outcome passes.
 """
 
 from __future__ import annotations
@@ -310,24 +312,34 @@ def _born_raw(amps: np.ndarray, bras: np.ndarray, target: int) -> np.ndarray:
     return np.real(np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim))))
 
 
+def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one outcome index from the unclipped Born probabilities of a normalized state.
+
+    Raises ValueError when a probability is negative beyond roundoff or the
+    probabilities do not sum to one; otherwise clips roundoff negatives,
+    renormalizes and makes one `rng.choice` draw.
+    """
+    lowest = float(probs.min())
+    if lowest < -WEIGHT_ATOL:
+        raise ValueError(f"negative outcome probability {lowest!r}")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= ATOL:
+        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
+    # np.clip(probs, 0.0, None) is this maximum, through a slower wrapper
+    probs = np.maximum(probs, 0.0)
+    probs = probs / probs.sum()
+    return int(rng.choice(len(probs), p=probs))
+
+
 def sample_raw(
     amps: np.ndarray, bras: np.ndarray, target: int, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Born-draw one row of `bras` (conjugated basis rows) on axis `target`.
 
     `amps` must be a normalized amplitude tensor. Returns (outcome,
-    renormalized remainder tensor). Raises ValueError when a probability is
-    negative beyond roundoff or the probabilities do not sum to one.
+    renormalized remainder tensor); raises as `born_draw` does.
     """
-    probs = _born_raw(amps, bras, target)
-    if np.any(probs < -WEIGHT_ATOL):
-        raise ValueError(f"negative outcome probability {float(probs.min())!r}")
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= ATOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
+    outcome = born_draw(_born_raw(amps, bras, target), rng)
     _, post = project_raw(amps, bras[outcome], target)
     assert post is not None  # sampled outcomes have positive probability
     return outcome, post

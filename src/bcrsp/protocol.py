@@ -6,34 +6,38 @@ leftover qudits collapse onto phase-shifted copies of the target states,
 fixed up by diagonal feed-forward unitaries chosen from the broadcast
 outcomes.
 
-The two GHZ states never interact, so the engine runs them as two
-three-qudit legs: A1·B1·C1 carries Bob's state to A1 and B2·A2·C2 carries
-Alice's state to B2. Each leg is a plain (N, N, N) amplitude array in
-(kept, sender, controller) order, so the slot measured next always sits at
-axis 1 and each leg ends as the single kept qudit; validated `StateVector`s
-are built only by `finish`, for the `ProtocolResult` fields. The four-basis
-expansion is checked per leg as well. The six-qudit order
-(A1, B1, C1, A2, B2, C2) is used only by `channel_state`, the whole
-resource as one register.
+The two GHZ states never interact, so the engine runs them as two legs:
+A1·B1·C1 carries Bob's state to A1 and B2·A2·C2 carries Alice's state to
+B2. A leg sum_a v[a] |a...a> keeps that form when any of its qudits is
+measured in any basis: projecting on the bra b leaves sum_a b[a] v[a]
+|a...a>. So each leg is carried as its diagonal v, a length-N vector
+starting at 1/sqrt(N); a forced slot is one elementwise product, a sampled
+slot adds one O(N^2) matvec for its Born probabilities, and the leg ends
+as the kept qudit's amplitudes. Validated `StateVector`s are built only by
+`finish`, for the `ProtocolResult` fields, and by `leg_state` for views of
+a leg as a tensor. The four-basis expansion is checked per leg as well.
+The six-qudit order (A1, B1, C1, A2, B2, C2) is used only by
+`channel_state`, the whole resource as one register.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .core import (
+    _PRUNE_EPS,
     ATOL,
     MeasurementBasis,
     Operator,
     StateVector,
     apply_on,
-    project_raw,
+    born_draw,
     same_ray,
-    sample_raw,
     tensor,
 )
 
@@ -111,6 +115,11 @@ class ProtocolResult:
     recovered: tuple[bool, bool]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @functools.lru_cache(maxsize=64)
 def phase_table(n: int) -> np.ndarray:
     """Read-only u[p, j] = e^{i 2 pi j p / N}, with the angle reduced mod 2 pi.
@@ -118,13 +127,13 @@ def phase_table(n: int) -> np.ndarray:
     Row p is the diagonal of U_p and sqrt(N) times the Fourier vector tau-bar_p.
     """
     j = np.arange(n)
-    table = np.exp(2j * np.pi * (np.outer(j, j) % n) / n)
-    table.flags.writeable = False
-    return table
+    return _read_only(np.exp(2j * np.pi * (np.outer(j, j) % n) / n))
 
 
+@functools.lru_cache(maxsize=1024)
 def _equatorial_amplitudes(p: PhaseVector) -> np.ndarray:
-    return np.exp(1j * p.full()) / np.sqrt(p.dim)
+    """Read-only amplitudes of equatorial_state(p)."""
+    return _read_only(np.exp(1j * p.full()) / np.sqrt(p.dim))
 
 
 def equatorial_state(p: PhaseVector) -> StateVector:
@@ -132,14 +141,31 @@ def equatorial_state(p: PhaseVector) -> StateVector:
     return StateVector((p.dim,), _equatorial_amplitudes(p))
 
 
+def _diagonal_tensor(diagonal: np.ndarray, slots: int) -> np.ndarray:
+    """Amplitudes of sum_a diagonal[a] |a...a> on `slots` qudits, shape (N,)*slots."""
+    n = len(diagonal)
+    amps = np.zeros(n**slots, dtype=complex)
+    # |a...a> sits at a * (1 + N + ... + N^(slots-1))
+    amps[np.arange(n) * ((n**slots - 1) // (n - 1))] = diagonal
+    return amps.reshape((n,) * slots)
+
+
+@functools.lru_cache(maxsize=64)
+def _ghz_diagonal(n: int) -> np.ndarray:
+    """Read-only diagonal of a fresh GHZ leg: 1/sqrt(N) on every |aaa>."""
+    return _read_only(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
+
+
 @functools.lru_cache(maxsize=64)
 def _ghz_tensor(n: int) -> np.ndarray:
     """Read-only (N, N, N) amplitudes of (1/sqrt(N)) sum_j |jjj>."""
-    amps = np.zeros(n**3, dtype=complex)
-    stride = n * n + n + 1
-    amps[np.arange(n) * stride] = 1.0 / np.sqrt(n)
-    amps.flags.writeable = False
-    return amps.reshape(n, n, n)
+    return _read_only(_diagonal_tensor(_ghz_diagonal(n), 3))
+
+
+def leg_state(diagonal: np.ndarray, slots: int) -> StateVector:
+    """A leg carried as its diagonal, as a state of its `slots` remaining qudits."""
+    n = len(diagonal)
+    return StateVector((n,) * slots, _diagonal_tensor(diagonal, slots).reshape(-1))
 
 
 def ghz_state(n: int) -> StateVector:
@@ -203,52 +229,70 @@ def mod_add(a: int, b: int, n: int) -> int:
     return (a + b) % n
 
 
-def _read_only_bras(basis: MeasurementBasis) -> np.ndarray:
-    bras = basis.matrix().conj()
-    bras.flags.writeable = False
-    return bras
-
-
 @functools.lru_cache(maxsize=1024)
 def _sender_bras(p: PhaseVector) -> np.ndarray:
-    """Conjugated rows of sender_basis(p), ready for project_raw/sample_raw."""
-    return _read_only_bras(sender_basis(p))
+    """Read-only conjugated rows of sender_basis(p); row i is the bra of outcome i."""
+    return _read_only(sender_basis(p).matrix().conj())
 
 
 @functools.lru_cache(maxsize=64)
 def _fourier_bras(n: int) -> np.ndarray:
-    """Conjugated rows of fourier_basis(n)."""
-    return _read_only_bras(fourier_basis(n))
+    """Read-only conjugated rows of fourier_basis(n)."""
+    return _read_only(fourier_basis(n).matrix().conj())
 
 
-def _measurement_bases(alice: PhaseVector, bob: PhaseVector, n: int) -> dict[str, np.ndarray]:
-    """Conjugated basis rows per slot; row i is the bra of outcome i."""
+@functools.lru_cache(maxsize=1024)
+def _measurement_bases(
+    alice: PhaseVector, bob: PhaseVector, n: int
+) -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
+    """Per slot, its bras and their squared moduli |bras|^2 (the Born weights)."""
     four = _fourier_bras(n)
-    return {"l": _sender_bras(alice), "n": _sender_bras(bob), "m": four, "k": four}
+    rows = {"l": _sender_bras(alice), "n": _sender_bras(bob), "m": four, "k": four}
+    return MappingProxyType(
+        {slot: (bras, _read_only(np.abs(bras) ** 2)) for slot, bras in rows.items()}
+    )
 
 
 def channel_legs(n: int) -> list[np.ndarray]:
-    """The two GHZ legs, [A1·B1·C1, B2·A2·C2], as read-only (N, N, N) arrays."""
-    ghz = _ghz_tensor(n)
+    """The two GHZ legs, [A1·B1·C1, B2·A2·C2], as read-only diagonals."""
+    ghz = _ghz_diagonal(n)
     return [ghz, ghz]
+
+
+def _project_leg(diagonal: np.ndarray, bra: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """Measure one slot of a leg onto `bra`: (probability, renormalized diagonal).
+
+    The diagonal is None when the probability vanishes.
+    """
+    remainder = bra * diagonal
+    prob = float(np.vdot(remainder, remainder).real)
+    if prob <= _PRUNE_EPS:
+        return 0.0, None
+    return prob, remainder / np.sqrt(prob)
 
 
 def sample_slots(
     legs: list[np.ndarray],
-    bases: dict[str, np.ndarray],
+    bases: Mapping[str, tuple[np.ndarray, np.ndarray]],
     slots: Iterable[tuple[str, int]],
     rng: np.random.Generator,
 ) -> dict[str, int]:
-    """Born-sample the listed (slot, leg) pairs in order, collapsing `legs` in place."""
+    """Born-sample the listed (slot, leg) pairs in order, collapsing `legs` in place.
+
+    Outcome i of a slot has probability sum_a |bras[i, a]|^2 |v[a]|^2 on the
+    leg's diagonal v: one matvec with the slot's Born weights.
+    """
     drawn = {}
     for slot, leg in slots:
-        drawn[slot], legs[leg] = sample_raw(legs[leg], bases[slot], 1, rng)
+        bras, weights = bases[slot]
+        drawn[slot] = born_draw(weights @ np.abs(legs[leg]) ** 2, rng)
+        _, legs[leg] = _project_leg(legs[leg], bras[drawn[slot]])
     return drawn
 
 
 def _project_outcome(
     legs: list[np.ndarray],
-    bases: dict[str, np.ndarray],
+    bases: Mapping[str, tuple[np.ndarray, np.ndarray]],
     outcome: OutcomeTuple,
 ) -> float:
     """Force the four outcomes in protocol order, collapsing `legs` in place.
@@ -258,7 +302,7 @@ def _project_outcome(
     joint = 1.0
     indices = {"l": outcome.l, "n": outcome.n, "m": outcome.m, "k": outcome.k}
     for slot, leg in PROTOCOL_ORDER:
-        prob, legs[leg] = project_raw(legs[leg], bases[slot][indices[slot]], 1)
+        prob, legs[leg] = _project_leg(legs[leg], bases[slot][0][indices[slot]])
         if legs[leg] is None:
             raise RuntimeError(
                 f"outcome {indices} has zero probability at slot {slot}"

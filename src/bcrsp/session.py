@@ -6,6 +6,10 @@ simulated lossless ordered channel and lands in the transcript. Charlie
 may decline to help, in which case the session aborts before any of his
 measurements and the senders' leftover qudits carry no information about
 the targets.
+
+A session carries the two GHZ legs as the engine does, each as its
+length-N diagonal, so every step costs O(N^2) at most; `Session.legs`
+rebuilds the tensor view of each leg on demand.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .protocol import (
     _measurement_bases,
     channel_legs,
     finish,
+    leg_state,
     sample_slots,
 )
 
@@ -84,7 +89,7 @@ class Session:
         self.charlie_consents = bool(charlie_consents)
         self._rng = np.random.default_rng(seed)
         self._bases = _measurement_bases(alice, bob, n)
-        # raw [A1·B1·C1, B2·A2·C2] amplitudes, each shrinking to its kept qudit
+        # diagonals of [A1·B1·C1, B2·A2·C2]; each ends as its kept qudit
         self._legs = channel_legs(n)
         self.status = SessionStatus.RUNNING
         self.step = 0
@@ -141,8 +146,14 @@ class Session:
 
     @property
     def legs(self) -> list[StateVector]:
-        """The current [A1·B1·C1, B2·A2·C2] legs, kept qudit first."""
-        return [StateVector(leg.shape, leg.reshape(-1)) for leg in self._legs]
+        """The current [A1·B1·C1, B2·A2·C2] legs, kept qudit first.
+
+        A leg with k qudits still unmeasured has dims (N,)*k.
+        """
+        unmeasured = [3, 3]
+        for slot, leg in PROTOCOL_ORDER:
+            unmeasured[leg] -= slot in self.outcomes
+        return [leg_state(v, k) for v, k in zip(self._legs, unmeasured)]
 
     def advance(self) -> SessionStatus:
         """Execute the next protocol step; raises on a terminal session."""

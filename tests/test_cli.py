@@ -143,6 +143,18 @@ MALFORMED = {
     "sweep-array": ("sweep", [SWEEP_BASE]),
     "sweep-text-steps": ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": "x"}}),
     "sweep-list-noise": ("sweep", {**SWEEP_BASE, "noise": ["kind"]}),
+    # integer fields take no booleans and no non-integral numbers
+    "run-fractional-forced-index": ("run", {**RUN_BASE, "forced_outcome": [0, 0, 0, 1.5]}),
+    "run-boolean-trials": ("run", {**RUN_BASE, "trials": True}),
+    "run-fractional-trials": ("run", {**RUN_BASE, "trials": 2.5}),
+    "run-fractional-dimension": ("run", {**RUN_BASE, "dimension": 3.5}),
+    "run-fractional-seed": ("run", {**RUN_BASE, "seed": 1.5}),
+    "run-infinite-seed": ("run", {**RUN_BASE, "seed": float("inf")}),
+    "run-boolean-gamma": ("run", {**RUN_BASE, "noise": {"kind": "dephasing", "gamma": True}}),
+    "table-fractional-dimension": ("table", {"dimension": 2.7}),
+    "table-boolean-dimension": ("table", {"dimension": True}),
+    "sweep-fractional-steps": ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": 2.5}}),
+    "sweep-boolean-gamma": ("sweep", {**SWEEP_BASE, "gamma_grid": [0.0, False]}),
 }
 
 
@@ -154,6 +166,18 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_integral_floats_are_integers(self, tmp_path, capsys):
+        # 3.0 is the integer 3: the report equals that of the integer config
+        reports = []
+        for value in (3, 3.0):
+            cfg = write_config(
+                tmp_path, "integral.json",
+                {**RUN_BASE, "dimension": value, "trials": value, "seed": value},
+            )
+            assert main(["run", "--config", cfg]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
 
 class TestSweep:

@@ -6,9 +6,10 @@ both policies, N=3 on a random target and N=4 on the flat one), one seeded
 trial `run` and two noisy `run`s. To regenerate them after a deliberate
 output change, run
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-and say in the change log which outputs moved and why.
+which rewrites the named golden files, or all of them when no name is
+given, and say in the change log which outputs moved and why.
 """
 
 import json
@@ -80,8 +81,13 @@ def test_every_golden_file_has_a_case():
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"error: no golden case named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (argv, cfg) in CASES.items():
+        for name in names:
+            argv, cfg = CASES[name]
             (GOLDEN / name).write_bytes(_render(argv, cfg, Path(tmp)))
-    print(f"wrote {len(CASES)} golden files to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(names)} golden files to {GOLDEN}", file=sys.stderr)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcrsp import protocol
-from bcrsp.core import ATOL, states_equal
+from bcrsp.core import ATOL, project_raw, sample_raw, states_equal
 from bcrsp.protocol import (
+    PROTOCOL_ORDER,
     CorrectionRule,
     OutcomeTuple,
     PhaseVector,
@@ -23,6 +24,7 @@ from bcrsp.protocol import (
     sender_basis,
     verify_decomposition,
 )
+from bcrsp.session import new_session
 from conftest import random_phase_vector
 
 W3 = np.exp(2j * np.pi / 3)
@@ -441,3 +443,107 @@ class TestValidation:
     def test_correction_index_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
             correction_unitary(4, 4)
+
+
+class TensordotEngine:
+    """Oracle: the protocol run on dense (N, N, N) legs.
+
+    Each leg is a full (kept, sender, controller) amplitude tensor, started
+    from ghz_state(n), and every slot is one `tensordot` on axis 1 through
+    the general `core.project_raw`/`core.sample_raw`; nothing assumes that a
+    leg stays diagonal.
+    """
+
+    def __init__(self, alice, bob, n):
+        self.n = n
+        ghz = ghz_state(n).tensor_view()
+        four = fourier_basis(n).matrix().conj()
+        self.bras = {
+            "l": sender_basis(alice).matrix().conj(),
+            "n": sender_basis(bob).matrix().conj(),
+            "m": four,
+            "k": four,
+        }
+        self.legs = [ghz, ghz]
+        self.outcomes = {}
+        self.probability = 1.0
+
+    def force(self, outcome):
+        for slot, leg in PROTOCOL_ORDER:
+            index = getattr(outcome, slot)
+            prob, self.legs[leg] = project_raw(self.legs[leg], self.bras[slot][index], 1)
+            self.outcomes[slot] = index
+            self.probability *= prob
+        return self
+
+    def sample(self, slots, rng):
+        for slot, leg in slots:
+            self.outcomes[slot], self.legs[leg] = sample_raw(
+                self.legs[leg], self.bras[slot], 1, rng
+            )
+        return self
+
+    def finals(self):
+        """Corrected A1 and B2 amplitudes: U_{m+n} and U_{k+l}."""
+        o, table = self.outcomes, phase_table(self.n)
+        return (
+            table[(o["m"] + o["n"]) % self.n] * self.legs[0],
+            table[(o["k"] + o["l"]) % self.n] * self.legs[1],
+        )
+
+
+def _assert_matches_oracle(res, oracle):
+    alice_final, bob_final = oracle.finals()
+    np.testing.assert_allclose(res.alice_final.amplitudes, alice_final, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(res.bob_final.amplitudes, bob_final, rtol=0, atol=1e-15)
+
+
+class TestDiagonalLegsAgainstTensordotOracle:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_forced_runs(self, n):
+        # every tuple up to N=4, a seeded slice of tuples above
+        rng = np.random.default_rng(300 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        tuples = all_outcomes(n) if n <= 4 else [
+            OutcomeTuple(*(int(v) for v in rng.integers(0, n, 4))) for _ in range(24)
+        ]
+        for oc in tuples:
+            res = run_protocol(alice, bob, n, outcome=oc)
+            oracle = TensordotEngine(alice, bob, n).force(oc)
+            _assert_matches_oracle(res, oracle)
+            assert res.probability == pytest.approx(oracle.probability, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_seeded_runs_draw_the_same_tuples(self, n):
+        rng = np.random.default_rng(500 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        for seed in range(200):
+            res = run_protocol(alice, bob, n, rng=seed)
+            oracle = TensordotEngine(alice, bob, n).sample(
+                PROTOCOL_ORDER, np.random.default_rng(seed)
+            )
+            assert res.outcome == OutcomeTuple(**oracle.outcomes), seed
+            _assert_matches_oracle(res, oracle)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("consents", [True, False])
+    def test_session_leg_views(self, n, consents):
+        # Session.legs rebuilds each leg as a tensor of its unmeasured qudits
+        rng = np.random.default_rng(700 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        for seed in range(5):
+            ses = new_session(alice, bob, n, charlie_consents=consents, seed=seed)
+            oracle = TensordotEngine(alice, bob, n)
+            oracle_rng = np.random.default_rng(seed)
+            for step in range(3):
+                if step == 1:
+                    oracle.sample(PROTOCOL_ORDER[:2], oracle_rng)
+                elif step == 2 and consents:
+                    oracle.sample(PROTOCOL_ORDER[2:], oracle_rng)
+                for view, expected in zip(ses.legs, oracle.legs):
+                    assert view.dims == expected.shape
+                    np.testing.assert_allclose(
+                        view.tensor_view(), expected, rtol=0, atol=1e-15
+                    )
+                if step < 2:
+                    ses.advance()
