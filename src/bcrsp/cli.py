@@ -47,7 +47,7 @@ _PI_FORM = re.compile(
 
 def parse_phase(value) -> float:
     """Accept radians as a number or a pi-fraction string like '2pi/3'."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         m = _PI_FORM.match(value)

@@ -143,13 +143,14 @@ MALFORMED = {
     "sweep-array": ("sweep", [SWEEP_BASE]),
     "sweep-text-steps": ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": "x"}}),
     "sweep-list-noise": ("sweep", {**SWEEP_BASE, "noise": ["kind"]}),
-    # integer fields take no booleans and no non-integral numbers
+    # numeric fields take no booleans, integer fields no non-integral numbers
     "run-fractional-forced-index": ("run", {**RUN_BASE, "forced_outcome": [0, 0, 0, 1.5]}),
     "run-boolean-trials": ("run", {**RUN_BASE, "trials": True}),
     "run-fractional-trials": ("run", {**RUN_BASE, "trials": 2.5}),
     "run-fractional-dimension": ("run", {**RUN_BASE, "dimension": 3.5}),
     "run-fractional-seed": ("run", {**RUN_BASE, "seed": 1.5}),
     "run-infinite-seed": ("run", {**RUN_BASE, "seed": float("inf")}),
+    "run-boolean-phase": ("run", {**RUN_BASE, "alice_phases": [True, 0]}),
     "run-boolean-gamma": ("run", {**RUN_BASE, "noise": {"kind": "dephasing", "gamma": True}}),
     "table-fractional-dimension": ("table", {"dimension": 2.7}),
     "table-boolean-dimension": ("table", {"dimension": True}),

@@ -12,6 +12,7 @@ from bcrsp.core import (
     apply_kraus,
     apply_on,
     basis_state,
+    born_draw,
     fidelity,
     fidelity_density,
     measure,
@@ -222,6 +223,15 @@ class TestRawHelpers:
         bras = fourier_basis(3).matrix().conj()
         with pytest.raises(ValueError, match="sum to"):
             sample_raw(amps, bras, 0, np.random.default_rng(0))
+
+    def test_born_draw_checks_before_drawing(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="negative"):
+            born_draw(np.array([1.1, -0.1]), rng)
+        with pytest.raises(ValueError, match="sum to"):
+            born_draw(np.array([0.5, 0.4]), rng)
+        # a roundoff negative is clipped to zero and never drawn
+        assert all(born_draw(np.array([-1e-14, 1.0 + 1e-14]), rng) == 1 for _ in range(50))
 
     def test_sample_raw_replays_measure(self):
         state = tensor(ghz_state(3), equatorial_state(PhaseVector(3, (0.4, 1.9))))
