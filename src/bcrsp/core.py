@@ -13,7 +13,9 @@ to `project_raw` and `sample_raw`, the general tensor API: they work on bare
 amplitude tensors and conjugated basis rows. The protocol engine and
 sessions do not need it, because a GHZ leg stays diagonal under every slot
 measurement; they carry each leg as its diagonal and share only the Born
-draw, `born_draw`, whose checks every sampled outcome passes.
+draw, `born_draw`, whose checks every sampled outcome passes. It draws by
+inverting the cumulative distribution at one `rng.random()`, exactly as
+`Generator.choice` does, so seeded outcomes are those of `rng.choice`.
 """
 
 from __future__ import annotations
@@ -317,7 +319,10 @@ def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
 
     Raises ValueError when a probability is negative beyond roundoff or the
     probabilities do not sum to one; otherwise clips roundoff negatives,
-    renormalizes and makes one `rng.choice` draw.
+    renormalizes and inverts the cumulative distribution at one
+    `rng.random()` draw. That is the draw `rng.choice(len(p), p=p)` makes
+    internally, on the same floats, so it returns the same index and leaves
+    the generator in the same state, without re-checking `p`.
     """
     lowest = float(probs.min())
     if lowest < -WEIGHT_ATOL:
@@ -328,7 +333,9 @@ def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     # np.clip(probs, 0.0, None) is this maximum, through a slower wrapper
     probs = np.maximum(probs, 0.0)
     probs = probs / probs.sum()
-    return int(rng.choice(len(probs), p=probs))
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def sample_raw(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from enum import Enum
 from typing import Optional
 
@@ -197,27 +198,66 @@ def new_session(
     return Session(alice, bob, n, charlie_consents, seed)
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _message_block(sender, receiver, step, kind, basis_label, outcome_index) -> str:
+    """One message as it sits in the exported `messages` list, 4-space indented.
+
+    `typed=True` keeps values that compare equal but encode differently,
+    such as `True` and `1`, in separate entries.
+    """
+    block = json.dumps(
+        {
+            "from": sender,
+            "to": receiver,
+            "step": step,
+            "kind": kind,
+            "basis_label": basis_label,
+            "outcome_index": outcome_index,
+        },
+        indent=2,
+    )
+    return "    " + block.replace("\n", "\n    ")
+
+
+@lru_cache(maxsize=256, typed=True)
+def _transcript_head(dimension, status) -> str:
+    """The exported document with an empty `messages` list."""
+    return json.dumps(
+        {
+            "version": TRANSCRIPT_SCHEMA_VERSION,
+            "dimension": dimension,
+            "status": status,
+            "messages": [],
+        },
+        indent=2,
+    )
+
+
 def export_transcript(session: Session) -> str:
-    """Stable JSON serialization of a terminal session's transcript."""
+    """Stable JSON serialization of a terminal session's transcript.
+
+    The text is `json.dumps(doc, indent=2)` of the whole document. The
+    header and each message block are encoded once per distinct value and
+    cached; the blocks are spliced into the header's empty `messages` list.
+    """
     if session.status is SessionStatus.RUNNING:
         raise RuntimeError("cannot export the transcript of a running session")
-    doc = {
-        "version": TRANSCRIPT_SCHEMA_VERSION,
-        "dimension": session.n,
-        "status": session.status.value,
-        "messages": [
-            {
-                "from": msg.sender.value,
-                "to": msg.receiver.value,
-                "step": msg.step,
-                "kind": msg.kind,
-                "basis_label": msg.basis_label,
-                "outcome_index": msg.outcome_index,
-            }
-            for msg in session.transcript
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    head = _transcript_head(session.n, session.status.value)
+    if not session.transcript:
+        return head + "\n"
+    blocks = ",\n".join(
+        _message_block(
+            msg.sender.value,
+            msg.receiver.value,
+            msg.step,
+            msg.kind,
+            msg.basis_label,
+            msg.outcome_index,
+        )
+        for msg in session.transcript
+    )
+    # head ends with `"messages": []\n}`
+    return f"{head[:-4]}[\n{blocks}\n  ]\n}}\n"
 
 
 @dataclass(frozen=True)
@@ -228,25 +268,62 @@ class TranscriptDocument:
     messages: tuple[ClassicalMessage, ...]
 
 
+def _integer(value, key: str, where: str) -> int:
+    """An integer field; integral floats such as 3.0 are read as ints."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"transcript {where} field {key!r} must be an integer, got {value!r}")
+
+
+_PARTIES = {party.value: party for party in PartyId}
+
+
+def _party(value, key: str, where: str) -> PartyId:
+    # a dict lookup; calling the Enum costs several times more
+    if type(value) is str and value in _PARTIES:
+        return _PARTIES[value]
+    raise ValueError(f"transcript {where} field {key!r} names no party, got {value!r}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"transcript {where} must be a JSON object, got {value!r}")
+    return value
+
+
 def import_transcript(serialized: str) -> TranscriptDocument:
-    """Inverse of export_transcript; round-trips field by field."""
-    doc = json.loads(serialized)
-    if doc.get("version") != TRANSCRIPT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported transcript version {doc.get('version')!r}")
-    messages = tuple(
-        ClassicalMessage(
-            sender=PartyId(m["from"]),
-            receiver=PartyId(m["to"]),
-            step=int(m["step"]),
-            kind=m["kind"],
-            basis_label=m["basis_label"],
-            outcome_index=int(m["outcome_index"]),
-        )
-        for m in doc["messages"]
-    )
-    return TranscriptDocument(
-        version=int(doc["version"]),
-        dimension=int(doc["dimension"]),
-        status=SessionStatus(doc["status"]),
-        messages=messages,
-    )
+    """Inverse of export_transcript; round-trips field by field.
+
+    Raises ValueError on any document whose shape export_transcript cannot
+    produce: a non-object document or message, a missing field, a non-list
+    `messages`, or a boolean or non-integral integer field.
+    """
+    doc = _object(json.loads(serialized), "document")
+    where = "document"
+    try:
+        version = _integer(doc["version"], "version", where)
+        if version != TRANSCRIPT_SCHEMA_VERSION:
+            raise ValueError(f"unsupported transcript version {version!r}")
+        dimension = _integer(doc["dimension"], "dimension", where)
+        status = SessionStatus(doc["status"])
+        if not isinstance(doc["messages"], list):
+            raise ValueError(f"transcript messages must be a JSON list, got {doc['messages']!r}")
+        messages = []
+        for i, m in enumerate(doc["messages"]):
+            where = f"message {i}"
+            m = _object(m, where)
+            messages.append(
+                ClassicalMessage(
+                    sender=_party(m["from"], "from", where),
+                    receiver=_party(m["to"], "to", where),
+                    step=_integer(m["step"], "step", where),
+                    kind=m["kind"],
+                    basis_label=m["basis_label"],
+                    outcome_index=_integer(m["outcome_index"], "outcome_index", where),
+                )
+            )
+    except KeyError as exc:
+        raise ValueError(f"transcript {where} has no {exc.args[0]!r} field") from None
+    return TranscriptDocument(version, dimension, status, tuple(messages))

@@ -233,6 +233,54 @@ class TestRawHelpers:
         # a roundoff negative is clipped to zero and never drawn
         assert all(born_draw(np.array([-1e-14, 1.0 + 1e-14]), rng) == 1 for _ in range(50))
 
+    @staticmethod
+    def _choice_draw(probs, rng):
+        # the former born_draw body after its checks: `Generator.choice` on
+        # the clipped, renormalized probabilities
+        probs = np.maximum(probs, 0.0)
+        probs = probs / probs.sum()
+        return int(rng.choice(len(probs), p=probs))
+
+    @staticmethod
+    def _distributions(gen):
+        for n in range(2, 41):
+            yield np.full(n, 1.0 / n)
+            yield np.eye(n)[gen.integers(n)]
+            for _ in range(6):
+                p = gen.exponential(size=n)
+                p[gen.random(n) < 0.3] = 0.0
+                p[gen.integers(n)] += 1e-3
+                p /= p.sum()
+                # roundoff negatives on some of the zero entries
+                zeros = np.flatnonzero(p == 0.0)
+                p[zeros[: len(zeros) // 2]] = -gen.uniform(0.0, 1e-14, len(zeros) // 2)
+                yield p
+
+    def test_born_draw_matches_generator_choice(self):
+        gen = np.random.default_rng(2024)
+        for case, probs in enumerate(self._distributions(gen)):
+            seed = int(gen.integers(2**32))
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for draw in range(25):
+                assert born_draw(probs, rng) == self._choice_draw(probs, ref), (case, draw)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_born_draw_matches_generator_choice_at_cdf_boundaries(self):
+        # a uniform draw rarely lands within an ulp of a cumulative boundary;
+        # peek at each seed's draw u and place boundaries on and next to it
+        for seed in range(300):
+            u = np.random.default_rng(seed).random()
+            for b in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+                for probs in (
+                    np.array([b, 1.0 - b]),
+                    np.array([b, 0.0, 1.0 - b, 0.0]),
+                    np.array([b / 3, b / 3, b / 3, (1 - b) / 2, (1 - b) / 2]),
+                    np.array([0.0, b / 7, 6 * b / 7, -1e-15, 1.0 - b]),
+                ):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert born_draw(probs, rng) == self._choice_draw(probs, ref), (seed, probs)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_sample_raw_replays_measure(self):
         state = tensor(ghz_state(3), equatorial_state(PhaseVector(3, (0.4, 1.9))))
         basis = fourier_basis(3)

@@ -1,10 +1,12 @@
 """Golden-file tests: CLI output must stay byte-for-byte equal to tests/golden/.
 
-Each case is a subcommand, its JSON config and the golden file its output
-is compared with. The files pin `sweep` (csv and json, every noise kind and
-both policies, N=3 on a random target and N=4 on the flat one), one seeded
-trial `run` and two noisy `run`s. To regenerate them after a deliberate
-output change, run
+Each CLI case is a subcommand, its JSON config and the golden file its
+output is compared with. The files pin `sweep` (csv and json, every noise
+kind and both policies, N=3 on a random target and N=4 on the flat one),
+one seeded trial `run` and two noisy `run`s. Each transcript case is a
+seeded session whose `export_transcript` text is pinned: a completed N=3
+and N=16 session and an aborted N=2 one. To regenerate them after a
+deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from bcrsp.cli import main
+from bcrsp.protocol import PhaseVector
+from bcrsp.session import export_transcript, import_transcript, new_session
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -59,6 +63,23 @@ def _cases() -> dict[str, tuple[list[str], dict]]:
 
 CASES = _cases()
 
+# name -> (dimension, alice phases, bob phases, Charlie consents, seed)
+TRANSCRIPTS = {
+    "transcript-completed-n3.json": (3, (0.4, 2.1), (1.7, 0.6), True, 31),
+    "transcript-completed-n16.json": (
+        16, tuple(0.37 * j for j in range(1, 16)), tuple(5.9 - 0.41 * j for j in range(1, 16)),
+        True, 1616,
+    ),
+    "transcript-aborted-n2.json": (2, (0.9,), (2.8,), False, 6),
+}
+
+
+def _session(name: str):
+    n, alice, bob, consents, seed = TRANSCRIPTS[name]
+    ses = new_session(PhaseVector(n, alice), PhaseVector(n, bob), n, consents, seed=seed)
+    ses.run_to_completion()
+    return ses
+
 
 def _render(argv: list[str], cfg: dict, workdir: Path) -> bytes:
     config = workdir / "config.json"
@@ -74,20 +95,36 @@ def test_output_matches_golden_file(name, tmp_path):
     assert _render(argv, cfg, tmp_path) == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_transcript_matches_golden_file(name):
+    ses = _session(name)
+    text = export_transcript(ses)
+    assert text.encode() == (GOLDEN / name).read_bytes()
+    doc = import_transcript(text)
+    assert (doc.dimension, doc.status) == (ses.n, ses.status)
+    assert doc.messages == tuple(ses.transcript)
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+def _render_case(name: str, workdir: Path) -> bytes:
+    if name in TRANSCRIPTS:
+        return export_transcript(_session(name)).encode()
+    return _render(*CASES[name], workdir)
+
+
 def test_every_golden_file_has_a_case():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *TRANSCRIPTS])
 
 
 if __name__ == "__main__":
     import tempfile
 
-    names = sys.argv[1:] or list(CASES)
-    unknown = sorted(set(names) - set(CASES))
+    names = sys.argv[1:] or [*CASES, *TRANSCRIPTS]
+    unknown = sorted(set(names) - set(CASES) - set(TRANSCRIPTS))
     if unknown:
         sys.exit(f"error: no golden case named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            argv, cfg = CASES[name]
-            (GOLDEN / name).write_bytes(_render(argv, cfg, Path(tmp)))
+            (GOLDEN / name).write_bytes(_render_case(name, Path(tmp)))
     print(f"wrote {len(names)} golden files to {GOLDEN}", file=sys.stderr)

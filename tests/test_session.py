@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -78,6 +79,22 @@ class TestLifecycle:
             ses.advance()
 
 
+def _set(key, value, message=None):
+    """Edit of an exported document: set a document or message field."""
+    def edit(doc):
+        (doc if message is None else doc["messages"][message])[key] = value
+        return doc
+    return edit
+
+
+def _drop(key, message=None):
+    """Edit of an exported document: delete a document or message field."""
+    def edit(doc):
+        del (doc if message is None else doc["messages"][message])[key]
+        return doc
+    return edit
+
+
 class TestTranscript:
     def test_completed_has_eight_announcements_in_step_order(self, qutrit_pair):
         alice, bob = qutrit_pair
@@ -145,6 +162,106 @@ class TestTranscript:
         ses.advance()
         with pytest.raises(RuntimeError, match="running"):
             export_transcript(ses)
+
+    @staticmethod
+    def _exported(qutrit_pair) -> dict:
+        ses = new_session(*qutrit_pair, 3, charlie_consents=True, seed=8)
+        ses.run_to_completion()
+        return json.loads(export_transcript(ses))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda doc: [], "JSON object"),
+            (lambda doc: 5, "JSON object"),
+            (lambda doc: {"version": 1}, "'dimension'"),
+            (_drop("status"), "'status'"),
+            (_drop("messages"), "'messages'"),
+            (_set("messages", 5), "JSON list"),
+            (_set("messages", {}), "JSON list"),
+            (lambda doc: {**doc, "messages": [{}]}, "'from'"),
+            (lambda doc: {**doc, "messages": [5]}, "JSON object"),
+            (_drop("outcome_index", message=3), "'outcome_index'"),
+            (_set("version", True), "'version'"),
+            (_set("dimension", True), "'dimension'"),
+            (_set("dimension", 2.5), "'dimension'"),
+            (_set("step", 1.7, message=0), "'step'"),
+            (_set("step", "1", message=0), "'step'"),
+            (_set("outcome_index", True, message=2), "'outcome_index'"),
+            (_set("outcome_index", 0.5, message=7), "'outcome_index'"),
+        ],
+        ids=[
+            "list-document", "number-document", "missing-dimension", "missing-status",
+            "missing-messages", "number-messages", "object-messages", "empty-message",
+            "number-message", "missing-outcome-index", "boolean-version",
+            "boolean-dimension", "fractional-dimension", "fractional-step", "string-step",
+            "boolean-outcome-index", "fractional-outcome-index",
+        ],
+    )
+    def test_malformed_import_raises_value_error(self, qutrit_pair, edit, match):
+        text = json.dumps(edit(self._exported(qutrit_pair)))
+        with pytest.raises(ValueError, match=match):
+            import_transcript(text)
+
+    @pytest.mark.parametrize("key", ["from", "to"])
+    @pytest.mark.parametrize("value", ["eve", "Alice", ["alice"], None, 1])
+    def test_import_rejects_unknown_parties(self, qutrit_pair, key, value):
+        text = json.dumps(_set(key, value, message=4)(self._exported(qutrit_pair)))
+        with pytest.raises(ValueError, match=f"message 4 field '{key}' names no party"):
+            import_transcript(text)
+
+    def test_import_reads_integral_floats_as_ints(self, qutrit_pair):
+        doc = self._exported(qutrit_pair)
+        doc["dimension"], doc["messages"][0]["step"] = 3.0, 1.0
+        restored = import_transcript(json.dumps(doc))
+        assert type(restored.dimension) is int and type(restored.messages[0].step) is int
+        assert restored == import_transcript(json.dumps(self._exported(qutrit_pair)))
+
+    @staticmethod
+    def _uncached_export(session) -> str:
+        # the former export_transcript body: one json.dumps of the whole document
+        doc = {
+            "version": 1,
+            "dimension": session.n,
+            "status": session.status.value,
+            "messages": [
+                {
+                    "from": msg.sender.value,
+                    "to": msg.receiver.value,
+                    "step": msg.step,
+                    "kind": msg.kind,
+                    "basis_label": msg.basis_label,
+                    "outcome_index": msg.outcome_index,
+                }
+                for msg in session.transcript
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+    def test_export_matches_uncached_encoder(self):
+        rng = np.random.default_rng(55)
+        for n in (2, 3, 4, 7):
+            alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+            for seed in range(20):
+                ses = new_session(alice, bob, n, charlie_consents=seed % 4 != 0, seed=seed)
+                ses.run_to_completion()
+                assert export_transcript(ses) == self._uncached_export(ses)
+
+    def test_export_keeps_equal_values_of_other_types_apart(self, qutrit_pair):
+        # True == 1 == 1.0 and they hash alike, but json writes true, 1 and 1.0
+        ses = new_session(*qutrit_pair, 3, charlie_consents=True, seed=8)
+        ses.run_to_completion()
+        first = ses.transcript[0]
+        for value in (1, True, 1.0, 1, np.True_):
+            ses.transcript[0] = dataclasses.replace(first, step=value, outcome_index=value)
+            if value is np.True_:
+                with pytest.raises(TypeError):
+                    export_transcript(ses)
+            else:
+                assert export_transcript(ses) == self._uncached_export(ses)
+        ses.transcript[0] = first
+        ses.n = 3.0
+        assert export_transcript(ses) == self._uncached_export(ses)
 
 
 class TestDecline:
