@@ -10,6 +10,12 @@ the targets.
 A session carries the two GHZ legs as the engine does, each as its
 length-N diagonal, so every step costs O(N^2) at most; `Session.legs`
 rebuilds the tensor view of each leg on demand.
+
+`export_transcript` writes `json.dumps(doc, indent=2)` byte for byte, but
+encodes each distinct message once: a run announces few distinct messages
+(eight routes times N outcome indices), so their indented blocks are
+cached and spliced into the header. `import_transcript` rejects, with
+ValueError, any document whose shape the exporter cannot produce.
 """
 
 from __future__ import annotations
