@@ -8,13 +8,14 @@ cheap but never unchecked. The weighted-list form (`BranchEnsemble`,
 `ensemble_from_density`) serves only the eigen-views of noisy results
 and the branch-by-branch oracles in the tests.
 
-`project` and `measure` validate their `StateVector` arguments and delegate
-to `project_raw` and `sample_raw`, the general tensor API: they work on bare
-amplitude tensors and conjugated basis rows. The protocol engine and
-sessions do not need it, because a GHZ leg stays diagonal under every slot
-measurement; they carry each leg as its diagonal and share only the Born
-draw, `born_draw`, whose checks every sampled outcome passes. It draws by
-inverting the cumulative distribution at one `rng.random()`, exactly as
+The general tensor operations (`apply_on`, `project`,
+`projection_probabilities`, `measure`, `reduced_density`) share one idiom:
+move the target axes to the front with `np.moveaxis`, then do one matmul
+against the operator or the conjugated basis rows. The protocol engine and
+sessions do not need them, because a GHZ leg stays diagonal under every
+slot measurement; they carry each leg as its diagonal and share only the
+Born draw, `born_draw`, whose checks every sampled outcome passes. It draws
+by inverting the cumulative distribution at one `rng.random()`, exactly as
 `Generator.choice` does, so seeded outcomes are those of `rng.choice`.
 """
 
@@ -66,10 +67,6 @@ class StateVector:
             norm = math.sqrt(np.vdot(amps, amps).real)
             if abs(norm - 1.0) > ATOL:
                 raise ValueError(f"state is not normalized (|psi| = {norm!r})")
-
-    @property
-    def num_subsystems(self) -> int:
-        return len(self.dims)
 
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (read-only)."""
@@ -125,9 +122,6 @@ class Operator:
     @property
     def dim_in(self) -> int:
         return self.entries.shape[1]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, unitary=self.unitary)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -265,53 +259,36 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     )
 
 
-def _move_targets_front(tensor_view: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    rest = [ax for ax in range(tensor_view.ndim) if ax not in targets]
-    return np.transpose(tensor_view, list(targets) + rest)
+def _subsystems(targets: int | Sequence[int], dims: tuple[int, ...]) -> tuple[int, ...]:
+    """`targets` as a tuple of distinct subsystem indices into `dims`."""
+    if isinstance(targets, (int, np.integer)):
+        targets = (int(targets),)
+    targets = tuple(int(t) for t in targets)
+    if any(not 0 <= t < len(dims) for t in targets) or len(set(targets)) != len(targets):
+        raise ValueError(f"bad target subsystems {targets} for dims {dims}")
+    return targets
+
+
+def _front_rows(amps: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """`amps` as a matrix: rows run over the `targets` axes, in the order listed."""
+    moved = np.moveaxis(amps, targets, range(len(targets)))
+    return moved.reshape(math.prod(moved.shape[: len(targets)]), -1)
 
 
 def apply_on(op: Operator, state: StateVector, targets: int | Sequence[int]) -> StateVector:
     """Apply `op` to the listed subsystems, identity on the rest."""
-    if isinstance(targets, (int, np.integer)):
-        targets = (int(targets),)
-    targets = tuple(int(t) for t in targets)
     dims = state.dims
-    if any(not 0 <= t < len(dims) for t in targets) or len(set(targets)) != len(targets):
-        raise ValueError(f"bad target subsystems {targets} for dims {dims}")
+    targets = _subsystems(targets, dims)
     d_t = int(np.prod([dims[t] for t in targets]))
     if op.dim_in != d_t or op.dim_out != d_t:
         raise ValueError(
             f"operator is {op.dim_out}x{op.dim_in} but targets span dimension {d_t}"
         )
-    t = _move_targets_front(state.tensor_view(), targets)
-    t = op.entries @ t.reshape(d_t, -1)
-    t = t.reshape([dims[i] for i in targets] + [dims[i] for i in range(len(dims)) if i not in targets])
-    # undo the permutation
-    perm = list(targets) + [i for i in range(len(dims)) if i not in targets]
-    inv = np.argsort(perm)
-    out = np.transpose(t, inv).reshape(-1)
+    rows = op.entries @ _front_rows(state.tensor_view(), targets)
+    rest = [d for i, d in enumerate(dims) if i not in targets]
+    moved = rows.reshape([dims[t] for t in targets] + rest)
+    out = np.moveaxis(moved, range(len(targets)), targets).reshape(-1)
     return StateVector(dims, out, normalized=state.normalized and op.unitary)
-
-
-def project_raw(
-    amps: np.ndarray, bra: np.ndarray, target: int
-) -> tuple[float, Optional[np.ndarray]]:
-    """Contract axis `target` of the amplitude tensor with the conjugated row `bra`.
-
-    Returns (probability, renormalized remainder tensor), or (0.0, None) when
-    the probability vanishes. No validation: callers pass matching shapes.
-    """
-    remainder = np.tensordot(bra, amps, axes=([0], [target]))
-    prob = float(np.real(np.vdot(remainder, remainder)))
-    if prob <= _PRUNE_EPS:
-        return 0.0, None
-    return prob, remainder / np.sqrt(prob)
-
-
-def _born_raw(amps: np.ndarray, bras: np.ndarray, target: int) -> np.ndarray:
-    """Unclipped Born probabilities of every row of `bras` on axis `target`."""
-    amp = np.tensordot(bras, amps, axes=([1], [target]))
-    return np.real(np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim))))
 
 
 def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -338,20 +315,6 @@ def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def sample_raw(
-    amps: np.ndarray, bras: np.ndarray, target: int, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Born-draw one row of `bras` (conjugated basis rows) on axis `target`.
-
-    `amps` must be a normalized amplitude tensor. Returns (outcome,
-    renormalized remainder tensor); raises as `born_draw` does.
-    """
-    outcome = born_draw(_born_raw(amps, bras, target), rng)
-    _, post = project_raw(amps, bras[outcome], target)
-    assert post is not None  # sampled outcomes have positive probability
-    return outcome, post
-
-
 def project(
     state: StateVector, basis_vec: StateVector, target: int
 ) -> tuple[float, Optional[StateVector]]:
@@ -367,11 +330,17 @@ def project(
         raise ValueError(
             f"basis vector dims {basis_vec.dims} do not match subsystem dim {dims[target]}"
         )
-    prob, post = project_raw(state.tensor_view(), basis_vec.amplitudes.conj(), target)
-    if post is None:
+    remainder = basis_vec.amplitudes.conj() @ _front_rows(state.tensor_view(), (target,))
+    prob = float(np.real(np.vdot(remainder, remainder)))
+    if prob <= _PRUNE_EPS:
         return 0.0, None
     rest_dims = dims[:target] + dims[target + 1 :]
-    return prob, StateVector(rest_dims, post.reshape(-1), normalized=state.normalized)
+    return prob, StateVector(rest_dims, remainder / np.sqrt(prob), normalized=state.normalized)
+
+
+def _born(bras: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Unclipped Born probabilities of every bra against the target rows."""
+    return np.sum(np.abs(bras @ rows) ** 2, axis=1)
 
 
 def projection_probabilities(
@@ -381,7 +350,7 @@ def projection_probabilities(
     dims = state.dims
     if basis.dim != dims[target]:
         raise ValueError(f"basis dim {basis.dim} != subsystem dim {dims[target]}")
-    return _born_raw(state.tensor_view(), basis.matrix().conj(), target)
+    return _born(basis.matrix().conj(), _front_rows(state.tensor_view(), (target,)))
 
 
 def measure(
@@ -401,9 +370,14 @@ def measure(
     amps = state.tensor_view()
     if not state.normalized:
         amps = amps / np.linalg.norm(amps)
-    outcome, post = sample_raw(amps, basis.matrix().conj(), target, rng)
+    bras, rows = basis.matrix().conj(), _front_rows(amps, (target,))
+    outcome = born_draw(_born(bras, rows), rng)
+    # contract the drawn bra on its own, as `project` does: row `outcome`
+    # of `bras @ rows` can differ from that in the last bits
+    remainder = bras[outcome] @ rows
+    post = remainder / np.sqrt(float(np.real(np.vdot(remainder, remainder))))
     rest_dims = dims[:target] + dims[target + 1 :]
-    return outcome, StateVector(rest_dims, post.reshape(-1), normalized=state.normalized)
+    return outcome, StateVector(rest_dims, post, normalized=state.normalized)
 
 
 def apply_kraus(ens: BranchEnsemble, kraus: KrausSet, target: int) -> BranchEnsemble:
@@ -456,10 +430,5 @@ def fidelity_density(target: StateVector, rho: np.ndarray) -> float:
 
 def reduced_density(state: StateVector, keep: int | Sequence[int]) -> np.ndarray:
     """Partial trace down to the listed subsystems."""
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = tuple(int(k) for k in keep)
-    t = _move_targets_front(state.tensor_view(), keep)
-    d_keep = int(np.prod([state.dims[k] for k in keep]))
-    m = t.reshape(d_keep, -1)
+    m = _front_rows(state.tensor_view(), _subsystems(keep, state.dims))
     return m @ m.conj().T

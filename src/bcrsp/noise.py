@@ -48,6 +48,7 @@ from .protocol import (
     OutcomeTuple,
     PhaseVector,
     _fourier_bras,
+    _read_only,
     _sender_bras,
     equatorial_state,
     phase_table,
@@ -81,11 +82,6 @@ def _shift_matrix(n: int, shift: int, phases: Optional[np.ndarray] = None) -> np
     col = np.arange(n)
     mat[(col + shift) % n, col] = 1.0 if phases is None else phases
     return mat
-
-
-def _read_only(stack: np.ndarray) -> np.ndarray:
-    stack.flags.writeable = False
-    return stack
 
 
 # Gamma-free operator shapes, cached per dimension; the Kraus stack of one

@@ -293,6 +293,12 @@ def _party(value, key: str, where: str) -> PartyId:
     raise ValueError(f"transcript {where} field {key!r} names no party, got {value!r}")
 
 
+def _string(value, key: str, where: str) -> str:
+    if type(value) is str:
+        return value
+    raise ValueError(f"transcript {where} field {key!r} must be a string, got {value!r}")
+
+
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"transcript {where} must be a JSON object, got {value!r}")
@@ -304,7 +310,9 @@ def import_transcript(serialized: str) -> TranscriptDocument:
 
     Raises ValueError on any document whose shape export_transcript cannot
     produce: a non-object document or message, a missing field, a non-list
-    `messages`, or a boolean or non-integral integer field.
+    `messages`, a boolean or non-integral integer field, a running status,
+    a non-string `kind` or `basis_label`, a dimension below 2, a step below
+    1, or an outcome index outside [0, dimension).
     """
     doc = _object(json.loads(serialized), "document")
     where = "document"
@@ -313,23 +321,33 @@ def import_transcript(serialized: str) -> TranscriptDocument:
         if version != TRANSCRIPT_SCHEMA_VERSION:
             raise ValueError(f"unsupported transcript version {version!r}")
         dimension = _integer(doc["dimension"], "dimension", where)
+        if dimension < 2:
+            raise ValueError(f"transcript dimension must be at least 2, got {dimension}")
         status = SessionStatus(doc["status"])
+        if status is SessionStatus.RUNNING:
+            raise ValueError("transcript status is 'running'; only terminal sessions export")
         if not isinstance(doc["messages"], list):
             raise ValueError(f"transcript messages must be a JSON list, got {doc['messages']!r}")
         messages = []
         for i, m in enumerate(doc["messages"]):
             where = f"message {i}"
             m = _object(m, where)
-            messages.append(
-                ClassicalMessage(
-                    sender=_party(m["from"], "from", where),
-                    receiver=_party(m["to"], "to", where),
-                    step=_integer(m["step"], "step", where),
-                    kind=m["kind"],
-                    basis_label=m["basis_label"],
-                    outcome_index=_integer(m["outcome_index"], "outcome_index", where),
-                )
+            msg = ClassicalMessage(
+                sender=_party(m["from"], "from", where),
+                receiver=_party(m["to"], "to", where),
+                step=_integer(m["step"], "step", where),
+                kind=_string(m["kind"], "kind", where),
+                basis_label=_string(m["basis_label"], "basis_label", where),
+                outcome_index=_integer(m["outcome_index"], "outcome_index", where),
             )
+            if msg.step < 1:
+                raise ValueError(f"transcript {where} step must be at least 1, got {msg.step}")
+            if not 0 <= msg.outcome_index < dimension:
+                raise ValueError(
+                    f"transcript {where} outcome_index {msg.outcome_index} is out of range"
+                    f" for dimension {dimension}"
+                )
+            messages.append(msg)
     except KeyError as exc:
         raise ValueError(f"transcript {where} has no {exc.args[0]!r} field") from None
     return TranscriptDocument(version, dimension, status, tuple(messages))

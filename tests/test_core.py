@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcrsp.core import (
@@ -17,11 +17,9 @@ from bcrsp.core import (
     fidelity_density,
     measure,
     project,
-    project_raw,
     projection_probabilities,
     random_unitary,
     reduced_density,
-    sample_raw,
     states_equal,
     tensor,
 )
@@ -95,7 +93,47 @@ class TestTensor:
         np.testing.assert_allclose(out.amplitudes, expected.reshape(-1), atol=1e-15)
 
 
+@st.composite
+def _layouts(draw):
+    """Mixed subsystem dims and a subset of their axes in any order."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    return dims, tuple(order[: draw(st.integers(1, len(dims)))])
+
+
+def _random_tensor(rng, shape):
+    """Complex Gaussian entries scaled to unit Frobenius norm."""
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return z / np.linalg.norm(z)
+
+
+def _subscripts(dims, axes):
+    """einsum letters: one per subsystem, and fresh ones in place of `axes`."""
+    old = "abcd"[: len(dims)]
+    fresh = "wxyz"[: len(axes)]
+    swapped = list(old)
+    for axis, letter in zip(axes, fresh):
+        swapped[axis] = letter
+    return old, "".join(swapped), "".join(old[a] for a in axes), fresh
+
+
 class TestApplyOn:
+    @given(layout=_layouts(), seed=st.integers(0, 2**32 - 1))
+    @example(layout=((2, 3, 4), (2, 0)), seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_einsum_oracle(self, layout, seed):
+        dims, targets = layout
+        rng = np.random.default_rng(seed)
+        amps = _random_tensor(rng, dims)
+        t_dims = tuple(dims[t] for t in targets)
+        op = _random_tensor(rng, t_dims + t_dims)
+        old, new, contracted, fresh = _subscripts(dims, targets)
+        expected = np.einsum(f"{fresh}{contracted},{old}->{new}", op, amps)
+        d_t = int(np.prod(t_dims))
+        state = StateVector(dims, amps.reshape(-1), normalized=False)
+        out = apply_on(Operator(op.reshape(d_t, d_t)), state, targets)
+        np.testing.assert_allclose(out.tensor_view(), expected, rtol=0, atol=1e-12)
+
     def test_identity_leaves_state(self):
         state = tensor(ghz_state(2), basis_state(2, 1))
         out = apply_on(Operator(np.eye(2), unitary=True), state, 3)
@@ -215,15 +253,7 @@ class TestMeasure:
         assert len(set(seq1)) == 1  # fresh generator with equal seed every call
 
 
-class TestRawHelpers:
-    def test_sample_raw_rejects_unnormalized_state(self):
-        # twice a GHZ tensor, passed to the raw helper as if normalized:
-        # its outcome probabilities sum to 4, which must not be renormalized away
-        amps = 2.0 * ghz_state(3).tensor_view()
-        bras = fourier_basis(3).matrix().conj()
-        with pytest.raises(ValueError, match="sum to"):
-            sample_raw(amps, bras, 0, np.random.default_rng(0))
-
+class TestBornDraw:
     def test_born_draw_checks_before_drawing(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="negative"):
@@ -280,25 +310,6 @@ class TestRawHelpers:
                     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                     assert born_draw(probs, rng) == self._choice_draw(probs, ref), (seed, probs)
                     assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_sample_raw_replays_measure(self):
-        state = tensor(ghz_state(3), equatorial_state(PhaseVector(3, (0.4, 1.9))))
-        basis = fourier_basis(3)
-        bras = basis.matrix().conj()
-        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
-        for target in (0, 1, 3, 2):
-            outcome, post = measure(state, basis, target, rng_a)
-            raw_outcome, raw_post = sample_raw(state.tensor_view(), bras, target, rng_b)
-            assert outcome == raw_outcome
-            np.testing.assert_array_equal(post.amplitudes, raw_post.reshape(-1))
-
-    def test_project_raw_matches_project(self):
-        vec = sender_basis(PhaseVector(3, (0.7, -1.3))).vectors[2]
-        prob, post = project(ghz_state(3), vec, 1)
-        raw_prob, raw_post = project_raw(ghz_state(3).tensor_view(), vec.amplitudes.conj(), 1)
-        assert prob == raw_prob
-        assert raw_post.shape == (3, 3)
-        np.testing.assert_array_equal(post.amplitudes, raw_post.reshape(-1))
 
 
 class TestApplyKraus:
@@ -403,6 +414,23 @@ class TestInvariants:
         basis = fourier_basis(n)
         probs = projection_probabilities(state, basis, int(rng.integers(0, 2)))
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @given(layout=_layouts(), seed=st.integers(0, 2**32 - 1))
+    @example(layout=((2, 3, 4), (2, 0)), seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_density_matches_einsum_oracle(self, layout, seed):
+        dims, keep = layout
+        amps = _random_tensor(np.random.default_rng(seed), dims)
+        old, new, kept, fresh = _subscripts(dims, keep)
+        d_keep = int(np.prod([dims[k] for k in keep]))
+        expected = np.einsum(f"{old},{new}->{kept}{fresh}", amps, amps.conj())
+        rho = reduced_density(StateVector(dims, amps.reshape(-1), normalized=False), keep)
+        np.testing.assert_allclose(rho, expected.reshape(d_keep, d_keep), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("keep", [-1, 3, (0, 0)])
+    def test_reduced_density_rejects_bad_subsystems(self, keep):
+        with pytest.raises(ValueError, match="bad target subsystems"):
+            reduced_density(ghz_state(3), keep)
 
     def test_reduced_density_of_product_is_pure(self):
         psi = equatorial_state(PhaseVector(3, (1.0, 2.0)))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcrsp import protocol
-from bcrsp.core import ATOL, project_raw, sample_raw, states_equal
+from bcrsp.core import ATOL, measure, project, states_equal
 from bcrsp.protocol import (
     PROTOCOL_ORDER,
     CorrectionRule,
@@ -446,49 +446,41 @@ class TestValidation:
 
 
 class TensordotEngine:
-    """Oracle: the protocol run on dense (N, N, N) legs.
+    """Oracle: the protocol run on dense three-qudit `StateVector` legs.
 
-    Each leg is a full (kept, sender, controller) amplitude tensor, started
-    from ghz_state(n), and every slot is one `tensordot` on axis 1 through
-    the general `core.project_raw`/`core.sample_raw`; nothing assumes that a
-    leg stays diagonal.
+    Each leg is a full (kept, sender, controller) state, started from
+    ghz_state(n), and every slot is one contraction on axis 1 through the
+    public `core.project`/`core.measure`; nothing assumes that a leg stays
+    diagonal.
     """
 
     def __init__(self, alice, bob, n):
         self.n = n
-        ghz = ghz_state(n).tensor_view()
-        four = fourier_basis(n).matrix().conj()
-        self.bras = {
-            "l": sender_basis(alice).matrix().conj(),
-            "n": sender_basis(bob).matrix().conj(),
-            "m": four,
-            "k": four,
-        }
-        self.legs = [ghz, ghz]
+        four = fourier_basis(n)
+        self.bases = {"l": sender_basis(alice), "n": sender_basis(bob), "m": four, "k": four}
+        self.legs = [ghz_state(n), ghz_state(n)]
         self.outcomes = {}
         self.probability = 1.0
 
     def force(self, outcome):
         for slot, leg in PROTOCOL_ORDER:
             index = getattr(outcome, slot)
-            prob, self.legs[leg] = project_raw(self.legs[leg], self.bras[slot][index], 1)
+            prob, self.legs[leg] = project(self.legs[leg], self.bases[slot].vectors[index], 1)
             self.outcomes[slot] = index
             self.probability *= prob
         return self
 
     def sample(self, slots, rng):
         for slot, leg in slots:
-            self.outcomes[slot], self.legs[leg] = sample_raw(
-                self.legs[leg], self.bras[slot], 1, rng
-            )
+            self.outcomes[slot], self.legs[leg] = measure(self.legs[leg], self.bases[slot], 1, rng)
         return self
 
     def finals(self):
         """Corrected A1 and B2 amplitudes: U_{m+n} and U_{k+l}."""
         o, table = self.outcomes, phase_table(self.n)
         return (
-            table[(o["m"] + o["n"]) % self.n] * self.legs[0],
-            table[(o["k"] + o["l"]) % self.n] * self.legs[1],
+            table[(o["m"] + o["n"]) % self.n] * self.legs[0].amplitudes,
+            table[(o["k"] + o["l"]) % self.n] * self.legs[1].amplitudes,
         )
 
 
@@ -541,9 +533,9 @@ class TestDiagonalLegsAgainstTensordotOracle:
                 elif step == 2 and consents:
                     oracle.sample(PROTOCOL_ORDER[2:], oracle_rng)
                 for view, expected in zip(ses.legs, oracle.legs):
-                    assert view.dims == expected.shape
+                    assert view.dims == expected.dims
                     np.testing.assert_allclose(
-                        view.tensor_view(), expected, rtol=0, atol=1e-15
+                        view.amplitudes, expected.amplitudes, rtol=0, atol=1e-15
                     )
                 if step < 2:
                     ses.advance()

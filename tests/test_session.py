@@ -189,13 +189,26 @@ class TestTranscript:
             (_set("step", "1", message=0), "'step'"),
             (_set("outcome_index", True, message=2), "'outcome_index'"),
             (_set("outcome_index", 0.5, message=7), "'outcome_index'"),
+            (_set("status", "running"), "'running'"),
+            (_set("kind", 5, message=1), "'kind' must be a string"),
+            (_set("basis_label", None, message=6), "'basis_label' must be a string"),
+            (_set("outcome_index", 99, message=0), "out of range for dimension 3"),
+            (_set("outcome_index", 3, message=5), "out of range for dimension 3"),
+            (_set("outcome_index", -1, message=4), "out of range for dimension 3"),
+            (_set("dimension", -4), "at least 2"),
+            (_set("dimension", 1), "at least 2"),
+            (_set("step", -2, message=3), "at least 1"),
+            (_set("step", 0, message=0), "at least 1"),
         ],
         ids=[
             "list-document", "number-document", "missing-dimension", "missing-status",
             "missing-messages", "number-messages", "object-messages", "empty-message",
             "number-message", "missing-outcome-index", "boolean-version",
             "boolean-dimension", "fractional-dimension", "fractional-step", "string-step",
-            "boolean-outcome-index", "fractional-outcome-index",
+            "boolean-outcome-index", "fractional-outcome-index", "running-status",
+            "number-kind", "null-basis-label", "outcome-index-99", "outcome-index-at-dimension",
+            "negative-outcome-index", "negative-dimension", "dimension-1", "negative-step",
+            "zero-step",
         ],
     )
     def test_malformed_import_raises_value_error(self, qutrit_pair, edit, match):
