@@ -269,6 +269,12 @@ def _subsystems(targets: int | Sequence[int], dims: tuple[int, ...]) -> tuple[in
     return targets
 
 
+def _check_target(target: int, dims: tuple[int, ...]) -> None:
+    """Reject a single subsystem index outside 0..len(dims)-1; no wrap-around."""
+    if not 0 <= target < len(dims):
+        raise ValueError(f"target {target} out of range for dims {dims}")
+
+
 def _front_rows(amps: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """`amps` as a matrix: rows run over the `targets` axes, in the order listed."""
     moved = np.moveaxis(amps, targets, range(len(targets)))
@@ -324,8 +330,7 @@ def project(
     when the probability vanishes.
     """
     dims = state.dims
-    if not 0 <= target < len(dims):
-        raise ValueError(f"target {target} out of range for dims {dims}")
+    _check_target(target, dims)
     if basis_vec.dims != (dims[target],):
         raise ValueError(
             f"basis vector dims {basis_vec.dims} do not match subsystem dim {dims[target]}"
@@ -348,6 +353,7 @@ def projection_probabilities(
 ) -> np.ndarray:
     """Born probabilities of all outcomes of measuring `target` in `basis`."""
     dims = state.dims
+    _check_target(target, dims)
     if basis.dim != dims[target]:
         raise ValueError(f"basis dim {basis.dim} != subsystem dim {dims[target]}")
     return _born(basis.matrix().conj(), _front_rows(state.tensor_view(), (target,)))
@@ -361,8 +367,7 @@ def measure(
 ) -> tuple[int, StateVector]:
     """Sample one projective outcome; deterministic for a fixed seed."""
     dims = state.dims
-    if not 0 <= target < len(dims):
-        raise ValueError(f"target {target} out of range for dims {dims}")
+    _check_target(target, dims)
     if basis.dim != dims[target]:
         raise ValueError(f"basis dim {basis.dim} != subsystem dim {dims[target]}")
     if not isinstance(rng, np.random.Generator):

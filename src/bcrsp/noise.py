@@ -7,20 +7,19 @@ B1 and C1 out of the first GHZ resource, A2 and C2 out of the second;
 A1 and B2 stay with their preparers and are ideal.
 
 The exact evaluator works per GHZ leg: noise on B1 and C1 reaches only
-A1, and noise on A2 and C2 reaches only B2. Each leg's kept-qudit density
-operator, after both measurements and the feed-forward correction, is an
-elementwise product of one factor per measured slot, each summed over that
-slot's Kraus operators. The result is exact over every Kraus history of
-the four channel uses without enumerating them. The closed-form
-fidelity expressions quoted alongside are kept as reference evaluators
-only; agreement with the exact simulation is reported, never assumed.
+A1, and noise on A2 and C2 reaches only B2. Each leg's kept qudit is an
+elementwise product of one factor per measured slot, D T(B) D+, with B the
+outer product of the measured bra, D the correction phases and
+T(B) = sum_i K_i^T B K_i* the channel's twirl. Each twirl has a closed form,
+a gamma-weighted sum of gamma-free pieces cached per target pair, so a run
+costs O(N^2) per gamma and is exact over every Kraus history without
+enumerating them. The closed-form fidelity expressions quoted alongside are
+reference evaluators only; agreement with the exact simulation is reported,
+never assumed.
 
-Each channel use is one raw (K, N, N) Kraus stack: gamma-free shapes
-(shifts, Weyl operators, diagonal projectors), cached per dimension, scaled
-per call and checked for completeness with one matmul. The public builders
-wrap that stack into a validated `KrausSet`; the evaluator works on it
-directly, with the cached conjugated basis rows of `protocol`, and takes its
-invariant residuals in one stacked pass over both outputs.
+The public builders return each channel use as a `KrausSet` from one raw
+(K, N, N) stack of gamma-free shapes (shifts, Weyl operators, diagonal
+projectors) cached per dimension and checked for completeness in one matmul.
 """
 
 from __future__ import annotations
@@ -195,26 +194,56 @@ class NoisyRunResult:
         return ensemble_from_density(self.rho_b2, (self.rho_b2.shape[0],))
 
 
-def _corrected_factors(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """F[r, s, a, q] = sum_i w[r, i, s, a] conj(w[r, i, s, q]).
-
-    Here w[r, i, s] = U_s (<r_s| K_i)^T, rows[r] holds the conjugated basis
-    vectors <r_s| of measured slot r, and ops the Kraus operators of the
-    channel on every slot. For the GHZ leg
-    sum_a |aaa>/sqrt(N), the kept qudit after outcomes (s, t) on its two
-    measured slots and the correction U_{s+t} is F_s * G_t / N, elementwise:
-    U_{s+t} = U_s U_t is diagonal, so conjugating by it multiplies entry
-    (a, q) by a phase that splits between the two slots.
+def _twirl(kind: NoiseKind, gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """T(B) = sum_i K_i^T B K_i* as M * B + circulant(lags * c), c[d] = sum_j B[j, j+d]:
+    so circ(B)[a, q] = sum_b B[a+b, q+b] = c[q-a] and tr(B) = c[0]. Qudit flip:
+    (w0-w) B + w circ(B); shift-and-phase: w0 B + w (N tr(B) I - circ(B) - N diag(B) + B);
+    dephasing: (d d^T) * B + g diag(B) off entry 0. Here w0 = 1-(N-1)g/N, w = g/N
+    (flip) or g/(N(N-1)), and d = (1, sqrt(1-g), ..., sqrt(1-g)).
     """
-    w = phase_table(rows.shape[-1]) * (rows[:, None] @ ops)
-    return np.einsum("risa,risq->rsaq", w, w.conj())
+    if kind is NoiseKind.DEPHASING:
+        weights = np.full((n, n), 1 - gamma)
+        weights[0] = weights[:, 0] = np.sqrt(1 - gamma)
+        np.fill_diagonal(weights, 1.0)  # (1-g) + g: populations are kept
+        return weights, np.zeros(n)
+    w0 = 1 - (n - 1) * gamma / n
+    if kind is NoiseKind.QUDIT_FLIP:
+        return np.full((n, n), w0 - gamma / n), np.full(n, gamma / n)
+    w = gamma / (n * (n - 1))
+    weights = np.full((n, n), w0 + w)
+    np.fill_diagonal(weights, w0 + w - n * w)
+    lags = np.full(n, -w)
+    lags[0] = n * w - w
+    return weights, lags
+
+
+@functools.lru_cache(maxsize=256)
+def _twirl_pieces(alice: PhaseVector, bob: PhaseVector, n: int) -> tuple[np.ndarray, ...]:
+    """Gamma-free pieces of one target pair: (x, g, x x+ and g summed over
+    outcomes, wrap). Row x[r, s] = U_s <r_s| is slot r's bra of outcome s times
+    the correction (slots: Fourier, Bob's, Alice's basis), so D B D+ = x x+ and
+    D circ(B) D+ = g[s, wrap], with g[s, d] = sum_j x[s, j] conj(x[s, j+d]) and
+    wrap[a, q] = (q-a) mod N.
+    """
+    x = phase_table(n) * np.array([_fourier_bras(n), _sender_bras(bob), _sender_bras(alice)])
+    wrap = -np.subtract.outer(np.arange(n), np.arange(n)) % n
+    # g_neg[d] = conj(g[d]) = g[-d]; the mean of both makes that hold exactly
+    g_neg = (x[..., None, :] @ x.conj()[..., wrap.T])[..., 0, :]
+    g = (g_neg.conj() + g_neg[..., wrap[:, 0]]) / 2
+    outer_sum = _hermitian(np.swapaxes(x, -1, -2) @ x.conj())
+    return tuple(_read_only(a) for a in (x, g, outer_sum, g.sum(axis=1), wrap))
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """(A + A+)/2: a fused multiply-add can leave A+ an ulp away from A."""
+    return (a + np.swapaxes(a, -1, -2).conj()) / 2
 
 
 def _invariant_residuals(rhos: np.ndarray) -> dict:
     """Trace, hermiticity, smallest eigenvalue and trace error of the stacked
     (A1, B2) outputs, one numpy call each for both legs."""
-    traces = np.trace(rhos, axis1=1, axis2=2)
-    hermiticity = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
+    traces = rhos.trace(axis1=1, axis2=2)
+    hermiticity = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     min_eigenvalues = np.linalg.eigvalsh(rhos).min(axis=1)
     trace_errors = np.abs(traces - 1.0)
     legs = ("a1", "b2")
@@ -237,40 +266,41 @@ def noisy_protocol_run(
 ) -> NoisyRunResult:
     """Exact final-state density matrices at A1 and B2 under one noisy channel.
 
-    The two GHZ legs never interact: noise on B1 and C1 reaches only A1, and
-    noise on A2 and C2 reaches only B2, so each output is evaluated on its
-    own leg. The result is exact over all num_ops**4 Kraus histories of the
-    four channel uses without enumerating them. Under the averaged policy
-    the outcome record is treated as classical and mixed over; under the
-    conditioned policy a single outcome tuple (all zeros by default) is
-    post-selected and each output renormalized.
+    Each output is evaluated on its own GHZ leg, exactly over all num_ops**4
+    Kraus histories of the four channel uses. The averaged policy mixes over the
+    outcome record as classical; the conditioned policy post-selects one outcome
+    tuple (all zeros by default) and renormalizes each output.
     """
-    ops = _kraus_stack(noise, gamma, n)
-    # measured slots: C1 and C2 (Fourier basis), B1 (Bob's basis), A2 (Alice's basis)
-    rows = np.stack([_fourier_bras(n), _sender_bras(bob), _sender_bras(alice)])
-    factors = _corrected_factors(rows, ops)
+    weights, lags = _twirl(noise, _check_gamma(gamma), n)
+    # completeness of the Kraus set is T(I) = I; circ(I) = N I
+    if (dev := float(np.abs(weights.diagonal() + (n * lags[0] - 1)).max())) > ATOL:
+        raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
+    x, g, outer_sum, g_sum, wrap = _twirl_pieces(alice, bob, n)
 
     if policy is OutcomePolicy.CONDITIONED:
         cond = conditioned_outcome or OutcomeTuple(0, 0, 0, 0)
         cond.validate(n)
         # A1: B1 (outcome n) and C1 (m); B2: A2 (outcome l) and C2 (k)
-        rhos = factors[[1, 2], [cond.n, cond.l]] * factors[0, [cond.m, cond.k]] / n
-        p = np.trace(rhos, axis1=1, axis2=2).real
+        slots = ([1, 2, 0, 0], [cond.n, cond.l, cond.m, cond.k])
+        rows = x[slots]
+        outer = _hermitian(rows[:, :, None] * rows[:, None, :].conj())
+        factors = weights * outer + (lags * g[slots])[..., wrap]
+        rhos = factors[:2] * factors[2:] / n
+        p = rhos.trace(axis1=1, axis2=2).real
         probability = float(p[0] * p[1])
         if probability <= 1e-30:
-            raise ValueError(
-                f"conditioning outcome {cond.as_tuple()} has zero probability"
-            )
+            raise ValueError(f"conditioning outcome {cond.as_tuple()} has zero probability")
         rhos /= p[:, None, None]
     else:
-        sums = factors.sum(axis=1)
+        sums = weights * outer_sum + (lags * g_sum)[..., wrap]
         rhos = sums[1:] * sums[0] / n
 
+    count = 1 if gamma == 0 else n * n - 2 * n + 2 if noise is NoiseKind.QUDIT_PHASE_FLIP else n
     diagnostics = {
         "noise": noise.value,
         "gamma": gamma,
         "policy": policy.value,
-        "branch_count": len(ops) ** len(DISTRIBUTED_SITES),
+        "branch_count": count ** len(DISTRIBUTED_SITES),
         **_invariant_residuals(rhos),
     }
     if policy is OutcomePolicy.CONDITIONED:

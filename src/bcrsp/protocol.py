@@ -136,8 +136,9 @@ def _equatorial_amplitudes(p: PhaseVector) -> np.ndarray:
     return _read_only(np.exp(1j * p.full()) / np.sqrt(p.dim))
 
 
+@functools.lru_cache(maxsize=1024)
 def equatorial_state(p: PhaseVector) -> StateVector:
-    """(1/sqrt(N)) sum_j e^{i theta_j} |j>."""
+    """(1/sqrt(N)) sum_j e^{i theta_j} |j>; cached, frozen and read-only."""
     return StateVector((p.dim,), _equatorial_amplitudes(p))
 
 

@@ -221,6 +221,24 @@ class TestProject:
             project(ghz_state(3), basis_state(2, 0), 0)
 
 
+class TestSingleTargetCheck:
+    """project, projection_probabilities and measure reject the same targets
+    with the same message; a negative index never wraps to the last qudit."""
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_projection_probabilities_rejects_out_of_range(self, target):
+        with pytest.raises(ValueError, match=rf"target {target} out of range for dims \(3, 3, 3\)"):
+            projection_probabilities(ghz_state(3), fourier_basis(3), target)
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_project_and_measure_reject_out_of_range(self, target):
+        message = rf"target {target} out of range for dims \(3, 3, 3\)"
+        with pytest.raises(ValueError, match=message):
+            project(ghz_state(3), fourier_basis(3).vectors[0], target)
+        with pytest.raises(ValueError, match=message):
+            measure(ghz_state(3), fourier_basis(3), target, 0)
+
+
 class TestMeasure:
     def test_eigenstate_is_deterministic(self):
         comp = MeasurementBasis(2, (basis_state(2, 0), basis_state(2, 1)))

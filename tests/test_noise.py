@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcrsp import noise
 from bcrsp.core import BranchEnsemble, apply_kraus, fidelity_density, project, tensor
@@ -29,6 +31,7 @@ from bcrsp.protocol import (
     equatorial_state,
     fourier_basis,
     ghz_state,
+    phase_table,
     sender_basis,
 )
 from conftest import random_phase_vector
@@ -193,6 +196,14 @@ class TestKrausStack:
         monkeypatch.setattr(noise, SHAPES[kind], lambda n: bad)
         with pytest.raises(ValueError, match="not complete"):
             noise._kraus_stack(kind, 0.5, 4)
+        # the evaluator checks its twirl weights instead: T(I) = I
+        twirl = noise._twirl
+
+        def corrupted(kind, gamma, n):
+            weights, lags = twirl(kind, gamma, n)
+            return weights * 1.1, lags
+
+        monkeypatch.setattr(noise, "_twirl", corrupted)
         with pytest.raises(ValueError, match="not complete"):
             noisy_protocol_run(ZERO4, ZERO4, 4, kind, 0.5)
 
@@ -214,6 +225,97 @@ class TestKrausStack:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[0, 0, 0]"
+
+
+def stack_factors(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """F[r, s, a, q] = sum_i w[r, i, s, a] conj(w[r, i, s, q]), summed over the
+    Kraus stack `ops`: the evaluator's factors before the closed-form twirls.
+
+    Here w[r, i, s] = U_s (<r_s| K_i)^T and rows[r] holds the conjugated basis
+    vectors <r_s| of measured slot r. For the GHZ leg sum_a |aaa>/sqrt(N), the
+    kept qudit after outcomes (s, t) on its two measured slots and the
+    correction U_{s+t} is F_s * G_t / N, elementwise: U_{s+t} = U_s U_t is
+    diagonal, so conjugating by it multiplies entry (a, q) by a phase that
+    splits between the two slots.
+    """
+    w = phase_table(rows.shape[-1]) * (rows[:, None] @ ops)
+    return np.einsum("risa,risq->rsaq", w, w.conj())
+
+
+def stack_marginals(alice, bob, n, kind, gamma, policy, cond):
+    """(rho_a1, rho_b2) from the Kraus-stack factors, O(K N^4) per run."""
+    # measured slots: C1 and C2 (Fourier basis), B1 (Bob's basis), A2 (Alice's basis)
+    bases = (fourier_basis(n), sender_basis(bob), sender_basis(alice))
+    rows = np.stack([basis.matrix().conj() for basis in bases])
+    factors = stack_factors(rows, noise._kraus_stack(kind, gamma, n))
+    if policy is OutcomePolicy.CONDITIONED:
+        rhos = factors[[1, 2], [cond.n, cond.l]] * factors[0, [cond.m, cond.k]] / n
+        return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    sums = factors.sum(axis=1)
+    return sums[1:] * sums[0] / n
+
+
+@st.composite
+def noisy_cases(draw):
+    n = draw(st.integers(2, 16))
+    phases = st.tuples(*[st.floats(0.0, 2 * np.pi)] * (n - 1))
+    return (
+        PhaseVector(n, draw(phases)),
+        PhaseVector(n, draw(phases)),
+        n,
+        draw(st.sampled_from(list(NoiseKind))),
+        draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        draw(st.sampled_from(list(OutcomePolicy))),
+        OutcomeTuple(*draw(st.tuples(*[st.integers(0, n - 1)] * 4))),
+    )
+
+
+class TestClosedFormTwirls:
+    @settings(max_examples=80, deadline=None)
+    @given(noisy_cases())
+    @example((ZERO4, ZERO4, 4, NoiseKind.QUDIT_PHASE_FLIP, 1.0, OutcomePolicy.AVERAGED,
+              OutcomeTuple(0, 0, 0, 0)))
+    @example((PhaseVector(16, (0.3,) * 15), PhaseVector(16, (1.9,) * 15), 16,
+              NoiseKind.DEPHASING, 0.0, OutcomePolicy.CONDITIONED, OutcomeTuple(15, 3, 0, 7)))
+    def test_twirls_equal_kraus_stack_oracle(self, case):
+        run = noisy_protocol_run(*case)
+        rho_a1, rho_b2 = stack_marginals(*case)
+        np.testing.assert_allclose(run.rho_a1, rho_a1, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(run.rho_b2, rho_b2, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_branch_count_is_kraus_count_to_the_fourth(self, kind):
+        for n in (2, 3, 4, 7, 16):
+            for gamma in (0.0, 0.37, 1.0):
+                run = noisy_protocol_run(PhaseVector.zero(n), PhaseVector.zero(n), n, kind, gamma)
+                count = len(noise._kraus_stack(kind, gamma, n))
+                assert run.diagnostics["branch_count"] == count**4
+
+    def test_piece_cache_is_keyed_by_target_pair_only(self):
+        rng = np.random.default_rng(41)
+        alice, bob = random_phase_vector(5, rng), random_phase_vector(5, rng)
+        noise._twirl_pieces.cache_clear()
+        calls = 0
+        for kind in NoiseKind:
+            for gamma in (0.0, 0.1, 0.37, 1.0):
+                for policy in OutcomePolicy:
+                    noisy_protocol_run(alice, bob, 5, kind, gamma, policy)
+                    calls += 1
+        info = noise._twirl_pieces.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, calls - 1, 1)
+        assert all(not a.flags.writeable for a in noise._twirl_pieces(alice, bob, 5))
+
+    def test_hermiticity_is_exact(self):
+        rng = np.random.default_rng(43)
+        for n in range(2, 17):
+            alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+            oc = OutcomeTuple(*(int(v) for v in rng.integers(0, n, 4)))
+            for kind in NoiseKind:
+                for policy in OutcomePolicy:
+                    for gamma in (0.0, 0.37, float(rng.uniform()), 1.0):
+                        diag = noisy_protocol_run(alice, bob, n, kind, gamma, policy, oc).diagnostics
+                        assert diag["hermiticity_a1"] == 0.0
+                        assert diag["hermiticity_b2"] == 0.0
 
 
 def naive_noisy_marginals(alice, bob, n, kind, gamma, conditioned=None):

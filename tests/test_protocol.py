@@ -55,6 +55,20 @@ class TestStates:
         expected = np.array([1, np.exp(1j * e1), np.exp(1j * e2), np.exp(1j * e3)]) / 2
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
+    def test_equatorial_state_is_cached_and_read_only(self):
+        p = PhaseVector(5, (0.3, 1.7, 2.2, 5.9))
+        cached = equatorial_state(p)
+        assert equatorial_state(PhaseVector(5, (0.3, 1.7, 2.2, 5.9))) is cached
+        fresh = equatorial_state.__wrapped__(p)
+        assert fresh is not cached
+        assert fresh.dims == cached.dims
+        assert cached.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+        assert not cached.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            cached.amplitudes[0] = 0.0
+        with pytest.raises(AttributeError):
+            cached.amplitudes = np.zeros(5, dtype=complex)
+
     def test_ghz_qubit(self):
         out = ghz_state(2)
         expected = np.zeros(8)
