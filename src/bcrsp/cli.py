@@ -182,7 +182,7 @@ def cmd_run(args) -> int:
     report: dict = {"dimension": n, "trials": []}
     all_recovered = True
 
-    if noise_cfg:
+    if noise_cfg is not None:
         noise_cfg = _noise_block(noise_cfg, ("kind", "gamma"))
         kind = _noise_kind(noise_cfg["kind"])
         gamma = _number(noise_cfg["gamma"], float, "gamma")

@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 # structural checks (orthonormality, unitarity, overlap) use ATOL;
-# weight and trace bookkeeping is tighter
+# weight and trace bookkeeping is tighter. Each check reads `not dev <= tol`,
+# so a NaN deviation fails it.
 ATOL = 1e-10
 WEIGHT_ATOL = 1e-12
 
@@ -65,7 +66,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
             norm = math.sqrt(np.vdot(amps, amps).real)
-            if abs(norm - 1.0) > ATOL:
+            if not abs(norm - 1.0) <= ATOL:
                 raise ValueError(f"state is not normalized (|psi| = {norm!r})")
 
     def tensor_view(self) -> np.ndarray:
@@ -112,7 +113,7 @@ class Operator:
         object.__setattr__(self, "entries", mat)
         if self.unitary:
             dev = unitarity_deviation(mat)
-            if dev > ATOL:
+            if not dev <= ATOL:
                 raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
 
     @property
@@ -153,7 +154,7 @@ class MeasurementBasis:
                 raise ValueError(f"basis vector dims {v.dims} != ({self.dim},)")
         gram = self.matrix() @ self.matrix().conj().T
         dev = float(np.max(np.abs(gram - np.eye(self.dim))))
-        if dev > ATOL:
+        if not dev <= ATOL:
             raise ValueError(f"basis is not orthonormal (deviation {dev:.3e})")
         object.__setattr__(self, "vectors", vecs)
 
@@ -179,7 +180,7 @@ class KrausSet:
                     f"Kraus operator shape {op.entries.shape} != ({self.dim}, {self.dim})"
                 )
         dev = self.completeness_deviation(ops)
-        if dev > ATOL:
+        if not dev <= ATOL:
             raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
         object.__setattr__(self, "operators", ops)
 
@@ -205,7 +206,7 @@ class BranchEnsemble:
         if any(w < -WEIGHT_ATOL for w, _ in brs):
             raise ValueError("negative branch weight")
         total = sum(w for w, _ in brs)
-        if abs(total - 1.0) > WEIGHT_ATOL:
+        if not abs(total - 1.0) <= WEIGHT_ATOL:
             raise ValueError(f"branch weights sum to {total!r}, expected 1")
         dims = brs[0][1].dims
         if any(s.dims != dims for _, s in brs):

@@ -10,16 +10,18 @@ The exact evaluator works per GHZ leg: noise on B1 and C1 reaches only
 A1, and noise on A2 and C2 reaches only B2. Each leg's kept qudit is an
 elementwise product of one factor per measured slot, D T(B) D+, with B the
 outer product of the measured bra, D the correction phases and
-T(B) = sum_i K_i^T B K_i* the channel's twirl. Each twirl has a closed form,
-a gamma-weighted sum of gamma-free pieces cached per target pair, so a run
-costs O(N^2) per gamma and is exact over every Kraus history without
-enumerating them. The closed-form fidelity expressions quoted alongside are
-reference evaluators only; agreement with the exact simulation is reported,
-never assumed.
+T(B) = sum_i K_i^T B K_i* the channel's twirl. The correction cancels the
+outcome phase of the bra, so each slot has one corrected row, whatever the
+outcome: every outcome tuple gives the same outputs with probability 1/N^4.
+Each twirl has a closed form, a gamma-weighted sum of gamma-free pieces
+cached per target pair, so a run costs O(N^2) and is exact over every Kraus
+history without enumerating them. The closed-form fidelity expressions
+quoted alongside are reference evaluators only; agreement with the exact
+simulation is reported, never assumed.
 
 The public builders return each channel use as a `KrausSet` from one raw
-(K, N, N) stack of gamma-free shapes (shifts, Weyl operators, diagonal
-projectors) cached per dimension and checked for completeness in one matmul.
+(K, N, N) stack, filled by fancy indexing and checked for completeness in
+one matmul.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from .protocol import (
     C2,
     OutcomeTuple,
     PhaseVector,
-    _fourier_bras,
+    _equatorial_amplitudes,
     _read_only,
-    _sender_bras,
     equatorial_state,
     phase_table,
 )
@@ -75,75 +76,44 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _shift_matrix(n: int, shift: int, phases: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum_j phase_j |j+shift mod n><j|."""
-    mat = np.zeros((n, n), dtype=complex)
-    col = np.arange(n)
-    mat[(col + shift) % n, col] = 1.0 if phases is None else phases
-    return mat
-
-
-# Gamma-free operator shapes, cached per dimension; the Kraus stack of one
-# channel use scales them, so the cache never depends on gamma.
-
-
-@functools.lru_cache(maxsize=64)
-def _shift_shapes(n: int) -> np.ndarray:
-    """X^s = sum_j |j+s><j| for s = 0..N-1; X^0 is the identity."""
-    return _read_only(np.array([_shift_matrix(n, s) for s in range(n)]))
-
-
-@functools.lru_cache(maxsize=64)
-def _weyl_shapes(n: int) -> np.ndarray:
-    """The identity, then Z^a X^b for a, b = 1..N-1 (a outer, b inner)."""
-    ops = [np.eye(n, dtype=complex)]
-    ops.extend(
-        _shift_matrix(n, b, phases) for phases in phase_table(n)[1:] for b in range(1, n)
-    )
-    return _read_only(np.array(ops))
-
-
-@functools.lru_cache(maxsize=64)
-def _projector_shapes(n: int) -> np.ndarray:
-    """Diagonal projectors |s><s| for s = 0..N-1."""
-    shapes = np.zeros((n, n, n), dtype=complex)
-    diag = np.arange(n)
-    shapes[diag, diag, diag] = 1.0
-    return _read_only(shapes)
-
-
-def _shift_stack(shapes: np.ndarray, weight: float, gamma: float, n: int) -> np.ndarray:
-    """sqrt(1-(N-1)g/N) times the identity shape, then `weight` times the rest."""
-    weights = np.full(len(shapes) if gamma > 0 else 1, weight)
-    weights[0] = np.sqrt(1 - (n - 1) * gamma / n)
-    return weights[:, None, None] * shapes[: len(weights)]
-
-
-def _dephasing_stack(gamma: float, n: int) -> np.ndarray:
-    """diag(1, sqrt(1-g), ..., sqrt(1-g)), then sqrt(g) |s><s| for s = 1..N-1."""
-    weights = np.zeros((n, n))
-    weights[0] = np.concatenate(([1.0], np.full(n - 1, np.sqrt(1 - gamma))))
-    weights[1:, 1:] = np.sqrt(gamma) * np.eye(n - 1)
-    return np.tensordot(weights[: n if gamma > 0 else 1], _projector_shapes(n), axes=1)
+def _kraus_count(kind: NoiseKind, gamma: float, n: int) -> int:
+    """K, the number of Kraus operators of one channel use: 1 at gamma = 0,
+    where only the identity (or the damping diagonal) is left."""
+    if gamma == 0:
+        return 1
+    return n * n - 2 * n + 2 if kind is NoiseKind.QUDIT_PHASE_FLIP else n
 
 
 def _kraus_stack(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
     """The (K, N, N) Kraus operators of one channel use, checked for completeness.
 
-    Only the identity (or, for dephasing, the damping diagonal) remains at
-    gamma = 0, so K = 1 there. Raises ValueError when sum_k K_k+ K_k departs
-    from the identity by more than ATOL.
+    Dephasing: diag(1, sqrt(1-g), ..., sqrt(1-g)), then sqrt(g) |s><s| for
+    s = 1..N-1. Shift kinds: sqrt(1-(N-1)g/N) times the identity, then
+    c sum_j e^{i 2pi ja/N} |j+b><j| with c = sqrt(g/N), a = 0, b = 1..N-1
+    (flip) or c = sqrt(g/(N(N-1))), a, b = 1..N-1, a outer (shift and phase).
+    Raises ValueError when sum_k K_k+ K_k departs from the identity by more
+    than ATOL.
     """
     gamma = _check_gamma(gamma)
+    count = _kraus_count(kind, gamma, n)
+    stack = np.zeros((count, n, n), dtype=complex)
+    col = np.arange(n)
     if kind is NoiseKind.DEPHASING:
-        stack = _dephasing_stack(gamma, n)
-    elif kind is NoiseKind.QUDIT_FLIP:
-        stack = _shift_stack(_shift_shapes(n), np.sqrt(gamma / n), gamma, n)
+        stack[0, col, col] = np.sqrt(1 - gamma)
+        stack[0, 0, 0] = 1.0
+        rest = col[1:count]
+        stack[rest, rest, rest] = np.sqrt(gamma)
     else:
-        stack = _shift_stack(_weyl_shapes(n), np.sqrt(gamma / (n * (n - 1))), gamma, n)
+        stack[0, col, col] = np.sqrt(1 - (n - 1) * gamma / n)
+        i = np.arange(count - 1)
+        if kind is NoiseKind.QUDIT_FLIP:
+            a, b, coef = 0, i + 1, np.sqrt(gamma / n)
+        else:
+            a, b, coef = i // (n - 1) + 1, i % (n - 1) + 1, np.sqrt(gamma / (n * (n - 1)))
+        stack[i[:, None] + 1, (col + b[:, None]) % n, col] = coef * phase_table(n)[a]
     rows = stack.reshape(-1, n)
     dev = float(np.max(np.abs(rows.conj().T @ rows - np.eye(n))))
-    if dev > ATOL:
+    if not dev <= ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
     return stack
 
@@ -219,19 +189,19 @@ def _twirl(kind: NoiseKind, gamma: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 @functools.lru_cache(maxsize=256)
 def _twirl_pieces(alice: PhaseVector, bob: PhaseVector, n: int) -> tuple[np.ndarray, ...]:
-    """Gamma-free pieces of one target pair: (x, g, x x+ and g summed over
-    outcomes, wrap). Row x[r, s] = U_s <r_s| is slot r's bra of outcome s times
-    the correction (slots: Fourier, Bob's, Alice's basis), so D B D+ = x x+ and
-    D circ(B) D+ = g[s, wrap], with g[s, d] = sum_j x[s, j] conj(x[s, j+d]) and
-    wrap[a, q] = (q-a) mod N.
+    """Gamma-free pieces of one target pair: (x x+, g, wrap) for the measured
+    slots (Fourier, Bob's basis, Alice's basis). The corrected bra U_s <r_s| of
+    a slot is the same row x for every outcome s, the flat state's or the
+    target's amplitudes, so D B D+ = x x+ and D circ(B) D+ = g[wrap], with
+    g[d] = sum_j x[j] conj(x[j+d]) and wrap[a, q] = (q-a) mod N.
     """
-    x = phase_table(n) * np.array([_fourier_bras(n), _sender_bras(bob), _sender_bras(alice)])
+    x = np.array([_equatorial_amplitudes(p) for p in (PhaseVector.zero(n), bob, alice)])
     wrap = -np.subtract.outer(np.arange(n), np.arange(n)) % n
     # g_neg[d] = conj(g[d]) = g[-d]; the mean of both makes that hold exactly
-    g_neg = (x[..., None, :] @ x.conj()[..., wrap.T])[..., 0, :]
-    g = (g_neg.conj() + g_neg[..., wrap[:, 0]]) / 2
-    outer_sum = _hermitian(np.swapaxes(x, -1, -2) @ x.conj())
-    return tuple(_read_only(a) for a in (x, g, outer_sum, g.sum(axis=1), wrap))
+    g_neg = (x[:, None, :] @ x.conj()[:, wrap.T])[:, 0, :]
+    g = (g_neg.conj() + g_neg[:, wrap[:, 0]]) / 2
+    outer = _hermitian(x[:, :, None] * x[:, None, :].conj())
+    return tuple(_read_only(a) for a in (outer, g, wrap))
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -267,45 +237,32 @@ def noisy_protocol_run(
     """Exact final-state density matrices at A1 and B2 under one noisy channel.
 
     Each output is evaluated on its own GHZ leg, exactly over all num_ops**4
-    Kraus histories of the four channel uses. The averaged policy mixes over the
-    outcome record as classical; the conditioned policy post-selects one outcome
-    tuple (all zeros by default) and renormalizes each output.
+    Kraus histories of the four channel uses. The corrections make every
+    outcome tuple yield the same outputs with probability 1/N^4, so the
+    averaged policy (outcome record mixed as classical) and the conditioned
+    one (one tuple post-selected, all zeros by default) share them.
     """
     weights, lags = _twirl(noise, _check_gamma(gamma), n)
     # completeness of the Kraus set is T(I) = I; circ(I) = N I
-    if (dev := float(np.abs(weights.diagonal() + (n * lags[0] - 1)).max())) > ATOL:
+    if not (dev := float(np.abs(weights.diagonal() + (n * lags[0] - 1)).max())) <= ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
-    x, g, outer_sum, g_sum, wrap = _twirl_pieces(alice, bob, n)
+    outer, g, wrap = _twirl_pieces(alice, bob, n)
+    # A1 is Bob's slot (B1) times the Fourier one (C1), B2 Alice's (A2) times it (C2)
+    factors = weights * outer + (lags * g)[..., wrap]
+    rhos = factors[1:] * factors[0] * n
 
-    if policy is OutcomePolicy.CONDITIONED:
-        cond = conditioned_outcome or OutcomeTuple(0, 0, 0, 0)
-        cond.validate(n)
-        # A1: B1 (outcome n) and C1 (m); B2: A2 (outcome l) and C2 (k)
-        slots = ([1, 2, 0, 0], [cond.n, cond.l, cond.m, cond.k])
-        rows = x[slots]
-        outer = _hermitian(rows[:, :, None] * rows[:, None, :].conj())
-        factors = weights * outer + (lags * g[slots])[..., wrap]
-        rhos = factors[:2] * factors[2:] / n
-        p = rhos.trace(axis1=1, axis2=2).real
-        probability = float(p[0] * p[1])
-        if probability <= 1e-30:
-            raise ValueError(f"conditioning outcome {cond.as_tuple()} has zero probability")
-        rhos /= p[:, None, None]
-    else:
-        sums = weights * outer_sum + (lags * g_sum)[..., wrap]
-        rhos = sums[1:] * sums[0] / n
-
-    count = 1 if gamma == 0 else n * n - 2 * n + 2 if noise is NoiseKind.QUDIT_PHASE_FLIP else n
     diagnostics = {
         "noise": noise.value,
         "gamma": gamma,
         "policy": policy.value,
-        "branch_count": count ** len(DISTRIBUTED_SITES),
+        "branch_count": _kraus_count(noise, gamma, n) ** len(DISTRIBUTED_SITES),
         **_invariant_residuals(rhos),
     }
     if policy is OutcomePolicy.CONDITIONED:
+        cond = conditioned_outcome or OutcomeTuple(0, 0, 0, 0)
+        cond.validate(n)
         diagnostics["conditioned_outcome"] = cond.as_tuple()
-        diagnostics["outcome_probability"] = probability
+        diagnostics["outcome_probability"] = 1.0 / n**4
 
     return NoisyRunResult(rho_a1=rhos[0], rho_b2=rhos[1], diagnostics=diagnostics)
 

@@ -157,7 +157,7 @@ def reck_decompose(u: np.ndarray, atol: float = ATOL) -> InterferometerNetwork:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"need a square matrix, got shape {u.shape}")
     dev = unitarity_deviation(u)
-    if dev > atol:
+    if not dev <= atol:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
     n = u.shape[0]
     v = u.conj().T.copy()

@@ -135,6 +135,12 @@ MALFORMED = {
     "run-null-gamma": ("run", {**RUN_BASE, "noise": {"kind": "qudit-flip", "gamma": None}}),
     "run-list-noise-with-keys": ("run", {**RUN_BASE, "noise": ["kind", "gamma"]}),
     "run-list-noise": ("run", {**RUN_BASE, "noise": [1, 2]}),
+    # only an absent or null noise block means a noiseless run
+    "run-empty-noise": ("run", {**RUN_BASE, "noise": {}}),
+    "run-empty-list-noise": ("run", {**RUN_BASE, "noise": []}),
+    "run-zero-noise": ("run", {**RUN_BASE, "noise": 0}),
+    "run-false-noise": ("run", {**RUN_BASE, "noise": False}),
+    "run-empty-text-noise": ("run", {**RUN_BASE, "noise": ""}),
     "run-short-forced": ("run", {**RUN_BASE, "forced_outcome": [1, 2]}),
     "run-null-forced-index": ("run", {**RUN_BASE, "forced_outcome": [1, 2, None, 0]}),
     "run-scalar-phases": ("run", {**RUN_BASE, "alice_phases": 5}),
@@ -167,6 +173,14 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_null_noise_is_a_noiseless_run(self, tmp_path, capsys):
+        reports = []
+        for cfg in ({**RUN_BASE, "seed": 5}, {**RUN_BASE, "seed": 5, "noise": None}):
+            assert main(["run", "--config", write_config(tmp_path, "run.json", cfg)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "noise" not in json.loads(reports[0])
 
     def test_integral_floats_are_integers(self, tmp_path, capsys):
         # 3.0 is the integer 3: the report equals that of the integer config

@@ -69,6 +69,29 @@ class TestStateVector:
             s.amplitudes[0] = 0.0
 
 
+NAN = float("nan")
+NON_FINITE = {
+    "nan-state": (lambda: StateVector((2,), [NAN, 0]), "not normalized"),
+    "inf-state": (lambda: StateVector((2,), [np.inf, 0]), "not normalized"),
+    "nan-unitary": (lambda: Operator(np.full((2, 2), NAN), unitary=True), "not unitary"),
+    "nan-basis": (
+        lambda: MeasurementBasis(
+            2, tuple(StateVector((2,), [NAN, v], normalized=False) for v in (0, 1))
+        ),
+        "not orthonormal",
+    ),
+    "nan-kraus": (lambda: KrausSet(2, (Operator(np.full((2, 2), NAN)),)), "not complete"),
+    "nan-weight": (lambda: BranchEnsemble(((NAN, basis_state(2, 0)),)), "sum to nan"),
+}
+
+
+@pytest.mark.parametrize("build,message", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_values_fail_tolerance_checks(build, message):
+    # `dev > tol` is False for NaN; every check must reject it instead
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestTensor:
     def test_basis_states(self):
         out = tensor(basis_state(2, 0), basis_state(2, 0))

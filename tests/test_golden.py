@@ -10,8 +10,11 @@ deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-which rewrites the named golden files, or all of them when no name is
-given, and say in the change log which outputs moved and why.
+which renders the named golden files, or all of them when no name is
+given, rewrites only those that changed and prints one line per file:
+`unchanged`, or the largest absolute change among the numbers parsed from
+the old and the new file. Say in the change log which outputs moved, by how
+much and why.
 """
 
 import json
@@ -116,6 +119,40 @@ def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *TRANSCRIPTS])
 
 
+def _leaves(doc) -> list:
+    """The scalars of a parsed json document, in order."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [leaf for item in doc for leaf in _leaves(item)]
+    return [doc]
+
+
+def _numbers(text: bytes, name: str) -> list[float]:
+    """Every number of a csv or json golden file, in order."""
+    if name.endswith(".csv"):
+        leaves = [c for line in text.decode().splitlines() for c in line.split(",")]
+    else:
+        leaves = _leaves(json.loads(text))
+    numbers = []
+    for leaf in leaves:
+        try:
+            numbers.append(float(leaf))
+        except (TypeError, ValueError):
+            pass
+    return numbers
+
+
+def _change(old: bytes, new: bytes, name: str) -> str:
+    """How a golden file moves: `unchanged` or its largest numeric change."""
+    if old == new:
+        return "unchanged"
+    a, b = _numbers(old, name), _numbers(new, name)
+    if len(a) != len(b) or a == b:
+        return "changed beyond its numbers"
+    return f"largest change {max(abs(x - y) for x, y in zip(a, b)):.3g}"
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -125,6 +162,9 @@ if __name__ == "__main__":
         sys.exit(f"error: no golden case named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            (GOLDEN / name).write_bytes(_render_case(name, Path(tmp)))
-    print(f"wrote {len(names)} golden files to {GOLDEN}", file=sys.stderr)
+        for name in sorted(names):
+            path, new = GOLDEN / name, _render_case(name, Path(tmp))
+            old = path.read_bytes() if path.exists() else None
+            print(f"{name}: {'new' if old is None else _change(old, new, name)}")
+            if new != old:
+                path.write_bytes(new)

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,18 +167,13 @@ BUILDERS = {
     NoiseKind.DEPHASING: dephasing_kraus,
     NoiseKind.QUDIT_PHASE_FLIP: phase_flip_kraus,
 }
-SHAPES = {
-    NoiseKind.QUDIT_FLIP: "_shift_shapes",
-    NoiseKind.DEPHASING: "_projector_shapes",
-    NoiseKind.QUDIT_PHASE_FLIP: "_weyl_shapes",
-}
 
 
 class TestKrausStack:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_public_builders_equal_raw_stack_bitwise(self, kind):
-        for n in range(2, 9):
-            for gamma in (0.0, 0.37, 1.0):
+        for n in range(2, 17):
+            for gamma in (0.0, 0.123456, 0.37, 1.0):
                 stack = noise._kraus_stack(kind, gamma, n)
                 assert stack.tobytes() == reference_kraus(kind, gamma, n).tobytes()
                 for chan in (BUILDERS[kind](gamma, n), kraus_for(kind, gamma, n)):
@@ -191,9 +183,9 @@ class TestKrausStack:
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_corrupted_shape_is_not_complete(self, kind, monkeypatch):
-        bad = getattr(noise, SHAPES[kind])(4).copy()
-        bad[2] *= 1.1
-        monkeypatch.setattr(noise, SHAPES[kind], lambda n: bad)
+        # one operator short of the channel
+        count = noise._kraus_count
+        monkeypatch.setattr(noise, "_kraus_count", lambda *args: count(*args) - 1)
         with pytest.raises(ValueError, match="not complete"):
             noise._kraus_stack(kind, 0.5, 4)
         # the evaluator checks its twirl weights instead: T(I) = I
@@ -207,24 +199,21 @@ class TestKrausStack:
         with pytest.raises(ValueError, match="not complete"):
             noisy_protocol_run(ZERO4, ZERO4, 4, kind, 0.5)
 
-    def test_shape_caches_are_keyed_by_dimension_only(self):
-        noise._weyl_shapes.cache_clear()
-        for gamma in (0.1, 0.37, 0.9):
-            noise._kraus_stack(NoiseKind.QUDIT_PHASE_FLIP, gamma, 5)
-        info = noise._weyl_shapes.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-        assert not noise._weyl_shapes(5).flags.writeable
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_nan_channel_is_not_complete(self, kind, monkeypatch):
+        # a NaN deviation fails both completeness checks instead of slipping past
+        monkeypatch.setattr(noise, "_check_gamma", float)
+        with pytest.raises(ValueError, match="not complete"):
+            noise._kraus_stack(kind, float("nan"), 4)
+        twirl = noise._twirl
 
-    def test_shape_caches_are_empty_after_import(self):
-        code = (
-            "import bcrsp.noise as m; "
-            "print([f.cache_info().currsize for f in "
-            "(m._shift_shapes, m._weyl_shapes, m._projector_shapes)])"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[0, 0, 0]"
+        def poisoned(kind, gamma, n):
+            weights, lags = twirl(kind, gamma, n)
+            return weights * np.nan, lags
+
+        monkeypatch.setattr(noise, "_twirl", poisoned)
+        with pytest.raises(ValueError, match="not complete"):
+            noisy_protocol_run(ZERO4, ZERO4, 4, kind, 0.5)
 
 
 def stack_factors(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -618,6 +607,22 @@ class TestPolicies:
             for oc in all_outcomes(3)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_conditioned_outputs_are_the_averaged_ones(self):
+        # the corrections make every outcome tuple give the same outputs
+        rng = np.random.default_rng(47)
+        for n in range(2, 9):
+            alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+            for kind in NoiseKind:
+                for gamma in (0.0, 1.0, float(rng.uniform())):
+                    oc = OutcomeTuple(*(int(v) for v in rng.integers(0, n, 4)))
+                    avg = noisy_protocol_run(alice, bob, n, kind, gamma)
+                    cond = noisy_protocol_run(
+                        alice, bob, n, kind, gamma, OutcomePolicy.CONDITIONED, oc
+                    )
+                    assert cond.rho_a1.tobytes() == avg.rho_a1.tobytes()
+                    assert cond.rho_b2.tobytes() == avg.rho_b2.tobytes()
+                    assert cond.diagnostics["outcome_probability"] == 1 / n**4
 
     def test_conditioned_diagnostics(self):
         run = noisy_protocol_run(

@@ -125,6 +125,13 @@ class TestReckDecompose:
         with pytest.raises(ValueError, match="not unitary"):
             reck_decompose(np.ones((3, 3)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_matrix_rejected(self, value):
+        # `dev > atol` is False for NaN; the check must reject it instead
+        with pytest.raises(ValueError, match="not unitary"):
+            reck_decompose(np.full((3, 3), value))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             reck_decompose(np.ones((2, 3)))
