@@ -177,6 +177,10 @@ def cmd_run(args) -> int:
     if seed is not None:
         seed = _number(seed, int, "seed")
     forced = cfg.get("forced_outcome")
+    if forced is not None:
+        if not isinstance(forced, list) or len(forced) != 4:
+            raise ConfigError(f"forced_outcome needs four indices l, n, m, k, got {forced!r}")
+        forced = OutcomeTuple(*[_number(v, int, "forced_outcome index") for v in forced])
     noise_cfg = cfg.get("noise")
 
     report: dict = {"dimension": n, "trials": []}
@@ -187,16 +191,17 @@ def cmd_run(args) -> int:
         kind = _noise_kind(noise_cfg["kind"])
         gamma = _number(noise_cfg["gamma"], float, "gamma")
         policy = OutcomePolicy(cfg.get("policy", "averaged"))
-        run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
+        if forced is not None and policy is not OutcomePolicy.CONDITIONED:
+            raise ConfigError(
+                f"forced_outcome needs policy 'conditioned' in a noisy run, got {policy.value!r}"
+            )
+        run = noisy_protocol_run(alice, bob, n, kind, gamma, policy, forced)
         f_a1, f_b2 = run_fidelities(run, alice, bob)
         report["noise"] = run.diagnostics
         report["fidelity_a1"] = f_a1
         report["fidelity_b2"] = f_b2
     elif forced is not None:
-        if not isinstance(forced, list) or len(forced) != 4:
-            raise ConfigError(f"forced_outcome needs four indices l, n, m, k, got {forced!r}")
-        oc = OutcomeTuple(*[_number(v, int, "forced_outcome index") for v in forced])
-        res = run_protocol(alice, bob, n, outcome=oc)
+        res = run_protocol(alice, bob, n, outcome=forced)
         all_recovered = all(res.recovered)
         report["trials"].append(_trial_row(0, res, alice, bob))
     else:
@@ -338,7 +343,7 @@ def cmd_decompose(args) -> int:
     else:
         raise ConfigError("decompose needs --builtin or --input")
     dev = unitarity_deviation(mat)
-    if dev > 1e-10:
+    if not dev <= 1e-10:
         print(f"error: input matrix is not unitary (deviation {dev:.3e})", file=sys.stderr)
         return 1
     net = optics.reck_decompose(mat)

@@ -10,7 +10,9 @@ controller's basis is rebuilt verbatim and compared against that synthesis.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -103,10 +105,27 @@ def element_matrix(el: NetworkElement, n: int) -> np.ndarray:
 
 
 def compose_network(net: InterferometerNetwork) -> np.ndarray:
-    out = np.eye(net.dim, dtype=complex)
+    """The product of the element matrices in list order.
+
+    Right-multiplying by a coupler mixes only its columns n and m, and by a
+    phase shifter scales one column, so each element updates those columns
+    of the running product in O(N) and the whole mesh costs O(N^3).
+    """
+    cols = np.eye(net.dim, dtype=complex).tolist()  # cols[j] is column j
     for el in net.elements:
-        out = out @ element_matrix(el, net.dim)
-    return out
+        if isinstance(el, BeamSplitter):
+            ph = cmath.exp(1j * el.phi)
+            s, c = math.sin(el.omega), math.cos(el.omega)
+            ps, pc = ph * s, ph * c
+            lo, hi = cols[el.n], cols[el.m]
+            for i in range(net.dim):
+                x, y = lo[i], hi[i]
+                lo[i] = x * ps + y * c
+                hi[i] = x * pc - y * s
+        else:
+            ph = cmath.exp(1j * el.theta)
+            cols[el.mode] = [x * ph for x in cols[el.mode]]
+    return np.array(cols).T
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +164,46 @@ def ghz_via_cnot(n: int) -> StateVector:
 # triangular synthesis
 
 
-def reck_decompose(u: np.ndarray, atol: float = ATOL) -> InterferometerNetwork:
+def reck_decompose(u: np.ndarray) -> InterferometerNetwork:
     """Factor a unitary into n(n-1)/2 beam splitters plus one phase layer.
 
     Working on the conjugate transpose, each matrix element below the
     diagonal is nulled by a coupler between its column and the diagonal
     column; the residual diagonal phases are emitted as explicit
     phase shifters closing the element list (the input side of the mesh).
+
+    Coupler (r, c) mixes only columns c and r, and no later step reads
+    their rows after r, so it updates rows 0..r of those two columns:
+    O(r) work per coupler and O(n^3) in all.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"need a square matrix, got shape {u.shape}")
     dev = unitarity_deviation(u)
-    if not dev <= atol:
+    if not dev <= ATOL:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
     n = u.shape[0]
-    v = u.conj().T.copy()
+    cols = u.conj().tolist()  # cols[j] is column j of u^dagger
     splitters: list[BeamSplitter] = []
     for r in range(n - 1, 0, -1):
+        right = cols[r]
         for c in range(r):
-            a, b = v[r, c], v[r, r]
-            omega = float(np.arctan2(abs(b), abs(a)))
-            phi = float(np.pi + np.angle(b) - np.angle(a))
-            bs = BeamSplitter(m=r, n=c, omega=omega, phi=phi)
-            v = v @ element_matrix(bs, n)
-            splitters.append(bs)
-    shifters = [PhaseShifter(mode=i, theta=float(-np.angle(v[i, i]))) for i in range(n)]
-    return InterferometerNetwork(dim=n, elements=tuple(splitters) + tuple(shifters))
+            left = cols[c]
+            a, b = left[r], right[r]
+            omega = math.atan2(abs(b), abs(a))
+            phi = math.pi + cmath.phase(b) - cmath.phase(a)
+            splitters.append(BeamSplitter(m=r, n=c, omega=omega, phi=phi))
+            s, co = math.sin(omega), math.cos(omega)
+            ph = cmath.exp(1j * phi)
+            ps, pc = ph * s, ph * co
+            for i in range(r + 1):
+                x, y = left[i], right[i]
+                left[i] = x * ps + y * co
+                right[i] = x * pc - y * s
+    shifters = tuple(
+        PhaseShifter(mode=i, theta=-cmath.phase(cols[i][i])) for i in range(n)
+    )
+    return InterferometerNetwork(dim=n, elements=tuple(splitters) + shifters)
 
 
 def reconstruction_error(net: InterferometerNetwork, u: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bcrsp import cli
 from bcrsp.cli import main, parse_phase
 
 
@@ -131,6 +132,7 @@ class TestRun:
 
 RUN_BASE = {"dimension": 3, "alice_phases": [0, 0], "bob_phases": [0, 0]}
 SWEEP_BASE = {"dimension": 3, "noise": {"kind": "dephasing"}}
+NOISY_BASE = {**RUN_BASE, "noise": {"kind": "dephasing", "gamma": 0.3}}
 MALFORMED = {
     "run-null-gamma": ("run", {**RUN_BASE, "noise": {"kind": "qudit-flip", "gamma": None}}),
     "run-list-noise-with-keys": ("run", {**RUN_BASE, "noise": ["kind", "gamma"]}),
@@ -162,6 +164,10 @@ MALFORMED = {
     "table-boolean-dimension": ("table", {"dimension": True}),
     "sweep-fractional-steps": ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": 2.5}}),
     "sweep-boolean-gamma": ("sweep", {**SWEEP_BASE, "gamma_grid": [0.0, False]}),
+    # a noisy run reads forced_outcome as the conditioned tuple
+    "run-noisy-out-of-range-forced": ("run", {**NOISY_BASE, "policy": "conditioned",
+                                              "forced_outcome": [9, 9, 9, 9]}),
+    "run-noisy-averaged-forced": ("run", {**NOISY_BASE, "forced_outcome": [0, 1, 2, 0]}),
 }
 
 
@@ -181,6 +187,19 @@ class TestMalformedConfig:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         assert "noise" not in json.loads(reports[0])
+
+    def test_noisy_forced_outcome_is_the_conditioned_tuple(self, tmp_path, capsys):
+        reports = []
+        for extra in ({"forced_outcome": [2, 1, 0, 2]}, {}):
+            cfg = {**NOISY_BASE, "policy": "conditioned", **extra}
+            assert main(["run", "--config", write_config(tmp_path, "run.json", cfg)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        forced, default = reports
+        assert forced["noise"]["conditioned_outcome"] == [2, 1, 0, 2]
+        assert default["noise"]["conditioned_outcome"] == [0, 0, 0, 0]
+        # every tuple yields the same outputs
+        assert forced["fidelity_a1"] == default["fidelity_a1"]
+        assert forced["fidelity_b2"] == default["fidelity_b2"]
 
     def test_integral_floats_are_integers(self, tmp_path, capsys):
         # 3.0 is the integer 3: the report equals that of the integer config
@@ -336,6 +355,13 @@ class TestDecompose:
         path.write_text(json.dumps([[1, 1], [1, 1]]))
         assert main(["decompose", "--input", str(path)]) == 1
         assert "not unitary" in capsys.readouterr().err
+
+    def test_nan_deviation_is_not_unitary(self, capsys, monkeypatch):
+        # `dev > tol` is False for NaN; the pre-check must reject it instead
+        monkeypatch.setattr(cli, "unitarity_deviation", lambda mat: float("nan"))
+        assert main(["decompose", "--builtin", "identity4"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: input matrix is not unitary (deviation nan)\n"
 
     def test_unknown_builtin(self, capsys):
         assert main(["decompose", "--builtin", "nosuch"]) == 2

@@ -1,9 +1,11 @@
 """Golden-file tests: CLI output must stay byte-for-byte equal to tests/golden/.
 
-Each CLI case is a subcommand, its JSON config and the golden file its
-output is compared with. The files pin `sweep` (csv and json, every noise
-kind and both policies, N=3 on a random target and N=4 on the flat one),
-one seeded trial `run` and two noisy `run`s. Each transcript case is a
+Each CLI case is a subcommand, its JSON config (or None for a command
+that reads none) and the golden file its output is compared with. The files
+pin `sweep` (csv and json, every noise kind and both policies, N=3 on a
+random target and N=4 on the flat one), one seeded trial `run`, two noisy
+`run`s, `table` for N=2..6 read from the config, `decompose` of the two
+builtin matrices and the `verify` report. Each transcript case is a
 seeded session whose `export_transcript` text is pinned: a completed N=3
 and N=16 session and an aborted N=2 one. To regenerate them after a
 deliberate output change, run
@@ -18,6 +20,7 @@ much and why.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,7 +40,7 @@ TARGETS = {
 }
 
 
-def _cases() -> dict[str, tuple[list[str], dict]]:
+def _cases() -> dict[str, tuple[list[str], dict | None]]:
     cases = {}
     for kind in KINDS:
         for policy in POLICIES:
@@ -61,6 +64,11 @@ def _cases() -> dict[str, tuple[list[str], dict]]:
         {"dimension": 3, "alice_phases": [1.3, 0.6], "bob_phases": ["2pi/3", 0.1],
          "noise": {"kind": "dephasing", "gamma": 0.61}, "policy": "conditioned"},
     )
+    for n in range(2, 7):
+        cases[f"table-n{n}.csv"] = (["table"], {"dimension": n})
+    for builtin in ("charlie4", "identity4"):
+        cases[f"decompose-{builtin}.json"] = (["decompose", "--builtin", builtin], None)
+    cases["verify.txt"] = (["verify"], None)
     return cases
 
 
@@ -84,11 +92,13 @@ def _session(name: str):
     return ses
 
 
-def _render(argv: list[str], cfg: dict, workdir: Path) -> bytes:
-    config = workdir / "config.json"
+def _render(argv: list[str], cfg: dict | None, workdir: Path) -> bytes:
     out = workdir / "out.txt"
-    config.write_text(json.dumps(cfg))
-    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    if cfg is not None:
+        config = workdir / "config.json"
+        config.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(config)]
+    assert main([*argv, "--out", str(out)]) == 0
     return out.read_bytes()
 
 
@@ -129,11 +139,11 @@ def _leaves(doc) -> list:
 
 
 def _numbers(text: bytes, name: str) -> list[float]:
-    """Every number of a csv or json golden file, in order."""
-    if name.endswith(".csv"):
-        leaves = [c for line in text.decode().splitlines() for c in line.split(",")]
-    else:
+    """Every number of a json, csv or text golden file, in order."""
+    if name.endswith(".json"):
         leaves = _leaves(json.loads(text))
+    else:
+        leaves = re.split(r"[\s,()=]+", text.decode())
     numbers = []
     for leaf in leaves:
         try:

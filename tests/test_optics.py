@@ -31,6 +31,49 @@ from bcrsp.protocol import PhaseVector, correction_unitary, ghz_state, sender_ba
 from conftest import random_phase_vector
 
 
+def dense_reck_decompose(u: np.ndarray) -> InterferometerNetwork:
+    """Reference synthesis: the working matrix times one dense coupler per step."""
+    v = np.asarray(u, dtype=complex).conj().T.copy()
+    n = v.shape[0]
+    splitters = []
+    for r in range(n - 1, 0, -1):
+        for c in range(r):
+            a, b = v[r, c], v[r, r]
+            omega = float(np.arctan2(abs(b), abs(a)))
+            phi = float(np.pi + np.angle(b) - np.angle(a))
+            bs = BeamSplitter(m=r, n=c, omega=omega, phi=phi)
+            v = v @ element_matrix(bs, n)
+            splitters.append(bs)
+    shifters = [PhaseShifter(mode=i, theta=float(-np.angle(v[i, i]))) for i in range(n)]
+    return InterferometerNetwork(dim=n, elements=tuple(splitters) + tuple(shifters))
+
+
+def dense_compose(net: InterferometerNetwork) -> np.ndarray:
+    """Reference mesh matrix: the product of the dense element matrices."""
+    out = np.eye(net.dim, dtype=complex)
+    for el in net.elements:
+        out = out @ element_matrix(el, net.dim)
+    return out
+
+
+def _angle_gap(x: float, y: float) -> float:
+    """|x - y| modulo 2 pi."""
+    return abs((x - y + np.pi) % (2 * np.pi) - np.pi)
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(2, 16))
+    angle = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+    coupler = st.integers(1, n - 1).flatmap(
+        lambda m: st.builds(BeamSplitter, m=st.just(m), n=st.integers(0, m - 1),
+                            omega=angle, phi=angle)
+    )
+    shifter = st.builds(PhaseShifter, mode=st.integers(0, n - 1), theta=angle)
+    elements = draw(st.lists(st.one_of(coupler, shifter), max_size=3 * n))
+    return InterferometerNetwork(dim=n, elements=tuple(elements))
+
+
 class TestCnot:
     def test_qubit_case_is_standard(self):
         expected = np.zeros((4, 4))
@@ -135,6 +178,40 @@ class TestReckDecompose:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             reck_decompose(np.ones((2, 3)))
+
+
+class TestAgainstDenseOracle:
+    @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_haar_mesh_matches_dense_synthesis(self, n, seed):
+        u = random_unitary(np.random.default_rng(seed), n)
+        net, ref = reck_decompose(u), dense_reck_decompose(u)
+        assert len(net.elements) == len(ref.elements)
+        for el, want in zip(net.elements, ref.elements):
+            assert type(el) is type(want)
+            if isinstance(el, BeamSplitter):
+                assert (el.m, el.n) == (want.m, want.n)
+                assert _angle_gap(el.omega, want.omega) <= 1e-12
+                assert _angle_gap(el.phi, want.phi) <= 1e-12
+            else:
+                assert el.mode == want.mode
+                assert _angle_gap(el.theta, want.theta) <= 1e-12
+
+    @given(net=networks())
+    @settings(max_examples=100, deadline=None)
+    def test_compose_equals_dense_product(self, net):
+        np.testing.assert_allclose(compose_network(net), dense_compose(net), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_exact_zero_inputs_reconstruct(self, n):
+        for target in (np.eye(n), controller_basis_matrix(n)):
+            assert reconstruction_error(reck_decompose(target), target) <= 1e-12
+
+    @given(perm=st.integers(2, 16).flatmap(lambda n: st.permutations(range(n))))
+    @settings(max_examples=60, deadline=None)
+    def test_permutations_reconstruct(self, perm):
+        target = np.eye(len(perm))[list(perm)]
+        assert reconstruction_error(reck_decompose(target), target) <= 1e-12
 
 
 class TestQuotedNetwork:
