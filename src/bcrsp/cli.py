@@ -187,6 +187,8 @@ def cmd_run(args) -> int:
     all_recovered = True
 
     if noise_cfg is not None:
+        if cfg.get("trials") is not None or seed is not None:
+            raise ConfigError("a noisy run is exact and takes neither trials nor seed")
         noise_cfg = _noise_block(noise_cfg, ("kind", "gamma"))
         kind = _noise_kind(noise_cfg["kind"])
         gamma = _number(noise_cfg["gamma"], float, "gamma")

@@ -6,16 +6,14 @@ coherence damping (dephasing), and combined shift-plus-phase errors
 B1 and C1 out of the first GHZ resource, A2 and C2 out of the second;
 A1 and B2 stay with their preparers and are ideal.
 
-The exact evaluator works per GHZ leg: noise on B1 and C1 reaches only
-A1, and noise on A2 and C2 reaches only B2. Each leg's kept qudit is an
-elementwise product of one factor per measured slot, D T(B) D+, with B the
-outer product of the measured bra, D the correction phases and
-T(B) = sum_i K_i^T B K_i* the channel's twirl. The correction cancels the
-outcome phase of the bra, so each slot has one corrected row, whatever the
-outcome: every outcome tuple gives the same outputs with probability 1/N^4.
-Each twirl has a closed form, a gamma-weighted sum of gamma-free pieces
-cached per target pair, so a run costs O(N^2) and is exact over every Kraus
-history without enumerating them. The closed-form fidelity expressions
+The exact evaluator works per GHZ leg: noise on B1 and C1 reaches only A1,
+and noise on A2 and C2 reaches only B2. The corrections cancel every outcome
+phase, so each outcome tuple has probability 1/N^4 and leaves each kept qudit
+in its target |t><t| sent through one single-qudit map: Phi_flip once,
+Phi_deph twice, or Phi_sp then Delta_g(rho) = (1-g) rho + g diag(rho), with
+Phi_k the channel `kraus_for(k, g, N)`. Each map is a gamma-weighted sum of
+two pieces cached per target, so a run costs O(N^2) and is exact over every
+Kraus history without enumerating them. The closed-form fidelity expressions
 quoted alongside are reference evaluators only; agreement with the exact
 simulation is reported, never assumed.
 
@@ -164,49 +162,46 @@ class NoisyRunResult:
         return ensemble_from_density(self.rho_b2, (self.rho_b2.shape[0],))
 
 
-def _twirl(kind: NoiseKind, gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """T(B) = sum_i K_i^T B K_i* as M * B + circulant(lags * c), c[d] = sum_j B[j, j+d]:
-    so circ(B)[a, q] = sum_b B[a+b, q+b] = c[q-a] and tr(B) = c[0]. Qudit flip:
-    (w0-w) B + w circ(B); shift-and-phase: w0 B + w (N tr(B) I - circ(B) - N diag(B) + B);
-    dephasing: (d d^T) * B + g diag(B) off entry 0. Here w0 = 1-(N-1)g/N, w = g/N
-    (flip) or g/(N(N-1)), and d = (1, sqrt(1-g), ..., sqrt(1-g)).
+def _leg_weights(kind: NoiseKind, gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, V) with the leg's whole channel Phi(rho) = W * rho + V * circ(rho), where
+    circ(rho)[a, q] = sum_b rho[a+b, q+b] and tr(rho) is its diagonal. Flip:
+    Phi_flip(rho) = (1-g) rho + (g/N) circ(rho). Dephasing: Phi_deph twice,
+    (d d^T)^2 * rho off the diagonal, d = (1, sqrt(1-g), ...). Shift-and-phase:
+    Phi_sp(rho) = w0 rho + w (N tr(rho) I - circ(rho) - N diag(rho) + rho), with
+    w0 = 1-(N-1)g/N and w = g/(N(N-1)), then Delta_g scales the coherences by 1-g.
     """
-    if kind is NoiseKind.DEPHASING:
-        weights = np.full((n, n), 1 - gamma)
-        weights[0] = weights[:, 0] = np.sqrt(1 - gamma)
-        np.fill_diagonal(weights, 1.0)  # (1-g) + g: populations are kept
-        return weights, np.zeros(n)
-    w0 = 1 - (n - 1) * gamma / n
     if kind is NoiseKind.QUDIT_FLIP:
-        return np.full((n, n), w0 - gamma / n), np.full(n, gamma / n)
-    w = gamma / (n * (n - 1))
-    weights = np.full((n, n), w0 + w)
+        return np.full((n, n), 1 - gamma), np.full((n, n), gamma / n)
+    if kind is NoiseKind.DEPHASING:
+        weights = np.full((n, n), (1 - gamma) ** 2)
+        weights[0] = weights[:, 0] = 1 - gamma
+        np.fill_diagonal(weights, 1.0)
+        return weights, np.zeros((n, n))
+    w0, w = 1 - (n - 1) * gamma / n, gamma / (n * (n - 1))
+    weights = np.full((n, n), (1 - gamma) * (w0 + w))
+    circ_weights = np.full((n, n), -(1 - gamma) * w)
     np.fill_diagonal(weights, w0 + w - n * w)
-    lags = np.full(n, -w)
-    lags[0] = n * w - w
-    return weights, lags
+    np.fill_diagonal(circ_weights, (n - 1) * w)
+    return weights, circ_weights
 
 
-@functools.lru_cache(maxsize=256)
-def _twirl_pieces(alice: PhaseVector, bob: PhaseVector, n: int) -> tuple[np.ndarray, ...]:
-    """Gamma-free pieces of one target pair: (x x+, g, wrap) for the measured
-    slots (Fourier, Bob's basis, Alice's basis). The corrected bra U_s <r_s| of
-    a slot is the same row x for every outcome s, the flat state's or the
-    target's amplitudes, so D B D+ = x x+ and D circ(B) D+ = g[wrap], with
-    g[d] = sum_j x[j] conj(x[j+d]) and wrap[a, q] = (q-a) mod N.
-    """
-    x = np.array([_equatorial_amplitudes(p) for p in (PhaseVector.zero(n), bob, alice)])
-    wrap = -np.subtract.outer(np.arange(n), np.arange(n)) % n
-    # g_neg[d] = conj(g[d]) = g[-d]; the mean of both makes that hold exactly
-    g_neg = (x[:, None, :] @ x.conj()[:, wrap.T])[:, 0, :]
-    g = (g_neg.conj() + g_neg[:, wrap[:, 0]]) / 2
-    outer = _hermitian(x[:, :, None] * x[:, None, :].conj())
-    return tuple(_read_only(a) for a in (outer, g, wrap))
+@functools.lru_cache(maxsize=512)
+def _target_pieces(p: PhaseVector) -> np.ndarray:
+    """Read-only (rho_t, circ(rho_t)) of one target with amplitudes x: rho_t = x x+
+    and circ(rho_t)[a, q] = c[q-a], with c[d] = sum_j x[j] conj(x[j+d])."""
+    x = _equatorial_amplitudes(p)
+    wrap = -np.subtract.outer(np.arange(p.dim), np.arange(p.dim)) % p.dim  # (q-a) mod N
+    c = (x @ x.conj()[wrap.T])[wrap[:, 0]]
+    pieces = np.stack((np.outer(x, x.conj()), c[wrap]))
+    # a fused multiply-add can leave A+ an ulp from A; the mean is exactly Hermitian
+    return _read_only((pieces + pieces.conj().transpose(0, 2, 1)) / 2)
 
 
-def _hermitian(a: np.ndarray) -> np.ndarray:
-    """(A + A+)/2: a fused multiply-add can leave A+ an ulp away from A."""
-    return (a + np.swapaxes(a, -1, -2).conj()) / 2
+@functools.lru_cache(maxsize=64)
+def _identity_probe(n: int) -> np.ndarray:
+    """Read-only (I, circ(I)) = (I, N I): a map is complete when Phi(I) = I."""
+    eye = np.eye(n, dtype=complex)
+    return _read_only(np.stack((eye, n * eye)))
 
 
 def _invariant_residuals(rhos: np.ndarray) -> dict:
@@ -236,20 +231,21 @@ def noisy_protocol_run(
 ) -> NoisyRunResult:
     """Exact final-state density matrices at A1 and B2 under one noisy channel.
 
-    Each output is evaluated on its own GHZ leg, exactly over all num_ops**4
-    Kraus histories of the four channel uses. The corrections make every
-    outcome tuple yield the same outputs with probability 1/N^4, so the
-    averaged policy (outcome record mixed as classical) and the conditioned
-    one (one tuple post-selected, all zeros by default) share them.
+    Each output is its leg's target through the leg's whole channel, exact over
+    all num_ops**4 Kraus histories of the four channel uses. Every outcome tuple
+    yields the same outputs with probability 1/N^4, so the averaged policy
+    (outcome record mixed as classical) and the conditioned one (one tuple
+    post-selected, all zeros by default) share them.
     """
-    weights, lags = _twirl(noise, _check_gamma(gamma), n)
-    # completeness of the Kraus set is T(I) = I; circ(I) = N I
-    if not (dev := float(np.abs(weights.diagonal() + (n * lags[0] - 1)).max())) <= ATOL:
+    weights, circ_weights = _leg_weights(noise, _check_gamma(gamma), n)
+    probe = _identity_probe(n)
+    # A1 holds Bob's target, B2 Alice's; the probe's leg checks completeness,
+    # Phi(I) = I, on every entry, so a NaN weight anywhere fails it
+    pieces = np.array((_target_pieces(bob), _target_pieces(alice), probe))
+    out = weights * pieces[:, 0] + circ_weights * pieces[:, 1]
+    if not (dev := float(np.abs(out[2] - probe[0]).max())) <= ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
-    outer, g, wrap = _twirl_pieces(alice, bob, n)
-    # A1 is Bob's slot (B1) times the Fourier one (C1), B2 Alice's (A2) times it (C2)
-    factors = weights * outer + (lags * g)[..., wrap]
-    rhos = factors[1:] * factors[0] * n
+    rhos = out[:2]
 
     diagnostics = {
         "noise": noise.value,

@@ -65,9 +65,9 @@ class InterferometerNetwork:
 
     def __post_init__(self):
         for el in self.elements:
-            top = el.m if isinstance(el, BeamSplitter) else el.mode
-            if top >= self.dim:
-                raise ValueError(f"element {el} exceeds mode count {self.dim}")
+            top = el.m if isinstance(el, BeamSplitter) else el.mode  # a splitter has m > n >= 0
+            if not 0 <= top < self.dim:
+                raise ValueError(f"element {el} is negative or exceeds mode count {self.dim}")
 
     def beam_splitters(self) -> tuple[BeamSplitter, ...]:
         return tuple(e for e in self.elements if isinstance(e, BeamSplitter))
@@ -91,7 +91,7 @@ def bs_matrix(bs: BeamSplitter, n: int) -> Operator:
 
 
 def ps_matrix(ps: PhaseShifter, n: int) -> Operator:
-    if ps.mode >= n:
+    if not 0 <= ps.mode < n:
         raise ValueError(f"mode {ps.mode} out of range for {n} modes")
     diag = np.ones(n, dtype=complex)
     diag[ps.mode] = np.exp(1j * ps.theta)

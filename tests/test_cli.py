@@ -168,6 +168,10 @@ MALFORMED = {
     "run-noisy-out-of-range-forced": ("run", {**NOISY_BASE, "policy": "conditioned",
                                               "forced_outcome": [9, 9, 9, 9]}),
     "run-noisy-averaged-forced": ("run", {**NOISY_BASE, "forced_outcome": [0, 1, 2, 0]}),
+    # a noisy run is exact: it has no trials to count and nothing to seed
+    "run-noisy-trials": ("run", {**NOISY_BASE, "trials": 5}),
+    "run-noisy-seed": ("run", {**NOISY_BASE, "seed": 3}),
+    "run-noisy-trials-and-seed": ("run", {**NOISY_BASE, "trials": 5, "seed": 3}),
 }
 
 
@@ -176,6 +180,13 @@ class TestMalformedConfig:
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_noisy_run_rejects_seed_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "noisy.json", NOISY_BASE)
+        assert main(["run", "--config", cfg, "--seed", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1

@@ -188,14 +188,14 @@ class TestKrausStack:
         monkeypatch.setattr(noise, "_kraus_count", lambda *args: count(*args) - 1)
         with pytest.raises(ValueError, match="not complete"):
             noise._kraus_stack(kind, 0.5, 4)
-        # the evaluator checks its twirl weights instead: T(I) = I
-        twirl = noise._twirl
+        # the evaluator checks its leg weights instead: Phi(I) = I
+        leg_weights = noise._leg_weights
 
         def corrupted(kind, gamma, n):
-            weights, lags = twirl(kind, gamma, n)
-            return weights * 1.1, lags
+            weights, circ_weights = leg_weights(kind, gamma, n)
+            return weights * 1.1, circ_weights
 
-        monkeypatch.setattr(noise, "_twirl", corrupted)
+        monkeypatch.setattr(noise, "_leg_weights", corrupted)
         with pytest.raises(ValueError, match="not complete"):
             noisy_protocol_run(ZERO4, ZERO4, 4, kind, 0.5)
 
@@ -205,15 +205,36 @@ class TestKrausStack:
         monkeypatch.setattr(noise, "_check_gamma", float)
         with pytest.raises(ValueError, match="not complete"):
             noise._kraus_stack(kind, float("nan"), 4)
-        twirl = noise._twirl
+        leg_weights = noise._leg_weights
 
         def poisoned(kind, gamma, n):
-            weights, lags = twirl(kind, gamma, n)
-            return weights * np.nan, lags
+            weights, circ_weights = leg_weights(kind, gamma, n)
+            return weights * np.nan, circ_weights
 
-        monkeypatch.setattr(noise, "_twirl", poisoned)
+        monkeypatch.setattr(noise, "_leg_weights", poisoned)
         with pytest.raises(ValueError, match="not complete"):
             noisy_protocol_run(ZERO4, ZERO4, 4, kind, 0.5)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_off_diagonal_nan_is_not_complete(self, kind, monkeypatch):
+        # completeness is checked on every entry of Phi(I), not on its diagonal,
+        # so the NaN is reported before it reaches the eigenvalue solver
+        leg_weights = noise._leg_weights
+
+        def poisoned(kind, gamma, n):
+            weights, circ_weights = leg_weights(kind, gamma, n)
+            off = ~np.eye(n, dtype=bool)
+            return np.where(off, np.nan, weights), np.where(off, np.nan, circ_weights)
+
+        monkeypatch.setattr(noise, "_leg_weights", poisoned)
+        with pytest.raises(ValueError, match="not complete"):
+            noisy_protocol_run(ZERO4, ZERO4, 4, kind, 0.5)
+
+    def test_nan_dephasing_gamma_is_not_complete(self, monkeypatch):
+        # dephasing at gamma = NaN keeps its populations: NaN sits off the diagonal only
+        monkeypatch.setattr(noise, "_check_gamma", float)
+        with pytest.raises(ValueError, match="not complete"):
+            noisy_protocol_run(ZERO4, ZERO4, 4, NoiseKind.DEPHASING, float("nan"))
 
 
 def stack_factors(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -280,19 +301,20 @@ class TestClosedFormTwirls:
                 count = len(noise._kraus_stack(kind, gamma, n))
                 assert run.diagnostics["branch_count"] == count**4
 
-    def test_piece_cache_is_keyed_by_target_pair_only(self):
+    def test_piece_cache_is_keyed_by_target_only(self):
         rng = np.random.default_rng(41)
         alice, bob = random_phase_vector(5, rng), random_phase_vector(5, rng)
-        noise._twirl_pieces.cache_clear()
+        noise._target_pieces.cache_clear()
         calls = 0
         for kind in NoiseKind:
             for gamma in (0.0, 0.1, 0.37, 1.0):
                 for policy in OutcomePolicy:
                     noisy_protocol_run(alice, bob, 5, kind, gamma, policy)
                     calls += 1
-        info = noise._twirl_pieces.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, calls - 1, 1)
-        assert all(not a.flags.writeable for a in noise._twirl_pieces(alice, bob, 5))
+        info = noise._target_pieces.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2 * calls - 2, 2)
+        for target in (alice, bob):
+            assert not noise._target_pieces(target).flags.writeable
 
     def test_hermiticity_is_exact(self):
         rng = np.random.default_rng(43)
@@ -305,6 +327,100 @@ class TestClosedFormTwirls:
                         diag = noisy_protocol_run(alice, bob, n, kind, gamma, policy, oc).diagnostics
                         assert diag["hermiticity_a1"] == 0.0
                         assert diag["hermiticity_b2"] == 0.0
+
+
+def target_amplitudes(p: PhaseVector) -> np.ndarray:
+    return np.exp(1j * np.concatenate(([0.0], p.phases))) / np.sqrt(p.dim)
+
+
+def through_kraus(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def leg_channel(kind: NoiseKind, gamma: float, target: PhaseVector) -> np.ndarray:
+    """A leg's output from the reference Kraus stack: the target |t><t| through
+    Phi_flip once, Phi_deph twice, or Phi_sp then Delta_g(rho) = (1-g) rho + g diag(rho)."""
+    t = target_amplitudes(target)
+    ops = reference_kraus(kind, gamma, target.dim)
+    out = through_kraus(ops, np.outer(t, t.conj()))
+    if kind is NoiseKind.DEPHASING:
+        out = through_kraus(ops, out)
+    elif kind is NoiseKind.QUDIT_PHASE_FLIP:
+        out = (1 - gamma) * out + gamma * np.diag(np.diag(out))
+    return out
+
+
+def autocorrelation_power(p: PhaseVector) -> float:
+    """S = sum_d |c_d|^2, with c_d = sum_j t_j conj(t_{j+d}) the target's cyclic
+    autocorrelation; 1 <= S <= N."""
+    t = target_amplitudes(p)
+    return float(sum(abs(np.vdot(np.roll(t, -d), t)) ** 2 for d in range(p.dim)))
+
+
+def law_fidelity(kind: NoiseKind, gamma: float, n: int, s: float) -> float:
+    """Exact fidelity of a leg whose target has autocorrelation power s."""
+    if kind is NoiseKind.QUDIT_FLIP:
+        f2 = 1 - gamma + gamma * s / n
+    elif kind is NoiseKind.QUDIT_PHASE_FLIP:
+        f2 = (1 - gamma) * (1 - (n - 1) * gamma / n + gamma * (n - s) / (n * (n - 1))) + gamma / n
+    else:
+        f2 = (n + 2 * (n - 1) * (1 - gamma) + (n - 1) * (n - 2) * (1 - gamma) ** 2) / n**2
+    return float(np.sqrt(f2))
+
+
+def zadoff_chu(n: int) -> PhaseVector:
+    """Perfect-autocorrelation phases (S = 1), Chu, IEEE Trans. Inf. Theory 18, 531 (1972)."""
+    j = np.arange(n)
+    theta = -np.pi * j * (j + n % 2) / n
+    return PhaseVector(n, tuple(theta[1:]))
+
+
+def linear_phase(n: int, k: int) -> PhaseVector:
+    """theta_j = 2 pi j k / N, the Fourier vectors (S = N)."""
+    return PhaseVector(n, tuple(2 * np.pi * j * k / n for j in range(1, n)))
+
+
+class TestLegChannels:
+    @settings(max_examples=80, deadline=None)
+    @given(noisy_cases())
+    def test_leg_is_its_target_through_the_composed_channel(self, case):
+        alice, bob, _, kind, gamma, _, _ = case
+        run = noisy_protocol_run(*case)
+        np.testing.assert_allclose(run.rho_a1, leg_channel(kind, gamma, bob), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(run.rho_b2, leg_channel(kind, gamma, alice), rtol=0, atol=1e-13)
+
+    @settings(max_examples=80, deadline=None)
+    @given(noisy_cases())
+    def test_fidelities_follow_the_autocorrelation_laws(self, case):
+        alice, bob, n, kind, gamma, policy, _ = case
+        f_a1, f_b2 = exact_fidelities(alice, bob, n, kind, gamma, policy)
+        assert abs(f_a1 - law_fidelity(kind, gamma, n, autocorrelation_power(bob))) <= 1e-14
+        assert abs(f_b2 - law_fidelity(kind, gamma, n, autocorrelation_power(alice))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 31, 32])
+    def test_zadoff_chu_targets_have_unit_autocorrelation_power(self, n):
+        target = zadoff_chu(n)
+        assert autocorrelation_power(target) == pytest.approx(1.0, abs=1e-12)
+        for kind in NoiseKind:
+            for gamma in (0.0, 0.37, 1.0):
+                law = law_fidelity(kind, gamma, n, 1.0)
+                for f in exact_fidelities(target, target, n, kind, gamma):
+                    assert abs(f - law) <= 1e-14
+        # the worst target for qudit flip: F^2 = 1 - g + g/N
+        f_a1, _ = exact_fidelities(target, target, n, NoiseKind.QUDIT_FLIP, 1.0)
+        assert f_a1**2 == pytest.approx(1 / n, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+    def test_linear_phase_targets_survive_qudit_flip(self, n):
+        for k in range(n):
+            target = linear_phase(n, k)
+            assert autocorrelation_power(target) == pytest.approx(n, abs=1e-12)
+            for gamma in (0.37, 1.0):
+                for f in exact_fidelities(target, target, n, NoiseKind.QUDIT_FLIP, gamma):
+                    assert abs(f - 1.0) <= 1e-14
+                law = law_fidelity(NoiseKind.QUDIT_PHASE_FLIP, gamma, n, n)
+                for f in exact_fidelities(target, target, n, NoiseKind.QUDIT_PHASE_FLIP, gamma):
+                    assert abs(f - law) <= 1e-14
 
 
 def naive_noisy_marginals(alice, bob, n, kind, gamma, conditioned=None):

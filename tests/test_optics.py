@@ -331,3 +331,16 @@ class TestSerialization:
     def test_mode_bounds_checked(self):
         with pytest.raises(ValueError, match="exceeds mode count"):
             InterferometerNetwork(dim=2, elements=(PhaseShifter(mode=5, theta=0.0),))
+
+    @pytest.mark.parametrize("build", [
+        lambda: InterferometerNetwork(dim=3, elements=(PhaseShifter(mode=-1, theta=0.3),)),
+        lambda: ps_matrix(PhaseShifter(mode=-1, theta=0.3), 3),
+        lambda: bs_matrix(BeamSplitter(m=1, n=-1, omega=0.2, phi=0.0), 3),
+        lambda: network_from_json(
+            '{"dim": 3, "elements": [{"kind": "ps", "mode": -1, "theta": 0.3}]}'
+        ),
+    ], ids=["network", "ps-matrix", "bs-matrix", "json"])
+    def test_negative_modes_rejected(self, build):
+        # a negative index would reach the last mode through Python indexing
+        with pytest.raises(ValueError, match="negative|out of range|>= 0"):
+            build()
