@@ -237,6 +237,10 @@ def noisy_protocol_run(
     (outcome record mixed as classical) and the conditioned one (one tuple
     post-selected, all zeros by default) share them.
     """
+    if alice.dim != n or bob.dim != n:
+        raise ValueError(
+            f"phase vectors have dims {alice.dim}/{bob.dim}, protocol dim is {n}"
+        )
     weights, circ_weights = _leg_weights(noise, _check_gamma(gamma), n)
     probe = _identity_probe(n)
     # A1 holds Bob's target, B2 Alice's; the probe's leg checks completeness,

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ATOL, Operator, StateVector, apply_on, tensor, unitarity_deviation
+from .core import ATOL, Operator, StateVector, tensor, unitarity_deviation
 from .protocol import PhaseVector, correction_unitary, fourier_basis
 
 
@@ -64,6 +64,8 @@ class InterferometerNetwork:
     elements: tuple[NetworkElement, ...]
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"mode count must be at least 1, got {self.dim}")
         for el in self.elements:
             top = el.m if isinstance(el, BeamSplitter) else el.mode  # a splitter has m > n >= 0
             if not 0 <= top < self.dim:
@@ -154,10 +156,17 @@ def ghz_via_cnot(n: int) -> StateVector:
     """Bell pair plus a |0> ancilla, shifted by one controlled gate.
 
     The control is the second qudit of the pair, the target the ancilla;
-    the result equals the three-party GHZ state entrywise.
+    the result equals the three-party GHZ state entrywise. `cnot_gate` only
+    permutes basis states, so it is applied as the index permutation
+    out[a, b, (b + c) mod n] = start[a, b, c]: O(n^3), with no n^2 x n^2 matrix.
     """
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
     start = tensor(bell_state(n), StateVector((n,), np.eye(n, dtype=complex)[0]))
-    return apply_on(cnot_gate(n), start, targets=(1, 2))
+    j = np.arange(n)
+    out = np.empty((n, n, n), dtype=complex)
+    out[:, j[:, None], (j[:, None] + j) % n] = start.tensor_view()
+    return StateVector((n, n, n), out.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,19 @@ A1·B1·C1 carries Bob's state to A1 and B2·A2·C2 carries Alice's state to
 B2. A leg sum_a v[a] |a...a> keeps that form when any of its qudits is
 measured in any basis: projecting on the bra b leaves sum_a b[a] v[a]
 |a...a>. So each leg is carried as its diagonal v, a length-N vector
-starting at 1/sqrt(N); a forced slot is one elementwise product, a sampled
-slot adds one O(N^2) matvec for its Born probabilities, and the leg ends
-as the kept qudit's amplitudes. Validated `StateVector`s are built only by
-`finish`, for the `ProtocolResult` fields, and by `leg_state` for views of
-a leg as a tensor. The four-basis expansion is checked per leg as well.
-The six-qudit order (A1, B1, C1, A2, B2, C2) is used only by
+starting at 1/sqrt(N); a projected slot is one elementwise product, a
+sampled slot adds one O(N^2) matvec for its Born probabilities, and the
+leg ends as the kept qudit's amplitudes.
+
+A leg's outcome is the pair (s, t) of its sender's and controller's
+indices, (n, m) on A1's leg and (l, k) on B2's, so the N^4 outcome tuples
+are two N^2 tables. `_leg_table` projects every (s, t) of one leg once per
+target and caches the probabilities, the kept diagonals and the recovered
+flags; a forced run reads one row of each leg's table, and
+`outcome_probability` reads the zero target's. Validated `StateVector`s
+are built only for the `ProtocolResult` fields and by `leg_state` for
+views of a leg as a tensor. The four-basis expansion is checked per leg
+as well. The six-qudit order (A1, B1, C1, A2, B2, C2) is used only by
 `channel_state`, the whole resource as one register.
 """
 
@@ -25,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -291,25 +298,84 @@ def sample_slots(
     return drawn
 
 
-def _project_outcome(
-    legs: list[np.ndarray],
-    bases: Mapping[str, tuple[np.ndarray, np.ndarray]],
-    outcome: OutcomeTuple,
-) -> float:
-    """Force the four outcomes in protocol order, collapsing `legs` in place.
+class LegTable(NamedTuple):
+    """Every outcome (s, t) of one leg: sender index s, controller index t.
 
-    Returns the joint probability.
+    kept[s, t] is the leg's kept diagonal before its correction U_{s+t}, and
+    recovered[s, t] whether U_{s+t} brings it onto the target's ray.
     """
-    joint = 1.0
-    indices = {"l": outcome.l, "n": outcome.n, "m": outcome.m, "k": outcome.k}
-    for slot, leg in PROTOCOL_ORDER:
-        prob, legs[leg] = _project_leg(legs[leg], bases[slot][0][indices[slot]])
-        if legs[leg] is None:
-            raise RuntimeError(
-                f"outcome {indices} has zero probability at slot {slot}"
-            )
-        joint *= prob
-    return joint
+
+    sender_probs: np.ndarray      # (N,)
+    controller_probs: np.ndarray  # (N, N)
+    kept: np.ndarray              # (N, N, N)
+    recovered: np.ndarray         # (N, N), bool
+
+
+# 256 targets: at N=16 an entry is about 68 KB, so at most about 18 MB
+@functools.lru_cache(maxsize=256)
+def _leg_table(target: PhaseVector) -> LegTable:
+    """The read-only outcome table of a leg whose sender holds `target`.
+
+    Each entry is the leg's fresh GHZ diagonal projected on the sender's
+    bra s and then on the controller's bra t, by the same `_project_leg`
+    calls a sampled run makes, so it holds the values of those two slots
+    bit for bit. 2N^2 projections in all; every bra has entries of modulus
+    1/sqrt(N), so no projection vanishes.
+    """
+    n = target.dim
+    sender, four = _sender_bras(target), _fourier_bras(n)
+    corrections, goal = phase_table(n), _equatorial_amplitudes(target)
+    ghz = _ghz_diagonal(n)
+    sender_probs = np.empty(n)
+    controller_probs = np.empty((n, n))
+    kept = np.empty((n, n, n), dtype=complex)
+    recovered = np.empty((n, n), dtype=bool)
+    for s in range(n):
+        sender_probs[s], after = _project_leg(ghz, sender[s])
+        for t in range(n):
+            controller_probs[s, t], kept[s, t] = _project_leg(after, four[t])
+            recovered[s, t] = same_ray(corrections[(s + t) % n] * kept[s, t], goal)
+    return LegTable(*map(_read_only, (sender_probs, controller_probs, kept, recovered)))
+
+
+def _joint_probability(a1_leg: LegTable, b2_leg: LegTable, outcome: OutcomeTuple) -> float:
+    """p_l p_n p_m p_k, multiplied in protocol order, from the two leg tables."""
+    l, nn, m, k = outcome.as_tuple()
+    return float(
+        b2_leg.sender_probs[l]
+        * a1_leg.sender_probs[nn]
+        * a1_leg.controller_probs[nn, m]
+        * b2_leg.controller_probs[l, k]
+    )
+
+
+def _correction_rule(outcome: OutcomeTuple, n: int) -> CorrectionRule:
+    """U_{m+n} on A1 and U_{k+l} on B2."""
+    return CorrectionRule(
+        a1_index=mod_add(outcome.m, outcome.n, n),
+        b2_index=mod_add(outcome.k, outcome.l, n),
+    )
+
+
+def _result(
+    outcome: OutcomeTuple,
+    probability: float,
+    rule: CorrectionRule,
+    befores: tuple[np.ndarray, np.ndarray],
+    finals: tuple[np.ndarray, np.ndarray],
+    recovered: tuple[bool, bool],
+) -> ProtocolResult:
+    n = len(befores[0])
+    return ProtocolResult(
+        outcome=outcome,
+        probability=probability,
+        corrections=rule,
+        a1_before=StateVector((n,), befores[0]),
+        b2_before=StateVector((n,), befores[1]),
+        alice_final=StateVector((n,), finals[0]),
+        bob_final=StateVector((n,), finals[1]),
+        recovered=recovered,
+    )
 
 
 def finish(
@@ -324,28 +390,17 @@ def finish(
     U_p is diagonal, so each correction is an elementwise product with row p
     of `phase_table`. Recovery means the same ray as the target, up to ATOL.
     """
-    n = alice.dim
-    rule = CorrectionRule(
-        a1_index=mod_add(outcome.m, outcome.n, n),
-        b2_index=mod_add(outcome.k, outcome.l, n),
-    )
+    rule = _correction_rule(outcome, alice.dim)
+    table = phase_table(alice.dim)
     a1_before, b2_before = legs
-    table = phase_table(n)
     alice_final = table[rule.a1_index] * a1_before
     bob_final = table[rule.b2_index] * b2_before
     recovered = (
         same_ray(alice_final, _equatorial_amplitudes(bob)),
         same_ray(bob_final, _equatorial_amplitudes(alice)),
     )
-    return ProtocolResult(
-        outcome=outcome,
-        probability=probability,
-        corrections=rule,
-        a1_before=StateVector((n,), a1_before),
-        b2_before=StateVector((n,), b2_before),
-        alice_final=StateVector((n,), alice_final),
-        bob_final=StateVector((n,), bob_final),
-        recovered=recovered,
+    return _result(
+        outcome, probability, rule, (a1_before, b2_before), (alice_final, bob_final), recovered
     )
 
 
@@ -377,28 +432,37 @@ def run_protocol(
         raise ValueError(
             f"phase vectors have dims {alice.dim}/{bob.dim}, protocol dim is {n}"
         )
-    bases = _measurement_bases(alice, bob, n)
-    legs = channel_legs(n)
-    if outcome is not None:
-        outcome.validate(n)
-        probability = _project_outcome(legs, bases, outcome)
-    else:
+    if outcome is None:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        outcome = OutcomeTuple(**sample_slots(legs, bases, PROTOCOL_ORDER, rng))
-        probability = 1.0 / n**4
-    return finish(alice, bob, outcome, legs, probability)
+        legs = channel_legs(n)
+        drawn = sample_slots(legs, _measurement_bases(alice, bob, n), PROTOCOL_ORDER, rng)
+        return finish(alice, bob, OutcomeTuple(**drawn), legs, 1.0 / n**4)
+    outcome.validate(n)
+    # A1's leg is indexed by (n, m) and carries Bob's target; B2's by (l, k)
+    a1_leg, b2_leg = _leg_table(bob), _leg_table(alice)
+    probability = _joint_probability(a1_leg, b2_leg, outcome)
+    rule = _correction_rule(outcome, n)
+    a1_before = a1_leg.kept[outcome.n, outcome.m]
+    b2_before = b2_leg.kept[outcome.l, outcome.k]
+    table = phase_table(n)
+    finals = (table[rule.a1_index] * a1_before, table[rule.b2_index] * b2_before)
+    recovered = (
+        bool(a1_leg.recovered[outcome.n, outcome.m]),
+        bool(b2_leg.recovered[outcome.l, outcome.k]),
+    )
+    return _result(outcome, probability, rule, (a1_before, b2_before), finals, recovered)
 
 
 def outcome_probability(n: int, outcome: OutcomeTuple) -> float:
     """Joint Born probability of the four measurements in the noiseless run.
 
     Phases cancel in the probabilities, so any phase choice gives the same
-    value; the zero vector is used.
+    value; the zero vector's leg table is used for both legs.
     """
     outcome.validate(n)
-    zero = PhaseVector.zero(n)
-    return _project_outcome(channel_legs(n), _measurement_bases(zero, zero, n), outcome)
+    zero = _leg_table(PhaseVector.zero(n))
+    return _joint_probability(zero, zero, outcome)
 
 
 def all_outcomes(n: int) -> Iterable[OutcomeTuple]:

@@ -473,6 +473,13 @@ class TestExactEvaluator:
         assert f_a1 == pytest.approx(1.0, abs=1e-12)
         assert f_b2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_target_dimension_mismatch_raises(self, kind, dims):
+        alice, bob = (PhaseVector.zero(d) for d in dims)
+        with pytest.raises(ValueError, match=rf"dims {dims[0]}/{dims[1]}, protocol dim is 4"):
+            noisy_protocol_run(alice, bob, 4, kind, 0.3)
+
     def test_flip_unity_for_flat_target(self, quditflip_sweep):
         for gamma, (f_a1, f_b2) in quditflip_sweep.items():
             assert f_a1 == pytest.approx(1.0, abs=1e-10), f"gamma={gamma}"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcrsp.core import random_unitary, unitarity_deviation
+from bcrsp.core import StateVector, apply_on, random_unitary, tensor, unitarity_deviation
 from bcrsp.optics import (
     BeamSplitter,
     InterferometerNetwork,
@@ -100,6 +100,19 @@ class TestGhzFromCnot:
         rhs = ghz_state(n)
         assert lhs.dims == rhs.dims
         np.testing.assert_array_equal(lhs.amplitudes, rhs.amplitudes)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_permutation_equals_dense_gate(self, n):
+        # the index permutation against the n^2 x n^2 gate applied by apply_on
+        start = tensor(bell_state(n), StateVector((n,), np.eye(n, dtype=complex)[0]))
+        dense = apply_on(cnot_gate(n), start, targets=(1, 2))
+        lhs = ghz_via_cnot(n)
+        assert lhs.dims == dense.dims
+        assert lhs.amplitudes.tobytes() == dense.amplitudes.tobytes()
+
+    def test_rejects_degenerate_dimension(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            ghz_via_cnot(1)
 
     def test_bell_state_layout(self):
         amps = bell_state(3).amplitudes
@@ -344,3 +357,12 @@ class TestSerialization:
         # a negative index would reach the last mode through Python indexing
         with pytest.raises(ValueError, match="negative|out of range|>= 0"):
             build()
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    @pytest.mark.parametrize("build", [
+        lambda dim: InterferometerNetwork(dim=dim, elements=()),
+        lambda dim: network_from_json(f'{{"dim": {dim}, "elements": []}}'),
+    ], ids=["network", "json"])
+    def test_mode_count_below_one_rejected(self, build, dim):
+        with pytest.raises(ValueError, match=f"mode count must be at least 1, got {dim}"):
+            build(dim)

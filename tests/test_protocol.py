@@ -7,15 +7,18 @@ from bcrsp import protocol
 from bcrsp.core import ATOL, measure, project, states_equal
 from bcrsp.protocol import (
     PROTOCOL_ORDER,
+    ProtocolResult,
     CorrectionRule,
     OutcomeTuple,
     PhaseVector,
     all_outcomes,
     build_correction_table,
+    channel_legs,
     channel_state,
     collapsed_state,
     correction_unitary,
     equatorial_state,
+    finish,
     fourier_basis,
     ghz_state,
     outcome_probability,
@@ -553,3 +556,81 @@ class TestDiagonalLegsAgainstTensordotOracle:
                     )
                 if step < 2:
                     ses.advance()
+
+
+def sequential_forced_run(alice, bob, n, outcome) -> ProtocolResult:
+    """Oracle: the four slots projected one after another on fresh legs.
+
+    Each forced slot collapses its leg's diagonal in protocol order, the
+    joint probability is the running product, and `finish` corrects the
+    remainders; no outcome table is read.
+    """
+    bases = protocol._measurement_bases(alice, bob, n)
+    legs = channel_legs(n)
+    joint = 1.0
+    for slot, leg in PROTOCOL_ORDER:
+        prob, legs[leg] = protocol._project_leg(legs[leg], bases[slot][0][getattr(outcome, slot)])
+        assert legs[leg] is not None
+        joint *= prob
+    return finish(alice, bob, outcome, legs, joint)
+
+
+def assert_same_result(res, expected, probability=True):
+    """Bit-for-bit equality of two results: values, types and amplitude bytes."""
+    assert res.outcome == expected.outcome
+    assert res.corrections == expected.corrections
+    assert res.recovered == expected.recovered
+    assert [type(flag) for flag in res.recovered] == [bool, bool]
+    if probability:
+        assert type(res.probability) is type(expected.probability) is float
+        assert res.probability.hex() == expected.probability.hex()
+    for field in ("a1_before", "b2_before", "alice_final", "bob_final"):
+        got, want = getattr(res, field), getattr(expected, field)
+        assert got.dims == want.dims, field
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), field
+
+
+class TestLegTables:
+    @given(n=st.integers(2, 16), seed=st.integers(0, 2**31))
+    @settings(max_examples=80, deadline=None)
+    def test_forced_runs_equal_sequential_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        for _ in range(8):
+            oc = OutcomeTuple(*(int(v) for v in rng.integers(0, n, 4)))
+            expected = sequential_forced_run(alice, bob, n, oc)
+            assert_same_result(run_protocol(alice, bob, n, outcome=oc), expected)
+            zero = PhaseVector.zero(n)
+            oracle = sequential_forced_run(zero, zero, n, oc).probability
+            assert outcome_probability(n, oc).hex() == oracle.hex()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_forced_run_equals_session_result(self, n):
+        rng = np.random.default_rng(900 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        for seed in range(20):
+            ses = new_session(alice, bob, n, charlie_consents=True, seed=seed)
+            ses.run_to_completion()
+            drawn = ses.result()
+            res = run_protocol(alice, bob, n, outcome=drawn.outcome)
+            assert_same_result(res, drawn, probability=False)
+            assert res.probability == pytest.approx(drawn.probability, rel=1e-12)
+
+    def test_cache_is_keyed_by_target_only(self):
+        n = 4
+        rng = np.random.default_rng(41)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        protocol._leg_table.cache_clear()
+        try:
+            for oc in all_outcomes(n):
+                run_protocol(alice, bob, n, outcome=oc)
+                run_protocol(PhaseVector(n, alice.phases), bob, n, outcome=oc)
+            info = protocol._leg_table.cache_info()
+            assert (info.misses, info.currsize) == (2, 2)
+            for target in (alice, bob):
+                for arr in protocol._leg_table(target):
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr.reshape(-1)[0] = 0
+        finally:
+            protocol._leg_table.cache_clear()
