@@ -16,15 +16,16 @@ sampled slot adds one O(N^2) matvec for its Born probabilities, and the
 leg ends as the kept qudit's amplitudes.
 
 A leg's outcome is the pair (s, t) of its sender's and controller's
-indices, (n, m) on A1's leg and (l, k) on B2's, so the N^4 outcome tuples
-are two N^2 tables. `_leg_table` projects every (s, t) of one leg once per
-target and caches the probabilities, the kept diagonals and the recovered
-flags; a forced run reads one row of each leg's table, and
-`outcome_probability` reads the zero target's. Validated `StateVector`s
-are built only for the `ProtocolResult` fields and by `leg_state` for
-views of a leg as a tensor. The four-basis expansion is checked per leg
-as well. The six-qudit order (A1, B1, C1, A2, B2, C2) is used only by
-`channel_state`, the whole resource as one register.
+indices, (n, m) on A1's leg and (l, k) on B2's. The sender's slot acts on
+a fresh GHZ leg, so `_leg_table` projects it for every s once per target
+and caches the N probabilities and N diagonals; a forced run reads one
+row per leg and projects only the two controller slots, and
+`outcome_probability` does the same on the zero target. Validated
+`StateVector`s are built only by `finish`, for the `ProtocolResult`
+fields, and by `leg_state` for views of a leg as a tensor. The four-basis
+expansion is checked per leg as well. The six-qudit order (A1, B1, C1,
+A2, B2, C2) is used only by `channel_state`, the whole resource as one
+register.
 """
 
 from __future__ import annotations
@@ -299,83 +300,52 @@ def sample_slots(
 
 
 class LegTable(NamedTuple):
-    """Every outcome (s, t) of one leg: sender index s, controller index t.
+    """One leg of a target after its sender's slot, for every sender index s.
 
-    kept[s, t] is the leg's kept diagonal before its correction U_{s+t}, and
-    recovered[s, t] whether U_{s+t} brings it onto the target's ray.
+    after[s] is the leg's diagonal projected on the sender's bra s, with
+    probability sender_probs[s]; the controller's slot is projected per run.
     """
 
-    sender_probs: np.ndarray      # (N,)
-    controller_probs: np.ndarray  # (N, N)
-    kept: np.ndarray              # (N, N, N)
-    recovered: np.ndarray         # (N, N), bool
+    sender_probs: np.ndarray  # (N,)
+    after: np.ndarray         # (N, N)
 
 
-# 256 targets: at N=16 an entry is about 68 KB, so at most about 18 MB
+# 16 N^2 + 8 N bytes of arrays per entry: about 1.1 MB for 256 targets at
+# N = 16, 4.2 MB at N = 32 and 17 MB at N = 64
 @functools.lru_cache(maxsize=256)
 def _leg_table(target: PhaseVector) -> LegTable:
-    """The read-only outcome table of a leg whose sender holds `target`.
+    """Read-only sender half of the outcome table of a leg whose sender holds `target`.
 
-    Each entry is the leg's fresh GHZ diagonal projected on the sender's
-    bra s and then on the controller's bra t, by the same `_project_leg`
-    calls a sampled run makes, so it holds the values of those two slots
-    bit for bit. 2N^2 projections in all; every bra has entries of modulus
-    1/sqrt(N), so no projection vanishes.
+    Row s is the fresh GHZ diagonal projected on the sender's bra s by the
+    same `_project_leg` call a sampled run makes, so it holds that slot's
+    values bit for bit. N projections in all; every bra has entries of
+    modulus 1/sqrt(N), so no projection vanishes.
     """
     n = target.dim
-    sender, four = _sender_bras(target), _fourier_bras(n)
-    corrections, goal = phase_table(n), _equatorial_amplitudes(target)
     ghz = _ghz_diagonal(n)
     sender_probs = np.empty(n)
-    controller_probs = np.empty((n, n))
-    kept = np.empty((n, n, n), dtype=complex)
-    recovered = np.empty((n, n), dtype=bool)
-    for s in range(n):
-        sender_probs[s], after = _project_leg(ghz, sender[s])
-        for t in range(n):
-            controller_probs[s, t], kept[s, t] = _project_leg(after, four[t])
-            recovered[s, t] = same_ray(corrections[(s + t) % n] * kept[s, t], goal)
-    return LegTable(*map(_read_only, (sender_probs, controller_probs, kept, recovered)))
+    after = np.empty((n, n), dtype=complex)
+    for s, bra in enumerate(_sender_bras(target)):
+        sender_probs[s], after[s] = _project_leg(ghz, bra)
+    return LegTable(_read_only(sender_probs), _read_only(after))
 
 
-def _joint_probability(a1_leg: LegTable, b2_leg: LegTable, outcome: OutcomeTuple) -> float:
-    """p_l p_n p_m p_k, multiplied in protocol order, from the two leg tables."""
-    l, nn, m, k = outcome.as_tuple()
-    return float(
-        b2_leg.sender_probs[l]
-        * a1_leg.sender_probs[nn]
-        * a1_leg.controller_probs[nn, m]
-        * b2_leg.controller_probs[l, k]
-    )
+def _forced_legs(
+    alice: PhaseVector, bob: PhaseVector, outcome: OutcomeTuple
+) -> tuple[float, list[np.ndarray]]:
+    """Joint probability and kept diagonals [A1, B2] of a forced outcome tuple.
 
-
-def _correction_rule(outcome: OutcomeTuple, n: int) -> CorrectionRule:
-    """U_{m+n} on A1 and U_{k+l} on B2."""
-    return CorrectionRule(
-        a1_index=mod_add(outcome.m, outcome.n, n),
-        b2_index=mod_add(outcome.k, outcome.l, n),
-    )
-
-
-def _result(
-    outcome: OutcomeTuple,
-    probability: float,
-    rule: CorrectionRule,
-    befores: tuple[np.ndarray, np.ndarray],
-    finals: tuple[np.ndarray, np.ndarray],
-    recovered: tuple[bool, bool],
-) -> ProtocolResult:
-    n = len(befores[0])
-    return ProtocolResult(
-        outcome=outcome,
-        probability=probability,
-        corrections=rule,
-        a1_before=StateVector((n,), befores[0]),
-        b2_before=StateVector((n,), befores[1]),
-        alice_final=StateVector((n,), finals[0]),
-        bob_final=StateVector((n,), finals[1]),
-        recovered=recovered,
-    )
+    A1's leg is indexed by (n, m) and carries Bob's target, B2's by (l, k)
+    and Alice's: each reads its sender's row from `_leg_table` and projects
+    the controller's slot on it, and p_l p_n p_m p_k is multiplied in
+    protocol order, so both equal the four slots projected one by one.
+    """
+    four = _fourier_bras(alice.dim)
+    a1, b2 = _leg_table(bob), _leg_table(alice)
+    p_m, a1_kept = _project_leg(a1.after[outcome.n], four[outcome.m])
+    p_k, b2_kept = _project_leg(b2.after[outcome.l], four[outcome.k])
+    p_l, p_n = float(b2.sender_probs[outcome.l]), float(a1.sender_probs[outcome.n])
+    return p_l * p_n * p_m * p_k, [a1_kept, b2_kept]
 
 
 def finish(
@@ -390,17 +360,28 @@ def finish(
     U_p is diagonal, so each correction is an elementwise product with row p
     of `phase_table`. Recovery means the same ray as the target, up to ATOL.
     """
-    rule = _correction_rule(outcome, alice.dim)
-    table = phase_table(alice.dim)
+    n = alice.dim
+    rule = CorrectionRule(
+        a1_index=mod_add(outcome.m, outcome.n, n),
+        b2_index=mod_add(outcome.k, outcome.l, n),
+    )
     a1_before, b2_before = legs
+    table = phase_table(n)
     alice_final = table[rule.a1_index] * a1_before
     bob_final = table[rule.b2_index] * b2_before
     recovered = (
         same_ray(alice_final, _equatorial_amplitudes(bob)),
         same_ray(bob_final, _equatorial_amplitudes(alice)),
     )
-    return _result(
-        outcome, probability, rule, (a1_before, b2_before), (alice_final, bob_final), recovered
+    return ProtocolResult(
+        outcome=outcome,
+        probability=probability,
+        corrections=rule,
+        a1_before=StateVector((n,), a1_before),
+        b2_before=StateVector((n,), b2_before),
+        alice_final=StateVector((n,), alice_final),
+        bob_final=StateVector((n,), bob_final),
+        recovered=recovered,
     )
 
 
@@ -439,30 +420,19 @@ def run_protocol(
         drawn = sample_slots(legs, _measurement_bases(alice, bob, n), PROTOCOL_ORDER, rng)
         return finish(alice, bob, OutcomeTuple(**drawn), legs, 1.0 / n**4)
     outcome.validate(n)
-    # A1's leg is indexed by (n, m) and carries Bob's target; B2's by (l, k)
-    a1_leg, b2_leg = _leg_table(bob), _leg_table(alice)
-    probability = _joint_probability(a1_leg, b2_leg, outcome)
-    rule = _correction_rule(outcome, n)
-    a1_before = a1_leg.kept[outcome.n, outcome.m]
-    b2_before = b2_leg.kept[outcome.l, outcome.k]
-    table = phase_table(n)
-    finals = (table[rule.a1_index] * a1_before, table[rule.b2_index] * b2_before)
-    recovered = (
-        bool(a1_leg.recovered[outcome.n, outcome.m]),
-        bool(b2_leg.recovered[outcome.l, outcome.k]),
-    )
-    return _result(outcome, probability, rule, (a1_before, b2_before), finals, recovered)
+    probability, legs = _forced_legs(alice, bob, outcome)
+    return finish(alice, bob, outcome, legs, probability)
 
 
 def outcome_probability(n: int, outcome: OutcomeTuple) -> float:
     """Joint Born probability of the four measurements in the noiseless run.
 
     Phases cancel in the probabilities, so any phase choice gives the same
-    value; the zero vector's leg table is used for both legs.
+    value; the zero vector is used for both legs.
     """
     outcome.validate(n)
-    zero = _leg_table(PhaseVector.zero(n))
-    return _joint_probability(zero, zero, outcome)
+    zero = PhaseVector.zero(n)
+    return _forced_legs(zero, zero, outcome)[0]
 
 
 def all_outcomes(n: int) -> Iterable[OutcomeTuple]:

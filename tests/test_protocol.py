@@ -634,3 +634,15 @@ class TestLegTables:
                         arr.reshape(-1)[0] = 0
         finally:
             protocol._leg_table.cache_clear()
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_results_do_not_share_memory_with_the_cache(self, n):
+        # a kept result must not pin a cached table after the cache drops it
+        rng = np.random.default_rng(43 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        res = run_protocol(alice, bob, n, outcome=OutcomeTuple(1, 0, n - 1, 1))
+        tables = [protocol._leg_table(alice), protocol._leg_table(bob)]
+        for field in ("a1_before", "b2_before", "alice_final", "bob_final"):
+            amps = getattr(res, field).amplitudes
+            for arr in (arr for table in tables for arr in table):
+                assert not np.shares_memory(amps, arr), field
