@@ -96,6 +96,9 @@ class OutcomeTuple:
 
     def validate(self, dim: int) -> None:
         for name, v in (("l", self.l), ("n", self.n), ("m", self.m), ("k", self.k)):
+            # a bool would index the outcome tables as a mask
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"outcome index {name}={v!r} is not an integer")
             if not 0 <= v < dim:
                 raise ValueError(f"outcome index {name}={v} out of range for dim {dim}")
 

@@ -457,6 +457,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             OutcomeTuple(3, 0, 0, 0).validate(3)
 
+    @pytest.mark.parametrize("index", [True, False, np.bool_(True), 1.0, np.float64(0.0), "1"])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_outcome_index_must_be_an_integer(self, index, slot):
+        values = [0, 0, 0, 0]
+        values[slot] = index
+        oc = OutcomeTuple(*values)
+        zero = PhaseVector.zero(3)
+        for call in (
+            lambda: oc.validate(3),
+            lambda: outcome_probability(3, oc),
+            lambda: run_protocol(zero, zero, 3, outcome=oc),
+        ):
+            with pytest.raises(ValueError, match=r"outcome index [lnmk]=.* is not an integer"):
+                call()
+
+    def test_numpy_integer_indices_are_accepted(self):
+        # `bcrsp verify` builds its tuples from rng.integers
+        oc = OutcomeTuple(*np.arange(4, dtype=np.int64))
+        oc.validate(4)
+        assert outcome_probability(4, oc) == pytest.approx(1 / 4**4)
+
     def test_correction_index_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
             correction_unitary(4, 4)
