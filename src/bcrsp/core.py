@@ -298,28 +298,44 @@ def apply_on(op: Operator, state: StateVector, targets: int | Sequence[int]) -> 
     return StateVector(dims, out, normalized=state.normalized and op.unitary)
 
 
-def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one outcome index from the unclipped Born probabilities of a normalized state.
+def born_cdf(probs: np.ndarray) -> np.ndarray:
+    """Normalized cumulative distribution of unclipped Born probabilities.
 
-    Raises ValueError when a probability is negative beyond roundoff or the
-    probabilities do not sum to one; otherwise clips roundoff negatives,
-    renormalizes and inverts the cumulative distribution at one
-    `rng.random()` draw. That is the draw `rng.choice(len(p), p=p)` makes
-    internally, on the same floats, so it returns the same index and leaves
-    the generator in the same state, without re-checking `p`.
+    `probs` is one distribution of a normalized state, or a stack of them
+    along the last axis. Raises ValueError when a probability is negative
+    beyond roundoff or a distribution does not sum to one; otherwise clips
+    roundoff negatives, renormalizes each distribution and returns its
+    cumulative sums, the last scaled to exactly one. Each row of a stack
+    gets the same floats as that row on its own.
     """
     lowest = float(probs.min())
     if lowest < -WEIGHT_ATOL:
         raise ValueError(f"negative outcome probability {lowest!r}")
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= ATOL:
+    totals = probs.sum(axis=-1, keepdims=True)
+    off = np.abs(totals - 1.0)
+    if not off.max() <= ATOL:
+        # the total farthest from one, or the first NaN
+        total = float(totals.flat[np.argmax(off)])
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
     # np.clip(probs, 0.0, None) is this maximum, through a slower wrapper
     probs = np.maximum(probs, 0.0)
-    probs = probs / probs.sum()
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one outcome index from the unclipped Born probabilities of a normalized state.
+
+    `born_cdf` checks and accumulates the probabilities; the draw inverts
+    that cumulative distribution at one `rng.random()`. That is the draw
+    `rng.choice(len(p), p=p)` makes internally, on the same floats, so it
+    returns the same index and leaves the generator in the same state,
+    without re-checking `p`. A caller that draws often from one
+    distribution can keep its `born_cdf` and make only the last step.
+    """
+    return int(born_cdf(probs).searchsorted(rng.random(), side="right"))
 
 
 def project(

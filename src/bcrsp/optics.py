@@ -186,8 +186,8 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetwork:
     O(r) work per coupler and O(n^3) in all.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {u.shape}")
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+        raise ValueError(f"need a non-empty square matrix, got shape {u.shape}")
     dev = unitarity_deviation(u)
     if not dev <= ATOL:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")

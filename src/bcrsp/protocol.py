@@ -11,16 +11,19 @@ A1·B1·C1 carries Bob's state to A1 and B2·A2·C2 carries Alice's state to
 B2. A leg sum_a v[a] |a...a> keeps that form when any of its qudits is
 measured in any basis: projecting on the bra b leaves sum_a b[a] v[a]
 |a...a>. So each leg is carried as its diagonal v, a length-N vector
-starting at 1/sqrt(N); a projected slot is one elementwise product, a
-sampled slot adds one O(N^2) matvec for its Born probabilities, and the
-leg ends as the kept qudit's amplitudes.
+starting at 1/sqrt(N); a projected slot is one elementwise product, and
+the leg ends as the kept qudit's amplitudes.
 
 A leg's outcome is the pair (s, t) of its sender's and controller's
 indices, (n, m) on A1's leg and (l, k) on B2's. The sender's slot acts on
 a fresh GHZ leg, so `_leg_table` projects it for every s once per target
 and caches the N probabilities and N diagonals; a forced run reads one
 row per leg and projects only the two controller slots, and
-`outcome_probability` does the same on the zero target. Validated
+`outcome_probability` does the same on the zero target. For sampled runs
+`_born_table` caches, per target, the Born CDF of the sender's slot and
+of the controller's slot after each s. A sampled slot is then one
+`rng.random()` and one O(log N) search of a cached CDF, followed by a
+read of `_leg_table` (sender) or one projection (controller). Validated
 `StateVector`s are built only by `finish`, for the `ProtocolResult`
 fields, and by `leg_state` for views of a leg as a tensor. The four-basis
 expansion is checked per leg as well. The six-qudit order (A1, B1, C1,
@@ -32,8 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .core import (
     Operator,
     StateVector,
     apply_on,
-    born_draw,
+    born_cdf,
     same_ray,
     tensor,
 )
@@ -55,6 +57,8 @@ A1, B1, C1, A2, B2, C2 = range(6)
 # The four measurements in protocol order, each with the leg it acts on:
 # leg 0 is A1·B1·C1 and leg 1 is B2·A2·C2, both as (kept, sender, controller).
 PROTOCOL_ORDER = (("l", 1), ("n", 0), ("m", 0), ("k", 1))
+# the sender's slot of each leg: Bob's B1 on leg 0, Alice's A2 on leg 1
+_SENDER_SLOTS = ("n", "l")
 
 
 @dataclass(frozen=True)
@@ -253,18 +257,6 @@ def _fourier_bras(n: int) -> np.ndarray:
     return _read_only(fourier_basis(n).matrix().conj())
 
 
-@functools.lru_cache(maxsize=1024)
-def _measurement_bases(
-    alice: PhaseVector, bob: PhaseVector, n: int
-) -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
-    """Per slot, its bras and their squared moduli |bras|^2 (the Born weights)."""
-    four = _fourier_bras(n)
-    rows = {"l": _sender_bras(alice), "n": _sender_bras(bob), "m": four, "k": four}
-    return MappingProxyType(
-        {slot: (bras, _read_only(np.abs(bras) ** 2)) for slot, bras in rows.items()}
-    )
-
-
 def channel_legs(n: int) -> list[np.ndarray]:
     """The two GHZ legs, [A1·B1·C1, B2·A2·C2], as read-only diagonals."""
     ghz = _ghz_diagonal(n)
@@ -281,25 +273,6 @@ def _project_leg(diagonal: np.ndarray, bra: np.ndarray) -> tuple[float, Optional
     if prob <= _PRUNE_EPS:
         return 0.0, None
     return prob, remainder / np.sqrt(prob)
-
-
-def sample_slots(
-    legs: list[np.ndarray],
-    bases: Mapping[str, tuple[np.ndarray, np.ndarray]],
-    slots: Iterable[tuple[str, int]],
-    rng: np.random.Generator,
-) -> dict[str, int]:
-    """Born-sample the listed (slot, leg) pairs in order, collapsing `legs` in place.
-
-    Outcome i of a slot has probability sum_a |bras[i, a]|^2 |v[a]|^2 on the
-    leg's diagonal v: one matvec with the slot's Born weights.
-    """
-    drawn = {}
-    for slot, leg in slots:
-        bras, weights = bases[slot]
-        drawn[slot] = born_draw(weights @ np.abs(legs[leg]) ** 2, rng)
-        _, legs[leg] = _project_leg(legs[leg], bras[drawn[slot]])
-    return drawn
 
 
 class LegTable(NamedTuple):
@@ -331,6 +304,69 @@ def _leg_table(target: PhaseVector) -> LegTable:
     for s, bra in enumerate(_sender_bras(target)):
         sender_probs[s], after[s] = _project_leg(ghz, bra)
     return LegTable(_read_only(sender_probs), _read_only(after))
+
+
+class BornTable(NamedTuple):
+    """The Born CDFs a sampled run inverts on one leg, from `born_cdf`.
+
+    sender_cdf is the sender's slot on the fresh GHZ leg; controller_cdf[s]
+    is the controller's slot on `_leg_table`'s after[s].
+    """
+
+    sender_cdf: np.ndarray      # (N,)
+    controller_cdf: np.ndarray  # (N, N)
+
+
+# 8 N^2 + 8 N bytes of arrays per entry: at most about 8.5 MB for 256
+# targets at N = 64
+@functools.lru_cache(maxsize=256)
+def _born_table(target: PhaseVector) -> BornTable:
+    """Read-only Born CDFs of a leg whose sender holds `target`.
+
+    Each row's probabilities are the matvec |bras|^2 @ |v|^2 on the leg's
+    diagonal v, row by row as a per-draw Born draw computes them, so the
+    CDFs hold the floats `born_draw` would invert, bit for bit. One
+    (N, N) product for all rows rounds some of them differently. `born_cdf`
+    checks every row once, with the messages of a per-draw check.
+    """
+    n = target.dim
+    sender = np.abs(_sender_bras(target)) ** 2 @ np.abs(_ghz_diagonal(n)) ** 2
+    four = np.abs(_fourier_bras(n)) ** 2
+    weights = np.abs(_leg_table(target).after) ** 2
+    controller = np.empty((n, n))
+    for s in range(n):
+        np.matmul(four, weights[s], out=controller[s])
+    return BornTable(_read_only(born_cdf(sender)), _read_only(born_cdf(controller)))
+
+
+def sample_slots(
+    alice: PhaseVector,
+    bob: PhaseVector,
+    legs: list[np.ndarray],
+    drawn: dict[str, int],
+    slots: Iterable[tuple[str, int]],
+    rng: np.random.Generator,
+) -> None:
+    """Born-sample the listed (slot, leg) pairs in order into `drawn`, collapsing `legs`.
+
+    Leg 0's sender holds Bob's target and leg 1's Alice's. Each slot inverts
+    a CDF of that target's `_born_table` at one `rng.random()`: a sender's
+    slot then takes the leg's cached diagonal `_leg_table(target).after[s]`,
+    and a controller's slot, drawn from the row of the sender's outcome s
+    in `drawn`, projects the leg on its Fourier bra.
+    """
+    for slot, leg in slots:
+        target = (bob, alice)[leg]
+        table = _born_table(target)
+        sender = _SENDER_SLOTS[leg]
+        if slot == sender:
+            index = int(table.sender_cdf.searchsorted(rng.random(), side="right"))
+            legs[leg] = _leg_table(target).after[index]
+        else:
+            cdf = table.controller_cdf[drawn[sender]]
+            index = int(cdf.searchsorted(rng.random(), side="right"))
+            _, legs[leg] = _project_leg(legs[leg], _fourier_bras(target.dim)[index])
+        drawn[slot] = index
 
 
 def _forced_legs(
@@ -419,8 +455,8 @@ def run_protocol(
     if outcome is None:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        legs = channel_legs(n)
-        drawn = sample_slots(legs, _measurement_bases(alice, bob, n), PROTOCOL_ORDER, rng)
+        legs, drawn = channel_legs(n), {}
+        sample_slots(alice, bob, legs, drawn, PROTOCOL_ORDER, rng)
         return finish(alice, bob, OutcomeTuple(**drawn), legs, 1.0 / n**4)
     outcome.validate(n)
     probability, legs = _forced_legs(alice, bob, outcome)

@@ -8,8 +8,10 @@ measurements and the senders' leftover qudits carry no information about
 the targets.
 
 A session carries the two GHZ legs as the engine does, each as its
-length-N diagonal, so every step costs O(N^2) at most; `Session.legs`
-rebuilds the tensor view of each leg on demand.
+length-N diagonal, and samples through `protocol.sample_slots`: once a
+target's Born tables are cached, a sender's measurement costs O(log N)
+and a controller's O(N). `Session.legs` rebuilds the tensor view of each
+leg on demand.
 
 `export_transcript` writes `json.dumps(doc, indent=2)` byte for byte, but
 encodes each distinct message once: a run announces few distinct messages
@@ -34,7 +36,6 @@ from .protocol import (
     OutcomeTuple,
     PhaseVector,
     ProtocolResult,
-    _measurement_bases,
     channel_legs,
     finish,
     leg_state,
@@ -95,7 +96,6 @@ class Session:
         self.bob = bob
         self.charlie_consents = bool(charlie_consents)
         self._rng = np.random.default_rng(seed)
-        self._bases = _measurement_bases(alice, bob, n)
         # diagonals of [A1·B1·C1, B2·A2·C2]; each ends as its kept qudit
         self._legs = channel_legs(n)
         self.status = SessionStatus.RUNNING
@@ -121,8 +121,8 @@ class Session:
     def _step_senders(self):
         # serialized A2-then-B1; the two act on different legs so the order
         # is unobservable
-        self.outcomes.update(
-            sample_slots(self._legs, self._bases, PROTOCOL_ORDER[:2], self._rng)
+        sample_slots(
+            self.alice, self.bob, self._legs, self.outcomes, PROTOCOL_ORDER[:2], self._rng
         )
         l, nn = self.outcomes["l"], self.outcomes["n"]
         self._announce(PartyId.ALICE, PartyId.BOB, "A2", l)
@@ -134,8 +134,8 @@ class Session:
         if not self.charlie_consents:
             self.status = SessionStatus.ABORTED
             return
-        self.outcomes.update(
-            sample_slots(self._legs, self._bases, PROTOCOL_ORDER[2:], self._rng)
+        sample_slots(
+            self.alice, self.bob, self._legs, self.outcomes, PROTOCOL_ORDER[2:], self._rng
         )
         m, k = self.outcomes["m"], self.outcomes["k"]
         self._announce(PartyId.CHARLIE, PartyId.ALICE, "C1", m)

@@ -12,6 +12,7 @@ from bcrsp.core import (
     apply_kraus,
     apply_on,
     basis_state,
+    born_cdf,
     born_draw,
     fidelity,
     fidelity_density,
@@ -351,6 +352,32 @@ class TestBornDraw:
                     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                     assert born_draw(probs, rng) == self._choice_draw(probs, ref), (seed, probs)
                     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+    def test_born_cdf_checks_every_row_with_born_draws_messages(self):
+        good = np.array([0.25, 0.75])
+        for bad in (np.array([1.1, -0.1]), np.array([0.5, 0.4]), np.array([np.nan, 1.0])):
+            with pytest.raises(ValueError) as drawn:
+                born_draw(bad, np.random.default_rng(0))
+            for rows in (bad, np.stack([good, bad]), np.stack([bad, good, good])):
+                with pytest.raises(ValueError) as checked:
+                    born_cdf(rows)
+                assert str(checked.value) == str(drawn.value)
+
+    def test_born_cdf_of_stacked_rows_equals_each_row_alone(self):
+        gen = np.random.default_rng(2025)
+        by_size = {}
+        for probs in self._distributions(gen):
+            by_size.setdefault(len(probs), []).append(probs)
+        for rows in by_size.values():
+            stacked = born_cdf(np.stack(rows))
+            for row, cdf in zip(rows, stacked):
+                assert cdf.tobytes() == born_cdf(row).tobytes()
+                # the clip and renormalization of the former born_draw body
+                probs = np.maximum(row, 0.0)
+                expected = np.cumsum(probs / probs.sum())
+                expected /= expected[-1]
+                assert cdf.tobytes() == expected.tobytes()
 
 
 class TestApplyKraus:

@@ -192,6 +192,13 @@ class TestReckDecompose:
         with pytest.raises(ValueError, match="square"):
             reck_decompose(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (0,), (2, 2, 2), ()])
+    def test_empty_or_non_matrix_rejected_with_its_shape(self, shape):
+        # a 0 x 0 matrix once passed as square and failed inside numpy
+        with pytest.raises(ValueError) as err:
+            reck_decompose(np.ones(shape))
+        assert str(err.value) == f"need a non-empty square matrix, got shape {shape}"
+
 
 class TestAgainstDenseOracle:
     @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcrsp import protocol
-from bcrsp.core import ATOL, measure, project, states_equal
+from bcrsp.core import ATOL, born_cdf, born_draw, measure, project, states_equal
 from bcrsp.protocol import (
     PROTOCOL_ORDER,
     ProtocolResult,
@@ -21,13 +21,14 @@ from bcrsp.protocol import (
     finish,
     fourier_basis,
     ghz_state,
+    leg_state,
     outcome_probability,
     phase_table,
     run_protocol,
     sender_basis,
     verify_decomposition,
 )
-from bcrsp.session import new_session
+from bcrsp.session import SessionStatus, new_session
 from conftest import random_phase_vector
 
 W3 = np.exp(2j * np.pi / 3)
@@ -579,6 +580,17 @@ class TestDiagonalLegsAgainstTensordotOracle:
                     ses.advance()
 
 
+def slot_bras(alice, bob, n) -> dict:
+    """Per slot, the conjugated rows of its measurement basis; row i is outcome i."""
+    four = fourier_basis(n).matrix().conj()
+    return {
+        "l": sender_basis(alice).matrix().conj(),
+        "n": sender_basis(bob).matrix().conj(),
+        "m": four,
+        "k": four,
+    }
+
+
 def sequential_forced_run(alice, bob, n, outcome) -> ProtocolResult:
     """Oracle: the four slots projected one after another on fresh legs.
 
@@ -586,11 +598,11 @@ def sequential_forced_run(alice, bob, n, outcome) -> ProtocolResult:
     joint probability is the running product, and `finish` corrects the
     remainders; no outcome table is read.
     """
-    bases = protocol._measurement_bases(alice, bob, n)
+    bras = slot_bras(alice, bob, n)
     legs = channel_legs(n)
     joint = 1.0
     for slot, leg in PROTOCOL_ORDER:
-        prob, legs[leg] = protocol._project_leg(legs[leg], bases[slot][0][getattr(outcome, slot)])
+        prob, legs[leg] = protocol._project_leg(legs[leg], bras[slot][getattr(outcome, slot)])
         assert legs[leg] is not None
         joint *= prob
     return finish(alice, bob, outcome, legs, joint)
@@ -667,3 +679,130 @@ class TestLegTables:
             amps = getattr(res, field).amplitudes
             for arr in (arr for table in tables for arr in table):
                 assert not np.shares_memory(amps, arr), field
+
+
+def per_draw_sample(bras, weights, legs, drawn, slots, rng):
+    """Oracle: sampled slots drawn as they were before the Born tables were cached.
+
+    Each slot's Born probabilities are one matvec with its Born weights,
+    |bras|^2 @ |v|^2 on the leg's current diagonal v; `born_draw` checks and
+    inverts them, and the leg is projected on the drawn bra. `bras` is
+    `slot_bras(alice, bob, n)` and `weights` the squared moduli of its rows.
+    """
+    for slot, leg in slots:
+        drawn[slot] = born_draw(weights[slot] @ np.abs(legs[leg]) ** 2, rng)
+        _, legs[leg] = protocol._project_leg(legs[leg], bras[slot][drawn[slot]])
+
+
+# seeds per N for the comparison with the per-draw oracle
+ORACLE_SEEDS = {**{n: 10_000 for n in range(2, 17)}, 32: 1_000, 64: 1_000}
+
+
+class TestBornTables:
+    @pytest.mark.parametrize("n", list(ORACLE_SEEDS))
+    def test_sampled_runs_and_sessions_equal_per_draw_oracle(self, n):
+        # one oracle draw per seed serves run_protocol and a Session; every
+        # tenth session is aborted after the senders' step
+        rng = np.random.default_rng(1100 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        bras = slot_bras(alice, bob, n)
+        weights = {slot: np.abs(rows) ** 2 for slot, rows in bras.items()}
+        for seed in range(ORACLE_SEEDS[n]):
+            oracle_rng = np.random.default_rng(seed)
+            legs, drawn = channel_legs(n), {}
+            per_draw_sample(bras, weights, legs, drawn, PROTOCOL_ORDER[:2], oracle_rng)
+            if seed % 10 == 9:
+                ses = new_session(alice, bob, n, charlie_consents=False, seed=seed)
+                ses.run_to_completion()
+                assert ses.outcomes == drawn, seed
+                assert ses._rng.bit_generator.state == oracle_rng.bit_generator.state
+                for view, leg in zip(ses.legs, legs):
+                    assert view.amplitudes.tobytes() == leg_state(leg, 2).amplitudes.tobytes()
+                continue
+            per_draw_sample(bras, weights, legs, drawn, PROTOCOL_ORDER[2:], oracle_rng)
+            expected = finish(alice, bob, OutcomeTuple(**drawn), legs, 1.0 / n**4)
+            run_rng = np.random.default_rng(seed)
+            assert_same_result(run_protocol(alice, bob, n, rng=run_rng), expected)
+            assert run_rng.bit_generator.state == oracle_rng.bit_generator.state, seed
+            ses = new_session(alice, bob, n, seed=seed)
+            ses.run_to_completion()
+            assert_same_result(ses.result(), expected)
+            assert ses._rng.bit_generator.state == oracle_rng.bit_generator.state, seed
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 31, 32, 64])
+    def test_tables_hold_the_per_draw_cdfs(self, n):
+        # every row, so every seed: the CDF floats born_draw would invert
+        # and the sender-projected diagonal a per-draw run would carry
+        rng = np.random.default_rng(1300 + n)
+        four = np.abs(fourier_basis(n).matrix()) ** 2
+        ghz = channel_legs(n)[0]
+        for _ in range(6):
+            target = random_phase_vector(n, rng)
+            table = protocol._born_table(target)
+            bras = sender_basis(target).matrix().conj()
+            probs = np.abs(bras) ** 2 @ np.abs(ghz) ** 2
+            assert table.sender_cdf.tobytes() == born_cdf(probs).tobytes()
+            for s, bra in enumerate(bras):
+                _, after = protocol._project_leg(ghz, bra)
+                assert protocol._leg_table(target).after[s].tobytes() == after.tobytes()
+                cdf = born_cdf(four @ np.abs(after) ** 2)
+                assert table.controller_cdf[s].tobytes() == cdf.tobytes(), s
+
+    def test_cache_is_keyed_by_target_only(self):
+        n = 4
+        rng = np.random.default_rng(47)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        protocol._born_table.cache_clear()
+        try:
+            for seed in range(50):
+                run_protocol(alice, bob, n, rng=seed)
+                new_session(PhaseVector(n, alice.phases), bob, n, seed=seed).run_to_completion()
+                run_protocol(bob, alice, n, rng=seed)
+            info = protocol._born_table.cache_info()
+            assert (info.misses, info.currsize) == (2, 2)
+            for target in (alice, bob):
+                for arr in protocol._born_table(target):
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr.reshape(-1)[0] = 0
+        finally:
+            protocol._born_table.cache_clear()
+
+    def test_forced_runs_build_no_born_table(self):
+        rng = np.random.default_rng(53)
+        alice, bob = random_phase_vector(3, rng), random_phase_vector(3, rng)
+        protocol._born_table.cache_clear()
+        for oc in all_outcomes(3):
+            run_protocol(alice, bob, 3, outcome=oc)
+            outcome_probability(3, oc)
+        assert protocol._born_table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    @pytest.mark.parametrize("consents", [True, False])
+    def test_results_and_views_do_not_share_memory_with_the_caches(self, n, consents):
+        # a sampled session carries cached leg rows between its steps; what
+        # it hands out must not pin them after the caches drop them
+        rng = np.random.default_rng(59 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        tables = [
+            arr
+            for target in (alice, bob)
+            for table in (protocol._born_table(target), protocol._leg_table(target))
+            for arr in table
+        ]
+        for seed in range(10):
+            ses = new_session(alice, bob, n, charlie_consents=consents, seed=seed)
+            views = list(ses.legs)
+            while ses.advance() is SessionStatus.RUNNING:
+                views += ses.legs
+            views += ses.legs
+            if consents:
+                res = ses.result()
+                views += [getattr(res, f) for f in ("a1_before", "b2_before")]
+                views += [getattr(res, f) for f in ("alice_final", "bob_final")]
+                sampled = run_protocol(alice, bob, n, rng=seed)
+                views += [sampled.a1_before, sampled.b2_before]
+                views += [sampled.alice_final, sampled.bob_final]
+            for view in views:
+                for arr in tables:
+                    assert not np.shares_memory(view.amplitudes, arr)
