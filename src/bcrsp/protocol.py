@@ -324,18 +324,18 @@ def _born_table(target: PhaseVector) -> BornTable:
     """Read-only Born CDFs of a leg whose sender holds `target`.
 
     Each row's probabilities are the matvec |bras|^2 @ |v|^2 on the leg's
-    diagonal v, row by row as a per-draw Born draw computes them, so the
-    CDFs hold the floats `born_draw` would invert, bit for bit. One
-    (N, N) product for all rows rounds some of them differently. `born_cdf`
-    checks every row once, with the messages of a per-draw check.
+    diagonal v that a per-draw Born draw computes, so the CDFs hold the
+    floats `born_draw` would invert, bit for bit. The controller's rows are
+    one matmul of |bras|^2 against a stack of N column vectors, which numpy
+    runs as N such matvecs; a single (N, N) matrix product rounds some rows
+    differently. `born_cdf` checks every row once, with the messages of a
+    per-draw check. Building a table costs O(N^3), once per target.
     """
     n = target.dim
     sender = np.abs(_sender_bras(target)) ** 2 @ np.abs(_ghz_diagonal(n)) ** 2
     four = np.abs(_fourier_bras(n)) ** 2
-    weights = np.abs(_leg_table(target).after) ** 2
-    controller = np.empty((n, n))
-    for s in range(n):
-        np.matmul(four, weights[s], out=controller[s])
+    columns = (np.abs(_leg_table(target).after) ** 2)[:, :, None]
+    controller = np.matmul(four, columns)[:, :, 0]
     return BornTable(_read_only(born_cdf(sender)), _read_only(born_cdf(controller)))
 
 
