@@ -332,11 +332,13 @@ def _born_table(target: PhaseVector) -> BornTable:
     per-draw check. Building a table costs O(N^3), once per target.
     """
     n = target.dim
-    sender = np.abs(_sender_bras(target)) ** 2 @ np.abs(_ghz_diagonal(n)) ** 2
-    four = np.abs(_fourier_bras(n)) ** 2
+    # row 0 is the sender's slot, row 1 + s the controller's after s
+    probs = np.empty((n + 1, n))
+    probs[0] = np.abs(_sender_bras(target)) ** 2 @ np.abs(_ghz_diagonal(n)) ** 2
     columns = (np.abs(_leg_table(target).after) ** 2)[:, :, None]
-    controller = np.matmul(four, columns)[:, :, 0]
-    return BornTable(_read_only(born_cdf(sender)), _read_only(born_cdf(controller)))
+    np.matmul(np.abs(_fourier_bras(n)) ** 2, columns, out=probs[1:, :, None])
+    cdfs = _read_only(born_cdf(probs))
+    return BornTable(cdfs[0], cdfs[1:])
 
 
 def sample_slots(
