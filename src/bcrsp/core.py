@@ -14,9 +14,11 @@ move the target axes to the front with `np.moveaxis`, then do one matmul
 against the operator or the conjugated basis rows. The protocol engine and
 sessions do not need them, because a GHZ leg stays diagonal under every
 slot measurement; they carry each leg as its diagonal and share only the
-Born draw, `born_draw`, whose checks every sampled outcome passes. It draws
-by inverting the cumulative distribution at one `rng.random()`, exactly as
-`Generator.choice` does, so seeded outcomes are those of `rng.choice`.
+Born distribution, `born_cdf`, whose checks every sampled outcome passes.
+`born_draw` inverts that cumulative distribution at one `rng.random()`,
+exactly as `Generator.choice` does, so seeded outcomes are those of
+`rng.choice`; the engine caches the CDFs per target and makes only that
+last step per draw.
 """
 
 from __future__ import annotations
