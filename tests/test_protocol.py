@@ -682,7 +682,7 @@ class TestLegTables:
 
 
 def per_draw_sample(bras, weights, legs, drawn, slots, rng):
-    """Oracle: sampled slots drawn as they were before the Born tables were cached.
+    """Oracle: sampled slots drawn from Born probabilities computed per draw.
 
     Each slot's Born probabilities are one matvec with its Born weights,
     |bras|^2 @ |v|^2 on the leg's current diagonal v; `born_draw` checks and
