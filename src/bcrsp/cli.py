@@ -55,6 +55,8 @@ def parse_phase(value) -> float:
             sign = -1.0 if m.group(1) == "-" else 1.0
             coef = float(m.group(2)) if m.group(2) else 1.0
             div = float(m.group(3)) if m.group(3) else 1.0
+            if div == 0:
+                raise ValueError(f"phase {value!r} divides by zero")
             return sign * coef * np.pi / div
         return float(value)
     raise ValueError(f"cannot parse phase {value!r}")
@@ -125,13 +127,13 @@ def _write_out(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _noise_kind(name: str) -> NoiseKind:
+def _choice(enum, raw, name: str):
+    """The member of `enum` whose value is `raw`, naming the choices if none is."""
     try:
-        return NoiseKind(name)
+        return enum(raw)
     except ValueError:
         raise ConfigError(
-            f"unknown noise kind {name!r}; expected one of "
-            f"{[k.value for k in NoiseKind]}"
+            f"unknown {name} {raw!r}; expected one of {[k.value for k in enum]}"
         )
 
 
@@ -190,9 +192,9 @@ def cmd_run(args) -> int:
         if cfg.get("trials") is not None or seed is not None:
             raise ConfigError("a noisy run is exact and takes neither trials nor seed")
         noise_cfg = _noise_block(noise_cfg, ("kind", "gamma"))
-        kind = _noise_kind(noise_cfg["kind"])
+        kind = _choice(NoiseKind, noise_cfg["kind"], "noise kind")
         gamma = _number(noise_cfg["gamma"], float, "gamma")
-        policy = OutcomePolicy(cfg.get("policy", "averaged"))
+        policy = _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
         if forced is not None and policy is not OutcomePolicy.CONDITIONED:
             raise ConfigError(
                 f"forced_outcome needs policy 'conditioned' in a noisy run, got {policy.value!r}"
@@ -208,10 +210,7 @@ def cmd_run(args) -> int:
         report["trials"].append(_trial_row(0, res, alice, bob))
     else:
         for t in range(trials):
-            trial_seed = None if seed is None else [seed, t]
-            ses = new_session(alice, bob, n, charlie_consents=True, seed=trial_seed)
-            ses.run_to_completion()
-            res = ses.result()
+            res = run_protocol(alice, bob, n, rng=None if seed is None else [seed, t])
             all_recovered = all_recovered and all(res.recovered)
             report["trials"].append(_trial_row(t, res, alice, bob))
 
@@ -235,10 +234,13 @@ def _trial_row(index: int, res, alice: PhaseVector, bob: PhaseVector) -> dict:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     n = _number(cfg.get("dimension", 4), int, "dimension")
+    if n < 2:
+        raise ConfigError(f"dimension must be at least 2, got {n}")
     alice = _phase_vector(n, cfg.get("alice_phases", [0.0] * (n - 1)), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases", [0.0] * (n - 1)), "bob_phases")
-    kind = _noise_kind(_noise_block(cfg.get("noise", {}), ("kind",))["kind"])
-    policy = OutcomePolicy(cfg.get("policy", "averaged"))
+    noise_cfg = _noise_block(cfg.get("noise", {}), ("kind",))
+    kind = _choice(NoiseKind, noise_cfg["kind"], "noise kind")
+    policy = _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
     grid = _gamma_grid(cfg.get("gamma_grid"))
 
     rows = []

@@ -17,18 +17,19 @@ the leg ends as the kept qudit's amplitudes.
 A leg's outcome is the pair (s, t) of its sender's and controller's
 indices, (n, m) on A1's leg and (l, k) on B2's. The sender's slot acts on
 a fresh GHZ leg, so `_leg_table` projects it for every s once per target
-and caches the N probabilities and N diagonals; a forced run reads one
-row per leg and projects only the two controller slots, and
-`outcome_probability` does the same on the zero target. For sampled runs
-`_born_table` caches, per target, the Born CDF of the sender's slot and
-of the controller's slot after each s. A sampled slot is then one
-`rng.random()` and one O(log N) search of a cached CDF, followed by a
-read of `_leg_table` (sender) or one projection (controller). Validated
-`StateVector`s are built only by `finish`, for the `ProtocolResult`
-fields, and by `leg_state` for views of a leg as a tensor. The four-basis
-expansion is checked per leg as well. The six-qudit order (A1, B1, C1,
-A2, B2, C2) is used only by `channel_state`, the whole resource as one
-register.
+and caches the N probabilities and N diagonals; `_forced_legs` reads one
+row per leg and projects only the two controller slots. A run is fully
+described by its outcome tuple, so every run reaches its kept diagonals
+that way: forced runs, sampled runs, a session's corrections and
+`outcome_probability` (on the zero target). A sampled run first draws
+the tuple from the Born CDFs `_born_table` caches per target, the
+sender's slot's and the controller's slot's after each s: one
+`rng.random()` and one O(log N) search per slot, in protocol order.
+Validated `StateVector`s are built only by `finish`, for the
+`ProtocolResult` fields, and by `leg_state` for views of a leg as a
+tensor. The four-basis expansion is checked per leg as well. The
+six-qudit order (A1, B1, C1, A2, B2, C2) is used only by
+`channel_state`, the whole resource as one register.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ A1, B1, C1, A2, B2, C2 = range(6)
 # The four measurements in protocol order, each with the leg it acts on:
 # leg 0 is A1·B1·C1 and leg 1 is B2·A2·C2, both as (kept, sender, controller).
 PROTOCOL_ORDER = (("l", 1), ("n", 0), ("m", 0), ("k", 1))
-# the sender's slot of each leg: Bob's B1 on leg 0, Alice's A2 on leg 1
-_SENDER_SLOTS = ("n", "l")
 
 
 @dataclass(frozen=True)
@@ -257,12 +256,6 @@ def _fourier_bras(n: int) -> np.ndarray:
     return _read_only(fourier_basis(n).matrix().conj())
 
 
-def channel_legs(n: int) -> list[np.ndarray]:
-    """The two GHZ legs, [A1·B1·C1, B2·A2·C2], as read-only diagonals."""
-    ghz = _ghz_diagonal(n)
-    return [ghz, ghz]
-
-
 def _project_leg(diagonal: np.ndarray, bra: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
     """Measure one slot of a leg onto `bra`: (probability, renormalized diagonal).
 
@@ -293,8 +286,8 @@ def _leg_table(target: PhaseVector) -> LegTable:
     """Read-only sender half of the outcome table of a leg whose sender holds `target`.
 
     Row s is the fresh GHZ diagonal projected on the sender's bra s by the
-    same `_project_leg` call a sampled run makes, so it holds that slot's
-    values bit for bit. N projections in all; every bra has entries of
+    same `_project_leg` call a slot-by-slot run makes, so it holds that
+    slot's values bit for bit. N projections in all; every bra has entries of
     modulus 1/sqrt(N), so no projection vanishes.
     """
     n = target.dim
@@ -341,34 +334,26 @@ def _born_table(target: PhaseVector) -> BornTable:
     return BornTable(cdfs[0], cdfs[1:])
 
 
-def sample_slots(
-    alice: PhaseVector,
-    bob: PhaseVector,
-    legs: list[np.ndarray],
-    drawn: dict[str, int],
-    slots: Iterable[tuple[str, int]],
-    rng: np.random.Generator,
-) -> None:
-    """Born-sample the listed (slot, leg) pairs in order into `drawn`, collapsing `legs`.
+def _invert(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The outcome index whose CDF interval holds one `rng.random()`."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
-    Leg 0's sender holds Bob's target and leg 1's Alice's. Each slot inverts
-    a CDF of that target's `_born_table` at one `rng.random()`: a sender's
-    slot then takes the leg's cached diagonal `_leg_table(target).after[s]`,
-    and a controller's slot, drawn from the row of the sender's outcome s
-    in `drawn`, projects the leg on its Fourier bra.
-    """
-    for slot, leg in slots:
-        target = (bob, alice)[leg]
-        table = _born_table(target)
-        sender = _SENDER_SLOTS[leg]
-        if slot == sender:
-            index = int(table.sender_cdf.searchsorted(rng.random(), side="right"))
-            legs[leg] = _leg_table(target).after[index]
-        else:
-            cdf = table.controller_cdf[drawn[sender]]
-            index = int(cdf.searchsorted(rng.random(), side="right"))
-            _, legs[leg] = _project_leg(legs[leg], _fourier_bras(target.dim)[index])
-        drawn[slot] = index
+
+def _draw_senders(
+    alice: PhaseVector, bob: PhaseVector, rng: np.random.Generator
+) -> tuple[int, int]:
+    """Born-draw the senders' (l, n), Alice's A2 then Bob's B1, from the cached CDFs."""
+    return _invert(_born_table(alice).sender_cdf, rng), _invert(_born_table(bob).sender_cdf, rng)
+
+
+def _draw_controller(
+    alice: PhaseVector, bob: PhaseVector, l: int, n: int, rng: np.random.Generator
+) -> tuple[int, int]:
+    """Born-draw the controller's (m, k) after (l, n): C1 on Bob's leg, then C2 on Alice's."""
+    return (
+        _invert(_born_table(bob).controller_cdf[n], rng),
+        _invert(_born_table(alice).controller_cdf[l], rng),
+    )
 
 
 def _forced_legs(
@@ -426,6 +411,12 @@ def finish(
     )
 
 
+def _drawn_result(alice: PhaseVector, bob: PhaseVector, outcome: OutcomeTuple) -> ProtocolResult:
+    """The result of a Born-drawn tuple; every tuple has probability 1/N^4."""
+    _, legs = _forced_legs(alice, bob, outcome)
+    return finish(alice, bob, outcome, legs, 1.0 / alice.dim**4)
+
+
 def apply_corrections(
     state: StateVector,
     a1_index: int,
@@ -457,9 +448,9 @@ def run_protocol(
     if outcome is None:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        legs, drawn = channel_legs(n), {}
-        sample_slots(alice, bob, legs, drawn, PROTOCOL_ORDER, rng)
-        return finish(alice, bob, OutcomeTuple(**drawn), legs, 1.0 / n**4)
+        senders = _draw_senders(alice, bob, rng)
+        controller = _draw_controller(alice, bob, *senders, rng)
+        return _drawn_result(alice, bob, OutcomeTuple(*senders, *controller))
     outcome.validate(n)
     probability, legs = _forced_legs(alice, bob, outcome)
     return finish(alice, bob, outcome, legs, probability)

@@ -7,11 +7,11 @@ may decline to help, in which case the session aborts before any of his
 measurements and the senders' leftover qudits carry no information about
 the targets.
 
-A session carries the two GHZ legs as the engine does, each as its
-length-N diagonal, and samples through `protocol.sample_slots`: once a
-target's Born tables are cached, a sender's measurement costs O(log N)
-and a controller's O(N). `Session.legs` rebuilds the tensor view of each
-leg on demand.
+A session keeps only the outcomes drawn so far. It draws them as a
+sampled engine run does, two per step from the targets' cached Born CDFs,
+and step 3 corrects the drawn tuple through the engine's forced path, so
+equal seeds give bitwise-equal results. `Session.legs` rebuilds each
+leg's tensor view from the outcomes on demand.
 
 `export_transcript` writes `json.dumps(doc, indent=2)` byte for byte, but
 encodes each distinct message once: a run announces few distinct messages
@@ -36,10 +36,13 @@ from .protocol import (
     OutcomeTuple,
     PhaseVector,
     ProtocolResult,
-    channel_legs,
-    finish,
+    _draw_controller,
+    _draw_senders,
+    _drawn_result,
+    _forced_legs,
+    _ghz_diagonal,
+    _leg_table,
     leg_state,
-    sample_slots,
 )
 
 TRANSCRIPT_SCHEMA_VERSION = 1
@@ -96,8 +99,6 @@ class Session:
         self.bob = bob
         self.charlie_consents = bool(charlie_consents)
         self._rng = np.random.default_rng(seed)
-        # diagonals of [A1·B1·C1, B2·A2·C2]; each ends as its kept qudit
-        self._legs = channel_legs(n)
         self.status = SessionStatus.RUNNING
         self.step = 0
         self.transcript: list[ClassicalMessage] = []
@@ -121,10 +122,8 @@ class Session:
     def _step_senders(self):
         # serialized A2-then-B1; the two act on different legs so the order
         # is unobservable
-        sample_slots(
-            self.alice, self.bob, self._legs, self.outcomes, PROTOCOL_ORDER[:2], self._rng
-        )
-        l, nn = self.outcomes["l"], self.outcomes["n"]
+        l, nn = _draw_senders(self.alice, self.bob, self._rng)
+        self.outcomes.update(l=l, n=nn)
         self._announce(PartyId.ALICE, PartyId.BOB, "A2", l)
         self._announce(PartyId.ALICE, PartyId.CHARLIE, "A2", l)
         self._announce(PartyId.BOB, PartyId.ALICE, "B1", nn)
@@ -134,19 +133,17 @@ class Session:
         if not self.charlie_consents:
             self.status = SessionStatus.ABORTED
             return
-        sample_slots(
-            self.alice, self.bob, self._legs, self.outcomes, PROTOCOL_ORDER[2:], self._rng
+        m, k = _draw_controller(
+            self.alice, self.bob, self.outcomes["l"], self.outcomes["n"], self._rng
         )
-        m, k = self.outcomes["m"], self.outcomes["k"]
+        self.outcomes.update(m=m, k=k)
         self._announce(PartyId.CHARLIE, PartyId.ALICE, "C1", m)
         self._announce(PartyId.CHARLIE, PartyId.ALICE, "C2", k)
         self._announce(PartyId.CHARLIE, PartyId.BOB, "C1", m)
         self._announce(PartyId.CHARLIE, PartyId.BOB, "C2", k)
 
     def _step_corrections(self):
-        self._result = finish(
-            self.alice, self.bob, self.outcome_tuple(), self._legs, 1.0 / self.n**4
-        )
+        self._result = _drawn_result(self.alice, self.bob, self.outcome_tuple())
         self.status = SessionStatus.COMPLETED
 
     # -- public surface -----------------------------------------------
@@ -155,12 +152,17 @@ class Session:
     def legs(self) -> list[StateVector]:
         """The current [A1·B1·C1, B2·A2·C2] legs, kept qudit first.
 
-        A leg with k qudits still unmeasured has dims (N,)*k.
+        A leg with k qudits still unmeasured has dims (N,)*k; it is rebuilt
+        from the outcomes drawn so far.
         """
-        unmeasured = [3, 3]
-        for slot, leg in PROTOCOL_ORDER:
-            unmeasured[leg] -= slot in self.outcomes
-        return [leg_state(v, k) for v, k in zip(self._legs, unmeasured)]
+        if len(self.outcomes) == len(PROTOCOL_ORDER):
+            _, kept = _forced_legs(self.alice, self.bob, self.outcome_tuple())
+            return [leg_state(v, 1) for v in kept]
+        if self.outcomes:
+            # each leg's sender-projected row: B1's n on leg 0, A2's l on leg 1
+            tables = _leg_table(self.bob), _leg_table(self.alice)
+            return [leg_state(t.after[self.outcomes[s]], 2) for t, s in zip(tables, "nl")]
+        return [leg_state(_ghz_diagonal(self.n), 3) for _ in range(2)]
 
     def advance(self) -> SessionStatus:
         """Execute the next protocol step; raises on a terminal session."""

@@ -1,10 +1,16 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcrsp import cli
 from bcrsp.cli import main, parse_phase
+from bcrsp.noise import NoiseKind, OutcomePolicy
 
 
 def write_config(tmp_path, name, payload):
@@ -33,6 +39,11 @@ class TestPhaseParsing:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_phase("two pies")
+
+    @pytest.mark.parametrize("text", ["pi/0", "-2pi/0.0", "3 pi / 0"])
+    def test_rejects_zero_divisor(self, text):
+        with pytest.raises(ValueError, match=f"phase {text!r} divides by zero"):
+            parse_phase(text)
 
 
 class TestRun:
@@ -172,6 +183,14 @@ MALFORMED = {
     "run-noisy-trials": ("run", {**NOISY_BASE, "trials": 5}),
     "run-noisy-seed": ("run", {**NOISY_BASE, "seed": 3}),
     "run-noisy-trials-and-seed": ("run", {**NOISY_BASE, "trials": 5, "seed": 3}),
+    # a pi fraction over zero, a policy that is no choice, a dimension below 2
+    "run-phase-over-zero": ("run", {**RUN_BASE, "alice_phases": ["pi/0", 0]}),
+    "run-noisy-phase-over-zero": ("run", {**NOISY_BASE, "bob_phases": [0, "2pi/0"]}),
+    "sweep-phase-over-zero": ("sweep", {**SWEEP_BASE, "bob_phases": [0, "-2pi/0.0"]}),
+    "run-unknown-policy": ("run", {**NOISY_BASE, "policy": "bogus"}),
+    "run-null-policy": ("run", {**NOISY_BASE, "policy": None}),
+    "sweep-list-policy": ("sweep", {**SWEEP_BASE, "policy": ["averaged"]}),
+    "sweep-zero-dimension": ("sweep", {**SWEEP_BASE, "dimension": 0}),
 }
 
 
@@ -183,6 +202,25 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,payload,words",
+        [
+            ("run", {**RUN_BASE, "bob_phases": [0, "pi/0"]}, ["phase 'pi/0'"]),
+            ("sweep", {**SWEEP_BASE, "policy": "bogus"},
+             ["policy 'bogus'", "['averaged', 'conditioned']"]),
+            ("run", {**NOISY_BASE, "policy": None},
+             ["policy None", "['averaged', 'conditioned']"]),
+            ("sweep", {**SWEEP_BASE, "dimension": 0, "alice_phases": [0]},
+             ["dimension must be at least 2, got 0"]),
+        ],
+    )
+    def test_message_names_the_field(self, tmp_path, capsys, command, payload, words):
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        for word in words:
+            assert word in err
 
     def test_noisy_run_rejects_seed_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "noisy.json", NOISY_BASE)
@@ -413,3 +451,97 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+
+# JSON values of every type; numbers stay small, so no dimension, trial
+# count or grid size they fill in is large
+def pi_text(divisors):
+    return st.builds(
+        "{}{}pi{}".format,
+        st.sampled_from(["", "-", "+ "]),
+        st.sampled_from(["", "0", "2", "0.5"]),
+        st.sampled_from(divisors),
+    )
+
+
+PI_TEXT = pi_text(["", "/0", "/0.0", "/3", " / 2.5"])
+ANY_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 3),
+        st.floats(-3, 3),
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+        st.text(max_size=6),
+        PI_TEXT,
+    ),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+PHASE = st.one_of(st.floats(-10, 10), st.just(1e300), pi_text(["", "/3", " / 2.5"]))
+GAMMA = st.floats(0, 1)
+# where a fuzzed value lands: a field, an entry of a field, or nothing
+PATHS = [
+    ("dimension",), ("alice_phases",), ("alice_phases", 0), ("bob_phases",),
+    ("bob_phases", -1), ("noise",), ("noise", "kind"), ("noise", "gamma"),
+    ("policy",), ("trials",), ("seed",), ("forced_outcome",), ("forced_outcome", 2),
+    ("gamma_grid",), ("gamma_grid", "steps"), ("gamma_grid", "start"), ("gamma_grid", 0),
+]
+DROP = object()
+
+
+@st.composite
+def configs(draw):
+    """(command, config): a valid run, sweep or table document with up to
+    three fields replaced or dropped, or now and then any JSON value."""
+    command = draw(st.sampled_from(["run", "sweep", "table"]))
+    n = draw(st.integers(-2, 6))
+    phases = st.lists(PHASE, min_size=max(n - 1, 0), max_size=max(n - 1, 0))
+    doc = {"dimension": n, "alice_phases": draw(phases), "bob_phases": draw(phases)}
+    noise = {"kind": draw(st.sampled_from([k.value for k in NoiseKind])), "gamma": draw(GAMMA)}
+    policy = draw(st.sampled_from([p.value for p in OutcomePolicy]))
+    if command == "run" and draw(st.booleans()):
+        doc.update(noise=noise, policy=policy)
+    elif command == "run":
+        doc.update(trials=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**40)))
+        if draw(st.booleans()):
+            doc["forced_outcome"] = draw(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    elif command == "sweep":
+        grid = st.fixed_dictionaries(
+            {"start": GAMMA, "stop": GAMMA, "steps": st.integers(1, 5)}
+        ) | st.lists(GAMMA, min_size=1, max_size=5)
+        doc.update(noise={"kind": noise["kind"]}, policy=policy, gamma_grid=draw(grid))
+    for path in draw(st.lists(st.sampled_from(PATHS), max_size=3)):
+        value = draw(st.just(DROP) | ANY_JSON)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict) and value is DROP:
+            parent.pop(path[-1], None)
+        elif isinstance(parent, dict):
+            parent[path[-1]] = value
+        elif isinstance(parent, list) and parent and type(path[-1]) is int and value is not DROP:
+            parent[path[-1]] = value
+    if draw(st.integers(0, 19)) == 7:
+        doc = draw(ANY_JSON)
+    return command, doc
+
+
+class TestBoundaryFuzz:
+    """Any JSON config exits 0, 1 or 2, and a failure is one stderr line."""
+
+    @given(case=configs())
+    @example(case=("run", {**RUN_BASE, "alice_phases": ["pi/0", 0]}))
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_one_line_errors(self, case):
+        command, doc = case
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--config", "-"])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()

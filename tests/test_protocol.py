@@ -13,7 +13,6 @@ from bcrsp.protocol import (
     PhaseVector,
     all_outcomes,
     build_correction_table,
-    channel_legs,
     channel_state,
     collapsed_state,
     correction_unitary,
@@ -589,6 +588,11 @@ def slot_bras(alice, bob, n) -> dict:
         "m": four,
         "k": four,
     }
+
+
+def channel_legs(n: int) -> list:
+    """The two fresh GHZ legs, [A1·B1·C1, B2·A2·C2], as read-only diagonals."""
+    return [protocol._ghz_diagonal(n)] * 2
 
 
 def sequential_forced_run(alice, bob, n, outcome) -> ProtocolResult:
