@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
 from typing import Optional, Sequence
@@ -46,20 +47,23 @@ _PI_FORM = re.compile(
 
 
 def parse_phase(value) -> float:
-    """Accept radians as a number or a pi-fraction string like '2pi/3'."""
+    """Accept finite radians as a number or a pi-fraction string like '2pi/3'."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        m = _PI_FORM.match(value)
-        if m:
-            sign = -1.0 if m.group(1) == "-" else 1.0
-            coef = float(m.group(2)) if m.group(2) else 1.0
-            div = float(m.group(3)) if m.group(3) else 1.0
-            if div == 0:
-                raise ValueError(f"phase {value!r} divides by zero")
-            return sign * coef * np.pi / div
-        return float(value)
-    raise ValueError(f"cannot parse phase {value!r}")
+        phase = float(value)
+    elif isinstance(value, str) and (m := _PI_FORM.match(value)):
+        sign = -1.0 if m.group(1) == "-" else 1.0
+        coef = float(m.group(2)) if m.group(2) else 1.0
+        div = float(m.group(3)) if m.group(3) else 1.0
+        if div == 0:
+            raise ValueError(f"phase {value!r} divides by zero")
+        phase = sign * coef * np.pi / div
+    elif isinstance(value, str):
+        phase = float(value)
+    else:
+        raise ValueError(f"cannot parse phase {value!r}")
+    if not math.isfinite(phase):
+        raise ValueError(f"phase {value!r} is not finite")
+    return phase
 
 
 def _fmt(x: float) -> str:
@@ -67,20 +71,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-class ConfigError(Exception):
-    pass
-
-
 def _number(raw, cast, name: str):
-    """cast(raw), reporting a value of the wrong type as a config error.
+    """cast(raw), reporting a value of the wrong type as a ValueError.
 
     A boolean is not a number, and an integer field takes a float only when
     it is integral (4.0, not 2.7), so no value is silently truncated.
@@ -92,17 +84,22 @@ def _number(raw, cast, name: str):
         except (TypeError, ValueError, OverflowError):
             pass
     kind = "an integer" if cast is int else "a number"
-    raise ConfigError(f"{name} must be {kind}, got {raw!r}")
+    raise ValueError(f"{name} must be {kind}, got {raw!r}")
 
 
 def _phase_vector(dim: int, raw, name: str) -> PhaseVector:
     if raw is None:
-        raise ConfigError(f"missing {name}")
+        raise ValueError(f"missing {name}")
     if not isinstance(raw, list):
-        raise ConfigError(f"{name} must be a list, got {raw!r}")
-    phases = tuple(parse_phase(v) for v in raw)
+        raise ValueError(f"{name} must be a list, got {raw!r}")
+    phases = []
+    for i, value in enumerate(raw):
+        try:
+            phases.append(parse_phase(value))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
+            raise ValueError(f"{name}[{i}]: {exc}") from None
     if len(phases) != dim - 1:
-        raise ConfigError(
+        raise ValueError(
             f"{name} needs {dim - 1} entries for dimension {dim}, got {len(phases)}"
         )
     return PhaseVector(dim, phases)
@@ -115,7 +112,7 @@ def load_config(path: Optional[str]) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -132,17 +129,17 @@ def _choice(enum, raw, name: str):
     try:
         return enum(raw)
     except ValueError:
-        raise ConfigError(
+        raise ValueError(
             f"unknown {name} {raw!r}; expected one of {[k.value for k in enum]}"
         )
 
 
 def _noise_block(raw, required: tuple[str, ...]) -> dict:
     if not isinstance(raw, dict):
-        raise ConfigError(f"noise must be a JSON object, got {raw!r}")
+        raise ValueError(f"noise must be a JSON object, got {raw!r}")
     for key in required:
         if key not in raw:
-            raise ConfigError(f"noise block is missing {key!r}")
+            raise ValueError(f"noise block is missing {key!r}")
     return raw
 
 
@@ -150,14 +147,16 @@ def _gamma_grid(raw) -> list[float]:
     if raw is None:
         raw = {"start": 0.0, "stop": 1.0, "steps": 11}
     if isinstance(raw, dict):
-        grid = np.linspace(
-            _number(raw.get("start", 0.0), float, "gamma_grid start"),
-            _number(raw.get("stop", 1.0), float, "gamma_grid stop"),
-            _number(raw.get("steps", 11), int, "gamma_grid steps"),
-        )
-        return [float(g) for g in grid]
+        start = _number(raw.get("start", 0.0), float, "gamma_grid start")
+        stop = _number(raw.get("stop", 1.0), float, "gamma_grid stop")
+        steps = _number(raw.get("steps", 11), int, "gamma_grid steps")
+        # the ends the grid holds, checked first so that 1e308 to -1e308 cannot overflow
+        for end, value in (("start", start), ("stop", stop))[:steps]:
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"gamma_grid {end} {value!r} outside [0, 1]")
+        return [float(g) for g in np.linspace(start, stop, steps)]
     if not isinstance(raw, list):
-        raise ConfigError(f"gamma_grid must be an object or a list, got {raw!r}")
+        raise ValueError(f"gamma_grid must be an object or a list, got {raw!r}")
     return [_number(g, float, "gamma") for g in raw]
 
 
@@ -169,19 +168,19 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     n = _number(cfg.get("dimension", 0), int, "dimension")
     if n < 2:
-        raise ConfigError(f"dimension must be at least 2, got {n}")
+        raise ValueError(f"dimension must be at least 2, got {n}")
     alice = _phase_vector(n, cfg.get("alice_phases"), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases"), "bob_phases")
     trials = _number(cfg.get("trials", 1), int, "trials")
     if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+        raise ValueError(f"trials must be at least 1, got {trials}")
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None:
         seed = _number(seed, int, "seed")
     forced = cfg.get("forced_outcome")
     if forced is not None:
         if not isinstance(forced, list) or len(forced) != 4:
-            raise ConfigError(f"forced_outcome needs four indices l, n, m, k, got {forced!r}")
+            raise ValueError(f"forced_outcome needs four indices l, n, m, k, got {forced!r}")
         forced = OutcomeTuple(*[_number(v, int, "forced_outcome index") for v in forced])
     noise_cfg = cfg.get("noise")
 
@@ -190,13 +189,13 @@ def cmd_run(args) -> int:
 
     if noise_cfg is not None:
         if cfg.get("trials") is not None or seed is not None:
-            raise ConfigError("a noisy run is exact and takes neither trials nor seed")
+            raise ValueError("a noisy run is exact and takes neither trials nor seed")
         noise_cfg = _noise_block(noise_cfg, ("kind", "gamma"))
         kind = _choice(NoiseKind, noise_cfg["kind"], "noise kind")
         gamma = _number(noise_cfg["gamma"], float, "gamma")
         policy = _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
         if forced is not None and policy is not OutcomePolicy.CONDITIONED:
-            raise ConfigError(
+            raise ValueError(
                 f"forced_outcome needs policy 'conditioned' in a noisy run, got {policy.value!r}"
             )
         run = noisy_protocol_run(alice, bob, n, kind, gamma, policy, forced)
@@ -215,7 +214,7 @@ def cmd_run(args) -> int:
             report["trials"].append(_trial_row(t, res, alice, bob))
 
     report["all_recovered"] = bool(all_recovered)
-    _write_out(json.dumps(report, indent=2, default=_json_default) + "\n", args.out)
+    _write_out(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if all_recovered else 1
 
 
@@ -235,7 +234,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     n = _number(cfg.get("dimension", 4), int, "dimension")
     if n < 2:
-        raise ConfigError(f"dimension must be at least 2, got {n}")
+        raise ValueError(f"dimension must be at least 2, got {n}")
     alice = _phase_vector(n, cfg.get("alice_phases", [0.0] * (n - 1)), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases", [0.0] * (n - 1)), "bob_phases")
     noise_cfg = _noise_block(cfg.get("noise", {}), ("kind",))
@@ -261,7 +260,7 @@ def cmd_sweep(args) -> int:
             }
             for g, fa, fb, p in rows
         ]
-        _write_out(json.dumps(doc, indent=2, default=_json_default) + "\n", args.out)
+        _write_out(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = ["gamma,exact_fidelity_A1,exact_fidelity_B2,paper_fidelity,deviation"]
         for g, fa, fb, p in rows:
@@ -278,7 +277,7 @@ def cmd_table(args) -> int:
         cfg = load_config(args.config) if args.config else {}
         n = _number(cfg.get("dimension", 3), int, "dimension")
     if not 2 <= n <= 6:
-        raise ConfigError(f"table dimension must be in 2..6, got {n}")
+        raise ValueError(f"table dimension must be in 2..6, got {n}")
     table = build_correction_table(n)
     lines = [
         "# feed-forward corrections: A1 receives U_{m+n mod N}, B2 receives U_{k+l mod N}",
@@ -307,7 +306,7 @@ def _matrix_cell(cell) -> complex:
             value = complex("nan")
         if cmath.isfinite(value):
             return value
-    raise ConfigError(
+    raise ValueError(
         f"matrix cell must be a finite number or a [re, im] pair, got {cell!r}"
     )
 
@@ -318,14 +317,14 @@ def _load_matrix(path: str) -> np.ndarray:
         doc = json.load(fh)
     if isinstance(doc, dict):
         if "matrix" not in doc:
-            raise ConfigError("matrix document is missing 'matrix'")
+            raise ValueError("matrix document is missing 'matrix'")
         doc = doc["matrix"]
     if not isinstance(doc, list) or not doc:
-        raise ConfigError(f"matrix must be a non-empty list of rows, got {doc!r}")
+        raise ValueError(f"matrix must be a non-empty list of rows, got {doc!r}")
     size = len(doc)
     for row in doc:
         if not isinstance(row, list) or len(row) != size:
-            raise ConfigError(f"matrix must be square ({size}x{size}), got row {row!r}")
+            raise ValueError(f"matrix must be square ({size}x{size}), got row {row!r}")
     return np.array([[_matrix_cell(cell) for cell in row] for row in doc], dtype=complex)
 
 
@@ -338,14 +337,14 @@ _BUILTIN_MATRICES = {
 def cmd_decompose(args) -> int:
     if args.builtin:
         if args.builtin not in _BUILTIN_MATRICES:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown builtin {args.builtin!r}; available: {sorted(_BUILTIN_MATRICES)}"
             )
         mat = _BUILTIN_MATRICES[args.builtin]()
     elif args.input:
         mat = _load_matrix(args.input)
     else:
-        raise ConfigError("decompose needs --builtin or --input")
+        raise ValueError("decompose needs --builtin or --input")
     dev = unitarity_deviation(mat)
     if not dev <= 1e-10:
         print(f"error: input matrix is not unitary (deviation {dev:.3e})", file=sys.stderr)
@@ -479,9 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an OverflowError is a number too large for its use, such as a huge sweep dimension
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,8 @@ Born distribution, `born_cdf`, whose checks every sampled outcome passes.
 `born_draw` inverts that cumulative distribution at one `rng.random()`,
 exactly as `Generator.choice` does, so seeded outcomes are those of
 `rng.choice`; the engine caches the CDFs per target and makes only that
-last step per draw.
+last step per draw. `_json_object` and `_json_integer` read the fields
+of the JSON documents that transcripts and interferometer networks load.
 """
 
 from __future__ import annotations
@@ -37,6 +38,22 @@ WEIGHT_ATOL = 1e-12
 
 # branches whose squared norm falls below this are dropped entirely
 _PRUNE_EPS = 1e-30
+
+
+def _json_object(value, where: str) -> dict:
+    """A decoded JSON object; `where` names it in the error, such as "transcript document"."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_integer(value, key: str, where: str) -> int:
+    """Field `key` of the object `where`: an int or an integral float such as 3.0, never a bool."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{where} field {key!r} must be an integer, got {value!r}")
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -90,14 +107,14 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector((dim,), amps)
 
 
-def same_ray(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
+def same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     """Equality of normalized amplitude arrays up to a global phase."""
-    return abs(abs(complex(np.vdot(a, b))) - 1.0) <= atol
+    return abs(abs(complex(np.vdot(a, b))) - 1.0) <= ATOL
 
 
-def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """Equality up to a global phase: | <a|b> | = 1 within atol."""
-    return a.dims == b.dims and same_ray(a.amplitudes, b.amplitudes, atol)
+def states_equal(a: StateVector, b: StateVector) -> bool:
+    """Equality up to a global phase: | <a|b> | = 1 within ATOL."""
+    return a.dims == b.dims and same_ray(a.amplitudes, b.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -135,9 +152,10 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def unitarity_deviation(mat: np.ndarray) -> float:
-    """max |U+ U - I| over entries."""
+    """max |U+ U - I| over entries; inf or NaN, without a warning, when U+ U overflows."""
     mat = np.asarray(mat)
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
 
 
 @dataclass(frozen=True)

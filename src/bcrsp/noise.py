@@ -40,10 +40,6 @@ from .core import (
     fidelity_density,
 )
 from .protocol import (
-    A2,
-    B1,
-    C1,
-    C2,
     OutcomeTuple,
     PhaseVector,
     _equatorial_amplitudes,
@@ -51,9 +47,6 @@ from .protocol import (
     equatorial_state,
     phase_table,
 )
-
-# register positions whose carriers pass through a noisy channel
-DISTRIBUTED_SITES = (B1, C1, A2, C2)
 
 
 class NoiseKind(Enum):
@@ -255,7 +248,8 @@ def noisy_protocol_run(
         "noise": noise.value,
         "gamma": gamma,
         "policy": policy.value,
-        "branch_count": _kraus_count(noise, gamma, n) ** len(DISTRIBUTED_SITES),
+        # B1, C1, A2 and C2 each pass one channel use
+        "branch_count": _kraus_count(noise, gamma, n) ** 4,
         **_invariant_residuals(rhos),
     }
     if policy is OutcomePolicy.CONDITIONED:
@@ -355,12 +349,11 @@ def compare_paper_vs_exact(
     bob: PhaseVector,
     gammas,
     n: int = 4,
-    flag_tol: float = 1e-6,
 ) -> ComparisonReport:
     """Tabulate exact ensemble fidelity against the quoted closed forms.
 
     Rows whose exact A1 fidelity departs from the closed form by more than
-    flag_tol carry the branch-level breakdown (weight, squared overlap with
+    1e-6 carry the branch-level breakdown (weight, squared overlap with
     the target) of the A1 ensemble. Agreement is an empirical finding.
     """
     target_a1 = equatorial_state(bob)
@@ -370,7 +363,7 @@ def compare_paper_vs_exact(
         exact_a1, exact_b2 = run_fidelities(run, alice, bob)
         paper = closed_form_fidelity(noise, bob, gamma)
         deviation = None if paper is None else abs(exact_a1 - paper)
-        flagged = deviation is not None and deviation > flag_tol
+        flagged = deviation is not None and deviation > 1e-6
         breakdown = ()
         if flagged:
             breakdown = tuple(

@@ -13,12 +13,21 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .core import ATOL, Operator, StateVector, tensor, unitarity_deviation
+from .core import (
+    ATOL,
+    Operator,
+    StateVector,
+    _json_integer,
+    _json_object,
+    tensor,
+    unitarity_deviation,
+)
 from .protocol import PhaseVector, correction_unitary, fourier_basis
 
 
@@ -370,15 +379,38 @@ def network_to_json(net: InterferometerNetwork) -> str:
     return json.dumps({"dim": net.dim, "elements": elements}, indent=2) + "\n"
 
 
+def _angle(value, key: str, where: str) -> float:
+    """A finite int or float, kept as it is so that a round trip is exact."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return value
+    raise ValueError(f"{where} field {key!r} must be a finite number, got {value!r}")
+
+
 def network_from_json(serialized: str) -> InterferometerNetwork:
-    doc = json.loads(serialized)
+    """Inverse of network_to_json; any other document raises ValueError
+    naming the element and the field."""
+    where = "network document"
+    doc = _json_object(json.loads(serialized), where)
     elements: list[NetworkElement] = []
-    for el in doc["elements"]:
-        if el["kind"] == "bs":
-            m, n = el["modes"]
-            elements.append(BeamSplitter(m=m, n=n, omega=el["omega"], phi=el["phi"]))
-        elif el["kind"] == "ps":
-            elements.append(PhaseShifter(mode=el["mode"], theta=el["theta"]))
-        else:
-            raise ValueError(f"unknown element kind {el['kind']!r}")
-    return InterferometerNetwork(dim=int(doc["dim"]), elements=tuple(elements))
+    try:
+        dim = _json_integer(doc["dim"], "dim", where)
+        if not isinstance(doc["elements"], list):
+            raise ValueError(f"network elements must be a JSON list, got {doc['elements']!r}")
+        for i, el in enumerate(doc["elements"]):
+            where = f"network element {i}"
+            el = _json_object(el, where)
+            if el["kind"] == "bs":
+                modes = el["modes"]
+                if not isinstance(modes, list) or len(modes) != 2:
+                    raise ValueError(f"{where} field 'modes' must be a pair, got {modes!r}")
+                m, n = (_json_integer(v, "modes", where) for v in modes)
+                omega, phi = (_angle(el[key], key, where) for key in ("omega", "phi"))
+                elements.append(BeamSplitter(m=m, n=n, omega=omega, phi=phi))
+            elif el["kind"] == "ps":
+                mode = _json_integer(el["mode"], "mode", where)
+                elements.append(PhaseShifter(mode, _angle(el["theta"], "theta", where)))
+            else:
+                raise ValueError(f"{where} has unknown element kind {el['kind']!r}")
+    except KeyError as exc:
+        raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
+    return InterferometerNetwork(dim=dim, elements=tuple(elements))

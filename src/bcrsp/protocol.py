@@ -46,14 +46,10 @@ from .core import (
     MeasurementBasis,
     Operator,
     StateVector,
-    apply_on,
     born_cdf,
     same_ray,
     tensor,
 )
-
-# positions in the six-qudit register of channel_state
-A1, B1, C1, A2, B2, C2 = range(6)
 
 # The four measurements in protocol order, each with the leg it acts on:
 # leg 0 is A1·B1·C1 and leg 1 is B2·A2·C2, both as (kept, sender, controller).
@@ -417,18 +413,6 @@ def _drawn_result(alice: PhaseVector, bob: PhaseVector, outcome: OutcomeTuple) -
     return finish(alice, bob, outcome, legs, 1.0 / alice.dim**4)
 
 
-def apply_corrections(
-    state: StateVector,
-    a1_index: int,
-    b2_index: int,
-    n: int,
-    targets: tuple[int, int] = (0, 1),
-) -> StateVector:
-    """Apply U_{a1_index} and U_{b2_index} on the two listed qudits."""
-    state = apply_on(correction_unitary(a1_index, n), state, targets[0])
-    return apply_on(correction_unitary(b2_index, n), state, targets[1])
-
-
 def run_protocol(
     alice: PhaseVector,
     bob: PhaseVector,
@@ -512,9 +496,7 @@ def _leg_deviation(target: PhaseVector, n: int) -> float:
     return float(np.max(np.abs(acc - _ghz_tensor(n))))
 
 
-def verify_decomposition(
-    alice: PhaseVector, bob: PhaseVector, n: int, atol: float = ATOL
-) -> DecompositionCheck:
+def verify_decomposition(alice: PhaseVector, bob: PhaseVector, n: int) -> DecompositionCheck:
     """Check the four-basis expansion of the channel, one GHZ leg at a time.
 
     The six-qudit identity GHZ (x) GHZ = (1/N^2) sum over all N^4 tuples of
@@ -523,11 +505,12 @@ def verify_decomposition(
     GHZ = (1/N) sum_{s,t} z~_{s+t} (x) tau_s (x) tau-bar_t: (s, t) = (n, m)
     with Bob's phases on A1·B1·C1 and (l, k) with Alice's on B2·A2·C2.
     Each leg is one einsum against ghz_state(n); max_deviation is the larger
-    of the two legs' entrywise deviations. No N^6 array is built.
+    of the two legs' entrywise deviations, and ok means it is at most ATOL.
+    No N^6 array is built.
     """
     if alice.dim != n or bob.dim != n:
         raise ValueError(
             f"phase vectors have dims {alice.dim}/{bob.dim}, protocol dim is {n}"
         )
     dev = max(_leg_deviation(bob, n), _leg_deviation(alice, n))
-    return DecompositionCheck(dev <= atol, dev)
+    return DecompositionCheck(dev <= ATOL, dev)

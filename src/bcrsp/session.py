@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateVector
+from .core import StateVector, _json_integer, _json_object
 from .protocol import (
     PROTOCOL_ORDER,
     OutcomeTuple,
@@ -276,15 +276,6 @@ class TranscriptDocument:
     messages: tuple[ClassicalMessage, ...]
 
 
-def _integer(value, key: str, where: str) -> int:
-    """An integer field; integral floats such as 3.0 are read as ints."""
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"transcript {where} field {key!r} must be an integer, got {value!r}")
-
-
 _PARTIES = {party.value: party for party in PartyId}
 
 
@@ -292,19 +283,13 @@ def _party(value, key: str, where: str) -> PartyId:
     # a dict lookup; calling the Enum costs several times more
     if type(value) is str and value in _PARTIES:
         return _PARTIES[value]
-    raise ValueError(f"transcript {where} field {key!r} names no party, got {value!r}")
+    raise ValueError(f"{where} field {key!r} names no party, got {value!r}")
 
 
 def _string(value, key: str, where: str) -> str:
     if type(value) is str:
         return value
-    raise ValueError(f"transcript {where} field {key!r} must be a string, got {value!r}")
-
-
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"transcript {where} must be a JSON object, got {value!r}")
-    return value
+    raise ValueError(f"{where} field {key!r} must be a string, got {value!r}")
 
 
 def import_transcript(serialized: str) -> TranscriptDocument:
@@ -316,13 +301,13 @@ def import_transcript(serialized: str) -> TranscriptDocument:
     a non-string `kind` or `basis_label`, a dimension below 2, a step below
     1, or an outcome index outside [0, dimension).
     """
-    doc = _object(json.loads(serialized), "document")
-    where = "document"
+    where = "transcript document"
+    doc = _json_object(json.loads(serialized), where)
     try:
-        version = _integer(doc["version"], "version", where)
+        version = _json_integer(doc["version"], "version", where)
         if version != TRANSCRIPT_SCHEMA_VERSION:
             raise ValueError(f"unsupported transcript version {version!r}")
-        dimension = _integer(doc["dimension"], "dimension", where)
+        dimension = _json_integer(doc["dimension"], "dimension", where)
         if dimension < 2:
             raise ValueError(f"transcript dimension must be at least 2, got {dimension}")
         status = SessionStatus(doc["status"])
@@ -332,24 +317,24 @@ def import_transcript(serialized: str) -> TranscriptDocument:
             raise ValueError(f"transcript messages must be a JSON list, got {doc['messages']!r}")
         messages = []
         for i, m in enumerate(doc["messages"]):
-            where = f"message {i}"
-            m = _object(m, where)
+            where = f"transcript message {i}"
+            m = _json_object(m, where)
             msg = ClassicalMessage(
                 sender=_party(m["from"], "from", where),
                 receiver=_party(m["to"], "to", where),
-                step=_integer(m["step"], "step", where),
+                step=_json_integer(m["step"], "step", where),
                 kind=_string(m["kind"], "kind", where),
                 basis_label=_string(m["basis_label"], "basis_label", where),
-                outcome_index=_integer(m["outcome_index"], "outcome_index", where),
+                outcome_index=_json_integer(m["outcome_index"], "outcome_index", where),
             )
             if msg.step < 1:
-                raise ValueError(f"transcript {where} step must be at least 1, got {msg.step}")
+                raise ValueError(f"{where} step must be at least 1, got {msg.step}")
             if not 0 <= msg.outcome_index < dimension:
                 raise ValueError(
-                    f"transcript {where} outcome_index {msg.outcome_index} is out of range"
+                    f"{where} outcome_index {msg.outcome_index} is out of range"
                     f" for dimension {dimension}"
                 )
             messages.append(msg)
     except KeyError as exc:
-        raise ValueError(f"transcript {where} has no {exc.args[0]!r} field") from None
+        raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
     return TranscriptDocument(version, dimension, status, tuple(messages))

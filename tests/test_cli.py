@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -17,6 +18,20 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_main(argv, stdin=""):
+    """(exit code, stderr) of main(argv) as a shell sees them: every warning
+    is written to stderr the way Python's default filter shows it."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    shown = "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return code, shown + err.getvalue()
 
 
 class TestPhaseParsing:
@@ -213,6 +228,20 @@ class TestMalformedConfig:
              ["policy None", "['averaged', 'conditioned']"]),
             ("sweep", {**SWEEP_BASE, "dimension": 0, "alice_phases": [0]},
              ["dimension must be at least 2, got 0"]),
+            # a bad phase names its list and entry
+            ("run", {**RUN_BASE, "alice_phases": [{}, 0]},
+             ["alice_phases[0]: cannot parse phase {}"]),
+            ("run", {**RUN_BASE, "bob_phases": [0, []]},
+             ["bob_phases[1]: cannot parse phase []"]),
+            ("sweep", {**SWEEP_BASE, "alice_phases": ["abc", 0]},
+             ["alice_phases[0]: could not convert string to float: 'abc'"]),
+            ("run", {**RUN_BASE, "bob_phases": [0, "inf"]},
+             ["bob_phases[1]: phase 'inf' is not finite"]),
+            ("sweep", {**SWEEP_BASE, "bob_phases": [float("-inf"), 0]},
+             ["bob_phases[0]: phase -inf is not finite"]),
+            ("run", {**RUN_BASE, "bob_phases": [0, "pi/0"]}, ["bob_phases[1]: phase 'pi/0'"]),
+            ("sweep", {**SWEEP_BASE, "gamma_grid": {"start": 0.5, "stop": 2.0, "steps": 3}},
+             ["gamma_grid stop 2.0 outside [0, 1]"]),
         ],
     )
     def test_message_names_the_field(self, tmp_path, capsys, command, payload, words):
@@ -445,6 +474,24 @@ class TestDecompose:
         assert err.count("\n") == 1
 
 
+class TestOverflow:
+    """Numbers that overflow numpy leave the one error line and no warning."""
+
+    @pytest.mark.parametrize(
+        "argv,doc,expected",
+        [
+            (["decompose", "--input"], [[1e200, 0], [0, 1]],
+             (1, "error: input matrix is not unitary (deviation inf)\n")),
+            (["sweep", "--config"],
+             {**SWEEP_BASE, "gamma_grid": {"start": 1e308, "stop": -1e308, "steps": 3}},
+             (2, "error: gamma_grid start 1e+308 outside [0, 1]\n")),
+        ],
+        ids=["decompose-huge-cell", "sweep-huge-grid"],
+    )
+    def test_one_error_line(self, tmp_path, argv, doc, expected):
+        assert run_main([*argv, write_config(tmp_path, "in.json", doc)]) == expected
+
+
 class TestVerify:
     def test_invariant_suite_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -453,8 +500,6 @@ class TestVerify:
         assert "FAIL" not in out
 
 
-# JSON values of every type; numbers stay small, so no dimension, trial
-# count or grid size they fill in is large
 def pi_text(divisors):
     return st.builds(
         "{}{}pi{}".format,
@@ -465,20 +510,31 @@ def pi_text(divisors):
 
 
 PI_TEXT = pi_text(["", "/0", "/0.0", "/3", " / 2.5"])
-ANY_JSON = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-2, 3),
-        st.floats(-3, 3),
-        st.sampled_from([float("nan"), float("inf"), -float("inf")]),
-        st.text(max_size=6),
-        PI_TEXT,
-    ),
-    lambda inner: st.lists(inner, max_size=6)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=8,
-)
+
+
+def any_json(*numbers):
+    """JSON values of every type, with small numbers and `numbers` among the leaves."""
+    return st.recursive(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-2, 3),
+            st.floats(-3, 3),
+            st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+            *numbers,
+            st.text(max_size=6),
+            PI_TEXT,
+        ),
+        lambda inner: st.lists(inner, max_size=6)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+# huge finite floats overflow numpy and list sizes; a trial count takes
+# SMALL_JSON only, since a huge one is that many trials, not an input error
+ANY_JSON = any_json(st.sampled_from([1e308, -1e308, 1e200]))
+SMALL_JSON = any_json()
 PHASE = st.one_of(st.floats(-10, 10), st.just(1e300), pi_text(["", "/3", " / 2.5"]))
 GAMMA = st.floats(0, 1)
 # where a fuzzed value lands: a field, an entry of a field, or nothing
@@ -513,7 +569,7 @@ def configs(draw):
         ) | st.lists(GAMMA, min_size=1, max_size=5)
         doc.update(noise={"kind": noise["kind"]}, policy=policy, gamma_grid=draw(grid))
     for path in draw(st.lists(st.sampled_from(PATHS), max_size=3)):
-        value = draw(st.just(DROP) | ANY_JSON)
+        value = draw(st.just(DROP) | (SMALL_JSON if path == ("trials",) else ANY_JSON))
         parent = doc
         for key in path[:-1]:
             parent = parent.get(key) if isinstance(parent, dict) else None
@@ -521,27 +577,60 @@ def configs(draw):
             parent.pop(path[-1], None)
         elif isinstance(parent, dict):
             parent[path[-1]] = value
-        elif isinstance(parent, list) and parent and type(path[-1]) is int and value is not DROP:
+        elif (isinstance(parent, list) and type(path[-1]) is int
+              and -len(parent) <= path[-1] < len(parent) and value is not DROP):
             parent[path[-1]] = value
     if draw(st.integers(0, 19)) == 7:
         doc = draw(ANY_JSON)
     return command, doc
 
 
+# cells that keep a permutation matrix unitary: 1, -1, i and -i
+UNIT_CELL = st.sampled_from([1, -1, [0, 1], [0, -1]])
+
+
+@st.composite
+def matrix_documents(draw):
+    """A `decompose --input` document, bare rows or {"matrix": rows}: a
+    permutation matrix of order 0..4 with up to three cells or rows replaced
+    by any small JSON value, or now and then any JSON value for the rows."""
+    size = draw(st.integers(0, 4))
+    rows = [[int(j == p) for j in range(size)] for p in draw(st.permutations(range(size)))]
+    cell = UNIT_CELL | ANY_JSON
+    for _ in range(draw(st.integers(0, 3)) if size else 0):
+        i = draw(st.integers(0, size - 1))
+        if rows[i] and draw(st.booleans()):
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(cell)
+        else:
+            rows[i] = draw(st.lists(cell, max_size=4))
+    if draw(st.integers(0, 9)) == 7:
+        rows = draw(ANY_JSON)
+    return {"matrix": rows} if draw(st.booleans()) else rows
+
+
+def assert_exit_and_stderr(code, err):
+    """Exit 0 with nothing on stderr, or 1 or 2 with one error line."""
+    assert code in (0, 1, 2)
+    assert err.startswith("error: ") and err.count("\n") == 1 if code else err == ""
+
+
 class TestBoundaryFuzz:
-    """Any JSON config exits 0, 1 or 2, and a failure is one stderr line."""
+    """Any JSON input exits 0, 1 or 2, and a failure is one stderr line
+    with no warning before it."""
 
     @given(case=configs())
     @example(case=("run", {**RUN_BASE, "alice_phases": ["pi/0", 0]}))
+    @example(case=("sweep", {**SWEEP_BASE,
+                             "gamma_grid": {"start": 1e308, "stop": -1e308, "steps": 3}}))
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_one_line_errors(self, case):
         command, doc = case
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main([command, "--config", "-"])
-        assert code in (0, 1, 2)
-        if code:
-            assert err.getvalue().count("\n") == 1
-            assert err.getvalue().startswith("error: ")
-        assert "Traceback" not in err.getvalue()
+        assert_exit_and_stderr(*run_main([command, "--config", "-"], stdin=json.dumps(doc)))
+
+    @given(doc=matrix_documents())
+    @example(doc=[[1e200, 0], [0, 1]])
+    @settings(max_examples=200, deadline=None)
+    def test_decompose_input(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "matrix.json"
+        path.write_text(json.dumps(doc))
+        assert_exit_and_stderr(*run_main(["decompose", "--input", str(path)]))

@@ -4,9 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcrsp import noise
-from bcrsp.core import BranchEnsemble, apply_kraus, fidelity_density, project, tensor
+from bcrsp.core import BranchEnsemble, apply_kraus, apply_on, fidelity_density, project, tensor
 from bcrsp.noise import (
-    DISTRIBUTED_SITES,
     NoiseKind,
     OutcomePolicy,
     closed_form_fidelity,
@@ -24,7 +23,7 @@ from bcrsp.protocol import (
     OutcomeTuple,
     PhaseVector,
     all_outcomes,
-    apply_corrections,
+    correction_unitary,
     equatorial_state,
     fourier_basis,
     ghz_state,
@@ -428,7 +427,7 @@ def naive_noisy_marginals(alice, bob, n, kind, gamma, conditioned=None):
     then per-branch sequential projection over outcome tuples."""
     ens = BranchEnsemble.pure(tensor(ghz_state(n), ghz_state(n)))
     chan = kraus_for(kind, gamma, n)
-    for site in DISTRIBUTED_SITES:
+    for site in (1, 2, 3, 5):  # B1, C1, A2, C2
         ens = apply_kraus(ens, chan, site)
     bases = {
         "l": sender_basis(alice),
@@ -453,7 +452,8 @@ def naive_noisy_marginals(alice, bob, n, kind, gamma, conditioned=None):
                 p *= pr
             if p == 0.0:
                 continue
-            s = apply_corrections(s, (oc.m + oc.n) % n, (oc.k + oc.l) % n, n)
+            s = apply_on(correction_unitary((oc.m + oc.n) % n, n), s, 0)
+            s = apply_on(correction_unitary((oc.k + oc.l) % n, n), s, 1)
             m = s.amplitudes.reshape(n, n)
             rho_a1 += p * (m @ m.conj().T)
             rho_b2 += p * (m.T @ m.conj())

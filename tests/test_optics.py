@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,11 +329,10 @@ class TestSerialization:
         net = reck_decompose(random_unitary(rng, 4))
         restored = network_from_json(network_to_json(net))
         assert restored == net
+        assert network_to_json(restored) == network_to_json(net)
         np.testing.assert_array_equal(compose_network(restored), compose_network(net))
 
     def test_element_kinds(self):
-        import json
-
         net = InterferometerNetwork(
             dim=3,
             elements=(
@@ -343,6 +344,50 @@ class TestSerialization:
         assert doc["elements"][0]["kind"] == "bs"
         assert doc["elements"][0]["modes"] == [2, 0]
         assert doc["elements"][1]["kind"] == "ps"
+
+    @pytest.mark.parametrize(
+        "doc,words",
+        [
+            ({"dim": 3.7, "elements": []}, "document field 'dim' must be an integer, got 3.7"),
+            ({"dim": "3", "elements": []}, "document field 'dim' must be an integer, got '3'"),
+            ({"dim": True, "elements": []}, "document field 'dim' must be an integer, got True"),
+            ({"dim": 3, "elements": [{"kind": "bs", "modes": [1, 0], "omega": "x", "phi": 0}]},
+             "element 0 field 'omega' must be a finite number, got 'x'"),
+            ({"dim": 3, "elements": [{"kind": "ps", "mode": 0, "theta": 0},
+                                     {"kind": "bs", "modes": [2.5, 1], "omega": 0, "phi": 0}]},
+             "element 1 field 'modes' must be an integer, got 2.5"),
+            ({"dim": 3, "elements": [{"kind": "ps", "mode": True, "theta": 0}]},
+             "element 0 field 'mode' must be an integer, got True"),
+            ({"dim": 3, "elements": [{"kind": "ps", "mode": 1, "theta": float("nan")}]},
+             "element 0 field 'theta' must be a finite number, got nan"),
+            ({"dim": 3, "elements": [{"kind": "bs", "modes": [1, 0], "omega": 0,
+                                      "phi": float("inf")}]},
+             "element 0 field 'phi' must be a finite number, got inf"),
+            ({"dim": 3}, "document has no 'elements' field"),
+            ({"elements": []}, "document has no 'dim' field"),
+            ({"dim": 3, "elements": [{"mode": 1, "theta": 0}]}, "element 0 has no 'kind' field"),
+            ({"dim": 3, "elements": [{"kind": "ps", "mode": 1}]}, "element 0 has no 'theta' field"),
+            ({"dim": 3, "elements": 5}, "elements must be a JSON list, got 5"),
+            ([], "document must be a JSON object, got []"),
+            ([[1]], "document must be a JSON object, got [[1]]"),
+            ({"dim": 3, "elements": [[1]]}, "element 0 must be a JSON object, got [1]"),
+            ({"dim": 3, "elements": [{"kind": "bs", "modes": [2, 1, 0], "omega": 0, "phi": 0}]},
+             "element 0 field 'modes' must be a pair, got [2, 1, 0]"),
+        ],
+        ids=["fractional-dim", "text-dim", "bool-dim", "text-omega", "fractional-mode",
+             "bool-mode", "nan-theta", "inf-phi", "no-elements", "no-dim", "no-kind",
+             "no-theta", "scalar-elements", "list-document", "nested-list-document",
+             "list-element", "three-modes"],
+    )
+    def test_malformed_document_names_element_and_field(self, doc, words):
+        with pytest.raises(ValueError) as info:
+            network_from_json(json.dumps(doc))
+        assert f"network {words}" == str(info.value)
+
+    def test_integral_floats_are_modes(self):
+        doc = {"dim": 3.0, "elements": [{"kind": "bs", "modes": [2.0, 0], "omega": 1, "phi": 0.5}]}
+        net = network_from_json(json.dumps(doc))
+        assert net == InterferometerNetwork(3, (BeamSplitter(m=2, n=0, omega=1, phi=0.5),))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown element kind"):
