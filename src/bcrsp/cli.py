@@ -30,9 +30,9 @@ from .noise import (
 from .protocol import (
     OutcomeTuple,
     PhaseVector,
+    _equatorial_amplitudes,
     all_outcomes,
     build_correction_table,
-    equatorial_state,
     ghz_state,
     outcome_probability,
     run_protocol,
@@ -85,6 +85,22 @@ def _number(raw, cast, name: str):
             pass
     kind = "an integer" if cast is int else "a number"
     raise ValueError(f"{name} must be {kind}, got {raw!r}")
+
+
+# size ceilings of `run` and `sweep`: a larger dimension or trial count is an
+# input error, rejected before any list or report row of that size is built
+MAX_DIMENSION = 1024
+MAX_TRIALS = 10**6
+
+
+def _bounded(raw, name: str, low: int, high: int) -> int:
+    """An integer field that must lie in low..high; the message names the field."""
+    value = _number(raw, int, name)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {raw!r}")
+    if value > high:
+        raise ValueError(f"{name} must be at most {high}, got {raw!r}")
+    return value
 
 
 def _phase_vector(dim: int, raw, name: str) -> PhaseVector:
@@ -166,14 +182,10 @@ def _gamma_grid(raw) -> list[float]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    n = _number(cfg.get("dimension", 0), int, "dimension")
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    n = _bounded(cfg.get("dimension", 0), "dimension", 2, MAX_DIMENSION)
+    trials = _bounded(cfg.get("trials", 1), "trials", 1, MAX_TRIALS)
     alice = _phase_vector(n, cfg.get("alice_phases"), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases"), "bob_phases")
-    trials = _number(cfg.get("trials", 1), int, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None:
         seed = _number(seed, int, "seed")
@@ -224,17 +236,16 @@ def _trial_row(index: int, res, alice: PhaseVector, bob: PhaseVector) -> dict:
         "outcome": list(res.outcome.as_tuple()),
         "correction_a1": res.corrections.a1_index,
         "correction_b2": res.corrections.b2_index,
-        "fidelity_a1": abs(res.alice_final.overlap(equatorial_state(bob))),
-        "fidelity_b2": abs(res.bob_final.overlap(equatorial_state(alice))),
+        # StateVector.overlap's arithmetic on the raw arrays, so no view is built
+        "fidelity_a1": abs(complex(np.vdot(res.alice_final_amps, _equatorial_amplitudes(bob)))),
+        "fidelity_b2": abs(complex(np.vdot(res.bob_final_amps, _equatorial_amplitudes(alice)))),
         "recovered": list(res.recovered),
     }
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    n = _number(cfg.get("dimension", 4), int, "dimension")
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    n = _bounded(cfg.get("dimension", 4), "dimension", 2, MAX_DIMENSION)
     alice = _phase_vector(n, cfg.get("alice_phases", [0.0] * (n - 1)), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases", [0.0] * (n - 1)), "bob_phases")
     noise_cfg = _noise_block(cfg.get("noise", {}), ("kind",))
@@ -478,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # an OverflowError is a number too large for its use, such as a huge sweep dimension
+    # an OverflowError is a number too large for its use
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:

@@ -25,9 +25,11 @@ that way: forced runs, sampled runs, a session's corrections and
 the tuple from the Born CDFs `_born_table` caches per target, the
 sender's slot's and the controller's slot's after each s: one
 `rng.random()` and one O(log N) search per slot, in protocol order.
-Validated `StateVector`s are built only by `finish`, for the
-`ProtocolResult` fields, and by `leg_state` for views of a leg as a
-tensor. The four-basis expansion is checked per leg as well. The
+`finish` corrects the kept diagonals and checks recovery on raw arrays;
+a `ProtocolResult` holds them read-only and builds each validated
+`StateVector` view only when it is first read, so a run whose caller
+reads only `recovered` builds none. `leg_state` builds views of a leg as
+a tensor. The four-basis expansion is checked per leg as well. The
 six-qudit order (A1, B1, C1, A2, B2, C2) is used only by
 `channel_state`, the whole resource as one register.
 """
@@ -113,16 +115,50 @@ class CorrectionRule:
     b2_index: int
 
 
+def _state_view(name: str) -> property:
+    """A read-only property: the validated `StateVector` of the raw field `name`_amps.
+
+    It is built on first read, with `StateVector`'s norm check, and kept in
+    the instance `__dict__`, so later reads return the same object.
+    """
+    raw = f"{name}_amps"
+
+    def view(self) -> StateVector:
+        cache = self.__dict__
+        state = cache.get(name)
+        if state is None:
+            amps = cache[raw]
+            state = cache[name] = StateVector(amps.shape, amps)
+        return state
+
+    return property(view, doc=f"`{raw}` as a one-qudit `StateVector`.")
+
+
 @dataclass(frozen=True)
 class ProtocolResult:
+    """One run: the outcome tuple, its probability, the corrections and whether
+    both targets were recovered.
+
+    The one-qudit remainders of A1 and B2 before correction and the
+    corrected outputs are kept as raw read-only amplitude arrays (the `_amps`
+    fields). `a1_before`, `b2_before`, `alice_final` and `bob_final` are
+    their `StateVector` views, validated and built on first read, so a run
+    whose caller reads only `recovered` builds none.
+    """
+
     outcome: OutcomeTuple
     probability: float
     corrections: CorrectionRule
-    a1_before: StateVector
-    b2_before: StateVector
-    alice_final: StateVector
-    bob_final: StateVector
+    a1_before_amps: np.ndarray
+    b2_before_amps: np.ndarray
+    alice_final_amps: np.ndarray
+    bob_final_amps: np.ndarray
     recovered: tuple[bool, bool]
+
+    a1_before = _state_view("a1_before")
+    b2_before = _state_view("b2_before")
+    alice_final = _state_view("alice_final")
+    bob_final = _state_view("bob_final")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -380,7 +416,8 @@ def finish(
     """Correct the two one-qudit remainders: U_{m+n} on A1, U_{k+l} on B2.
 
     U_p is diagonal, so each correction is an elementwise product with row p
-    of `phase_table`. Recovery means the same ray as the target, up to ATOL.
+    of `phase_table`. Recovery means the same ray as the target, up to ATOL,
+    on the raw arrays; no `StateVector` is built here.
     """
     n = alice.dim
     rule = CorrectionRule(
@@ -396,14 +433,14 @@ def finish(
         same_ray(bob_final, _equatorial_amplitudes(alice)),
     )
     return ProtocolResult(
-        outcome=outcome,
-        probability=probability,
-        corrections=rule,
-        a1_before=StateVector((n,), a1_before),
-        b2_before=StateVector((n,), b2_before),
-        alice_final=StateVector((n,), alice_final),
-        bob_final=StateVector((n,), bob_final),
-        recovered=recovered,
+        outcome,
+        probability,
+        rule,
+        _read_only(a1_before),
+        _read_only(b2_before),
+        _read_only(alice_final),
+        _read_only(bob_final),
+        recovered,
     )
 
 
@@ -447,8 +484,14 @@ def outcome_probability(n: int, outcome: OutcomeTuple) -> float:
     value; the zero vector is used for both legs.
     """
     outcome.validate(n)
-    zero = PhaseVector.zero(n)
+    zero = _zero_target(n)
     return _forced_legs(zero, zero, outcome)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_target(n: int) -> PhaseVector:
+    """PhaseVector.zero(n), validated once per N."""
+    return PhaseVector.zero(n)
 
 
 def all_outcomes(n: int) -> Iterable[OutcomeTuple]:

@@ -251,8 +251,7 @@ def export_transcript(session: Session) -> str:
     if session.status is SessionStatus.RUNNING:
         raise RuntimeError("cannot export the transcript of a running session")
     head = _transcript_head(session.n, session.status.value)
-    if not session.transcript:
-        return head + "\n"
+    # a terminal session has announced at least step 1's four messages
     blocks = ",\n".join(
         _message_block(
             msg.sender.value,

@@ -242,6 +242,17 @@ class TestMalformedConfig:
             ("run", {**RUN_BASE, "bob_phases": [0, "pi/0"]}, ["bob_phases[1]: phase 'pi/0'"]),
             ("sweep", {**SWEEP_BASE, "gamma_grid": {"start": 0.5, "stop": 2.0, "steps": 3}},
              ["gamma_grid stop 2.0 outside [0, 1]"]),
+            # the size ceilings, checked before any list of that size is built
+            ("run", {**RUN_BASE, "dimension": 1025}, ["dimension must be at most 1024, got 1025"]),
+            ("sweep", {**SWEEP_BASE, "dimension": 1e200},
+             ["dimension must be at most 1024, got 1e+200"]),
+            ("sweep", {**SWEEP_BASE, "dimension": 10**9},
+             ["dimension must be at most 1024, got 1000000000"]),
+            ("run", {**RUN_BASE, "trials": 10**6 + 1},
+             ["trials must be at most 1000000, got 1000001"]),
+            ("run", {**RUN_BASE, "trials": 1e200}, ["trials must be at most 1000000, got 1e+200"]),
+            ("run", {**NOISY_BASE, "trials": 10**9},
+             ["trials must be at most 1000000, got 1000000000"]),
         ],
     )
     def test_message_names_the_field(self, tmp_path, capsys, command, payload, words):
@@ -531,10 +542,9 @@ def any_json(*numbers):
     )
 
 
-# huge finite floats overflow numpy and list sizes; a trial count takes
-# SMALL_JSON only, since a huge one is that many trials, not an input error
+# huge finite floats overflow numpy and list sizes, and a huge dimension or
+# trial count is above its ceiling
 ANY_JSON = any_json(st.sampled_from([1e308, -1e308, 1e200]))
-SMALL_JSON = any_json()
 PHASE = st.one_of(st.floats(-10, 10), st.just(1e300), pi_text(["", "/3", " / 2.5"]))
 GAMMA = st.floats(0, 1)
 # where a fuzzed value lands: a field, an entry of a field, or nothing
@@ -569,7 +579,7 @@ def configs(draw):
         ) | st.lists(GAMMA, min_size=1, max_size=5)
         doc.update(noise={"kind": noise["kind"]}, policy=policy, gamma_grid=draw(grid))
     for path in draw(st.lists(st.sampled_from(PATHS), max_size=3)):
-        value = draw(st.just(DROP) | (SMALL_JSON if path == ("trials",) else ANY_JSON))
+        value = draw(st.just(DROP) | ANY_JSON)
         parent = doc
         for key in path[:-1]:
             parent = parent.get(key) if isinstance(parent, dict) else None
@@ -620,6 +630,12 @@ class TestBoundaryFuzz:
 
     @given(case=configs())
     @example(case=("run", {**RUN_BASE, "alice_phases": ["pi/0", 0]}))
+    @example(case=("run", {**RUN_BASE, "dimension": 1e200}))
+    @example(case=("run", {**RUN_BASE, "dimension": 10**9}))
+    @example(case=("run", {**RUN_BASE, "trials": 1e200}))
+    @example(case=("run", {**RUN_BASE, "trials": 10**9}))
+    @example(case=("sweep", {**SWEEP_BASE, "dimension": 1e200}))
+    @example(case=("sweep", {**SWEEP_BASE, "dimension": 10**9}))
     @example(case=("sweep", {**SWEEP_BASE,
                              "gamma_grid": {"start": 1e308, "stop": -1e308, "steps": 3}}))
     @settings(max_examples=300, deadline=None)

@@ -3,13 +3,16 @@
 `perfbench/workloads.py` imports package names and `perfbench/tracer.py`
 wraps them by name. Deleting or renaming one of them breaks the benchmark,
 but its own smoke test runs whole workloads and sits outside this suite;
-loading both files by path here turns that into a fast failure.
+loading both files by path here turns that into a fast failure, and so
+does running each workload's tiny job through its own op and check.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from bcrsp.core import StateVector
 from bcrsp.session import Session
@@ -45,3 +48,15 @@ def test_tracer_installs_and_restores(monkeypatch):
     finally:
         spans.uninstall()
     assert [getattr(owner, name) for owner, name in spanned] == originals
+
+
+@pytest.mark.parametrize("name", ["sessions", "forced-grid", "noise-sweep"])
+def test_tiny_jobs_pass_their_checks(monkeypatch, tmp_path, name):
+    # every field a check reads must still be there and still be right
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    job = workload.build(1, "tiny")
+    workloads.fill_caches(job)
+    ctx = workloads.Context(out_dir=str(tmp_path))
+    failed = [op.tag for op in job if not workload.check(op, workload.run(op, ctx), ctx)]
+    assert job and failed == []

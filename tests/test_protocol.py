@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcrsp import protocol
-from bcrsp.core import ATOL, born_cdf, born_draw, measure, project, states_equal
+from bcrsp.cli import main
+from bcrsp.core import ATOL, StateVector, born_cdf, born_draw, measure, project, states_equal
 from bcrsp.protocol import (
     PROTOCOL_ORDER,
     ProtocolResult,
@@ -810,3 +813,97 @@ class TestBornTables:
             for view in views:
                 for arr in tables:
                     assert not np.shares_memory(view.amplitudes, arr)
+
+
+@pytest.fixture
+def built_states(monkeypatch):
+    """Every `StateVector` constructed while the fixture is active, in order."""
+    built = []
+    validate = StateVector.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    return built
+
+
+VIEWS = ("a1_before", "b2_before", "alice_final", "bob_final")
+
+
+class TestLazyViews:
+    @staticmethod
+    def _targets(n: int):
+        rng = np.random.default_rng(61 + n)
+        return random_phase_vector(n, rng), random_phase_vector(n, rng)
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_runs_and_sessions_build_no_state_until_a_view_is_read(self, n, built_states):
+        alice, bob = self._targets(n)
+        oc = OutcomeTuple(1, 0, n - 1, 1)
+
+        def results():
+            ses = new_session(alice, bob, n, seed=5)
+            ses.run_to_completion()
+            return [run_protocol(alice, bob, n, outcome=oc), run_protocol(alice, bob, n, rng=5),
+                    ses.result()]
+
+        results()  # the first runs fill the per-target caches, which build bases
+        del built_states[:]
+        for res in results():
+            assert built_states == []
+            assert all(res.recovered)
+            for count, name in enumerate(VIEWS, 1):
+                view = getattr(res, name)
+                assert len(built_states) == count and built_states[-1] is view
+                assert view.dims == (n,)
+                assert view.amplitudes.tobytes() == getattr(res, f"{name}_amps").tobytes()
+            del built_states[:]
+
+    def test_run_command_builds_no_state_per_trial(self, tmp_path, built_states):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dimension": 5, "alice_phases": [0.1, 0.2, 0.3, 0.4],
+                                   "bob_phases": ["pi/3", 0, 1, 2], "trials": 40, "seed": 9}))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        first = (tmp_path / "out.json").read_bytes()
+        del built_states[:]
+        assert main(argv) == 0
+        assert built_states == []
+        assert (tmp_path / "out.json").read_bytes() == first
+
+    def test_unnormalized_raw_array_fails_when_read(self):
+        res = run_protocol(*self._targets(3), 3, outcome=OutcomeTuple(0, 1, 2, 0))
+        fields = {name: getattr(res, name) for name in ProtocolResult.__dataclass_fields__}
+        fields["bob_final_amps"] = 2 * res.bob_final_amps
+        bad = ProtocolResult(**fields)
+        assert bad.alice_final is not None
+        with pytest.raises(ValueError, match="state is not normalized"):
+            bad.bob_final
+        with pytest.raises(ValueError, match="state is not normalized"):
+            bad.bob_final
+
+    def test_views_are_built_once(self):
+        res = run_protocol(*self._targets(4), 4, rng=11)
+        for name in VIEWS:
+            first = getattr(res, name)
+            assert getattr(res, name) is first
+            assert first.amplitudes is getattr(res, f"{name}_amps")
+            with pytest.raises(AttributeError):
+                setattr(res, name, first)
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_raw_arrays_are_read_only_and_not_cached_rows(self, n):
+        alice, bob = self._targets(n)
+        tables = [arr for target in (alice, bob) for arr in protocol._leg_table(target)]
+        for res in (run_protocol(alice, bob, n, outcome=OutcomeTuple(0, n - 1, 1, 0)),
+                    run_protocol(alice, bob, n, rng=13)):
+            for name in VIEWS:
+                amps = getattr(res, f"{name}_amps")
+                assert amps.shape == (n,) and amps.dtype == complex
+                assert not amps.flags.writeable
+                with pytest.raises(ValueError):
+                    amps[0] = 0
+                for arr in tables:
+                    assert not np.shares_memory(amps, arr), name
