@@ -73,8 +73,8 @@ class StateVector:
     normalized: bool = True
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
+        dims = tuple(map(int, self.dims))
+        if dims and min(dims) < 1:
             raise ValueError(f"invalid dims {dims}")
         object.__setattr__(self, "dims", dims)
         amps = _as_complex_vector(self.amplitudes)

@@ -42,6 +42,15 @@ class TestStateVector:
         with pytest.raises(ValueError, match="does not match dims"):
             StateVector((2, 2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("dims", [(0,), (2, 0), (3, -1), (-2,)])
+    def test_rejects_dims_below_one(self, dims):
+        with pytest.raises(ValueError, match=r"invalid dims \("):
+            StateVector(dims, np.array([1.0]))
+
+    def test_accepts_no_subsystems_and_integral_dims(self):
+        assert StateVector((), np.array([1.0])).dims == ()
+        assert StateVector((2.0, np.int64(2)), np.full(4, 0.5)).dims == (2, 2)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             StateVector((2,), np.array([1.0, 1.0]))
