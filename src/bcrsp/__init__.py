@@ -3,7 +3,6 @@ state preparation of equatorial qudit states in arbitrary dimension."""
 
 from .core import (
     ATOL,
-    WEIGHT_ATOL,
     BranchEnsemble,
     KrausSet,
     MeasurementBasis,
@@ -12,26 +11,20 @@ from .core import (
     apply_kraus,
     apply_on,
     basis_state,
-    fidelity,
     fidelity_density,
     measure,
     project,
     reduced_density,
-    states_equal,
     tensor,
 )
 from .noise import (
     NoiseKind,
     OutcomePolicy,
     compare_paper_vs_exact,
-    dephasing_kraus,
-    exact_fidelities,
     kraus_for,
     noisy_protocol_run,
     paper_fidelity_dephasing,
     paper_fidelity_phaseflip_equatorial,
-    phase_flip_kraus,
-    qudit_flip_kraus,
     run_fidelities,
 )
 from .optics import (
@@ -53,7 +46,6 @@ from .protocol import (
     PhaseVector,
     ProtocolResult,
     build_correction_table,
-    collapsed_state,
     correction_unitary,
     equatorial_state,
     fourier_basis,

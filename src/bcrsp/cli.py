@@ -91,6 +91,7 @@ def _number(raw, cast, name: str):
 # input error, rejected before any list or report row of that size is built
 MAX_DIMENSION = 1024
 MAX_TRIALS = 10**6
+MAX_GAMMA_STEPS = 10**6
 
 
 def _bounded(raw, name: str, low: int, high: int) -> int:
@@ -165,7 +166,7 @@ def _gamma_grid(raw) -> list[float]:
     if isinstance(raw, dict):
         start = _number(raw.get("start", 0.0), float, "gamma_grid start")
         stop = _number(raw.get("stop", 1.0), float, "gamma_grid stop")
-        steps = _number(raw.get("steps", 11), int, "gamma_grid steps")
+        steps = _bounded(raw.get("steps", 11), "gamma_grid steps", 0, MAX_GAMMA_STEPS)
         # the ends the grid holds, checked first so that 1e308 to -1e308 cannot overflow
         for end, value in (("start", start), ("stop", stop))[:steps]:
             if not 0.0 <= value <= 1.0:

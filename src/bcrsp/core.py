@@ -8,13 +8,13 @@ cheap but never unchecked. The weighted-list form (`BranchEnsemble`,
 `ensemble_from_density`) serves only the eigen-views of noisy results
 and the branch-by-branch oracles in the tests.
 
-The general tensor operations (`apply_on`, `project`,
-`projection_probabilities`, `measure`, `reduced_density`) share one idiom:
-move the target axes to the front with `np.moveaxis`, then do one matmul
-against the operator or the conjugated basis rows. The protocol engine and
-sessions do not need them, because a GHZ leg stays diagonal under every
-slot measurement; they carry each leg as its diagonal and share only the
-Born distribution, `born_cdf`, whose checks every sampled outcome passes.
+The general tensor operations (`apply_on`, `project`, `measure`,
+`reduced_density`) share one idiom: move the target axes to the front
+with `np.moveaxis`, then do one matmul against the operator or the
+conjugated basis rows. The protocol engine and sessions do not need them,
+because a GHZ leg stays diagonal under every slot measurement; they carry
+each leg as its diagonal and share only the Born distribution,
+`born_cdf`, whose checks every sampled outcome passes.
 `born_draw` inverts that cumulative distribution at one `rng.random()`,
 exactly as `Generator.choice` does, so seeded outcomes are those of
 `rng.choice`; the engine caches the CDFs per target and makes only that
@@ -110,11 +110,6 @@ def basis_state(dim: int, index: int) -> StateVector:
 def same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     """Equality of normalized amplitude arrays up to a global phase."""
     return abs(abs(complex(np.vdot(a, b))) - 1.0) <= ATOL
-
-
-def states_equal(a: StateVector, b: StateVector) -> bool:
-    """Equality up to a global phase: | <a|b> | = 1 within ATOL."""
-    return a.dims == b.dims and same_ray(a.amplitudes, b.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -380,22 +375,6 @@ def project(
     return prob, StateVector(rest_dims, remainder / np.sqrt(prob), normalized=state.normalized)
 
 
-def _born(bras: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Unclipped Born probabilities of every bra against the target rows."""
-    return np.sum(np.abs(bras @ rows) ** 2, axis=1)
-
-
-def projection_probabilities(
-    state: StateVector, basis: MeasurementBasis, target: int
-) -> np.ndarray:
-    """Born probabilities of all outcomes of measuring `target` in `basis`."""
-    dims = state.dims
-    _check_target(target, dims)
-    if basis.dim != dims[target]:
-        raise ValueError(f"basis dim {basis.dim} != subsystem dim {dims[target]}")
-    return _born(basis.matrix().conj(), _front_rows(state.tensor_view(), (target,)))
-
-
 def measure(
     state: StateVector,
     basis: MeasurementBasis,
@@ -413,7 +392,7 @@ def measure(
     if not state.normalized:
         amps = amps / np.linalg.norm(amps)
     bras, rows = basis.matrix().conj(), _front_rows(amps, (target,))
-    outcome = born_draw(_born(bras, rows), rng)
+    outcome = born_draw(np.sum(np.abs(bras @ rows) ** 2, axis=1), rng)
     # contract the drawn bra on its own, as `project` does: row `outcome`
     # of `bras @ rows` can differ from that in the last bits
     remainder = bras[outcome] @ rows
@@ -452,20 +431,8 @@ def _unnormalized(state: StateVector) -> StateVector:
     return StateVector(state.dims, state.amplitudes, normalized=False)
 
 
-def fidelity(target: StateVector, ens: BranchEnsemble | StateVector) -> float:
-    """sqrt(<target| rho |target>) between a pure target and a mixture."""
-    if isinstance(ens, StateVector):
-        ens = BranchEnsemble.pure(ens)
-    if ens.dims != target.dims:
-        raise ValueError(f"dimension mismatch: {target.dims} vs {ens.dims}")
-    acc = 0.0
-    for w, s in ens.branches:
-        acc += w * abs(target.overlap(s)) ** 2
-    return float(np.sqrt(acc))
-
-
 def fidelity_density(target: StateVector, rho: np.ndarray) -> float:
-    """Same quantity computed straight from a density matrix."""
+    """sqrt(<target| rho |target>) between a pure target and a density matrix."""
     v = target.amplitudes
     return float(np.sqrt(max(np.real(np.vdot(v, rho @ v)), 0.0)))
 

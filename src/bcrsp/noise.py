@@ -17,7 +17,7 @@ Kraus history without enumerating them. The closed-form fidelity expressions
 quoted alongside are reference evaluators only; agreement with the exact
 simulation is reported, never assumed.
 
-The public builders return each channel use as a `KrausSet` from one raw
+`kraus_for` returns each channel use as a `KrausSet` from one raw
 (K, N, N) stack, filled by fancy indexing and checked for completeness in
 one matmul.
 """
@@ -81,7 +81,8 @@ def _kraus_stack(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
     Dephasing: diag(1, sqrt(1-g), ..., sqrt(1-g)), then sqrt(g) |s><s| for
     s = 1..N-1. Shift kinds: sqrt(1-(N-1)g/N) times the identity, then
     c sum_j e^{i 2pi ja/N} |j+b><j| with c = sqrt(g/N), a = 0, b = 1..N-1
-    (flip) or c = sqrt(g/(N(N-1))), a, b = 1..N-1, a outer (shift and phase).
+    (flip) or c = sqrt(g/(N(N-1))), a, b = 1..N-1, a outer (shift and phase:
+    both indices nonzero, the one zero pattern that keeps the set complete).
     Raises ValueError when sum_k K_k+ K_k departs from the identity by more
     than ATOL.
     """
@@ -107,26 +108,6 @@ def _kraus_stack(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
     if not dev <= ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
     return stack
-
-
-def qudit_flip_kraus(gamma: float, n: int = 4) -> KrausSet:
-    """Cyclic-shift errors: identity with weight 1-(N-1)g/N, each shift with g/N."""
-    return kraus_for(NoiseKind.QUDIT_FLIP, gamma, n)
-
-
-def dephasing_kraus(gamma: float, n: int = 4) -> KrausSet:
-    """Diagonal damping of the |j>0> amplitudes plus projective residues."""
-    return kraus_for(NoiseKind.DEPHASING, gamma, n)
-
-
-def phase_flip_kraus(gamma: float, n: int = 4) -> KrausSet:
-    """Combined shift-and-phase errors.
-
-    Besides the identity (weight 1-(N-1)g/N) only operators with BOTH a
-    nonzero phase index and a nonzero shift index appear, each with weight
-    g/(N(N-1)); that zero pattern is the unique completeness-consistent one.
-    """
-    return kraus_for(NoiseKind.QUDIT_PHASE_FLIP, gamma, n)
 
 
 def kraus_for(kind: NoiseKind, gamma: float, n: int = 4) -> KrausSet:
@@ -269,19 +250,6 @@ def run_fidelities(
         fidelity_density(equatorial_state(bob), run.rho_a1),
         fidelity_density(equatorial_state(alice), run.rho_b2),
     )
-
-
-def exact_fidelities(
-    alice: PhaseVector,
-    bob: PhaseVector,
-    n: int,
-    noise: NoiseKind,
-    gamma: float,
-    policy: OutcomePolicy = OutcomePolicy.AVERAGED,
-) -> tuple[float, float]:
-    """Exact (A1, B2) fidelities against the two targets."""
-    run = noisy_protocol_run(alice, bob, n, noise, gamma, policy)
-    return run_fidelities(run, alice, bob)
 
 
 # ---------------------------------------------------------------------------

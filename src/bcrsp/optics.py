@@ -332,10 +332,6 @@ def sender_network(p: PhaseVector) -> InterferometerNetwork:
     return InterferometerNetwork(dim=p.dim, elements=base.elements + input_phases)
 
 
-def sender_network_matrix(p: PhaseVector) -> np.ndarray:
-    return compose_network(sender_network(p))
-
-
 def correction_circuit(k: int, n: int = 4) -> list[PhaseShifter]:
     """Phase-shifter bank realizing the diagonal feed-forward unitary U_k."""
     if not 0 <= k < n:

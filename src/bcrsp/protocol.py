@@ -250,30 +250,19 @@ def correction_unitary(k: int, n: int) -> Operator:
 
 
 def _collapsed_rows(p: PhaseVector) -> np.ndarray:
-    """Row idx holds the amplitudes of collapsed_state(p, idx)."""
-    return np.conj(phase_table(p.dim)) * np.exp(1j * p.full()) / np.sqrt(p.dim)
+    """Row idx: the post-measurement remainder with e^{-i 2pi j idx/N} alongside
+    the target phases.
 
-
-def collapsed_state(p: PhaseVector, idx: int) -> StateVector:
-    """Post-measurement remainder with e^{-i 2pi j idx/N} alongside the target phases.
-
-    The exponent sign is the one that makes correction_unitary(idx) map this
-    state back onto equatorial_state(p).
+    The exponent sign is the one that makes correction_unitary(idx) map row
+    idx back onto equatorial_state(p).
     """
-    if not 0 <= idx < p.dim:
-        raise ValueError(f"index {idx} out of range for dim {p.dim}")
-    return StateVector((p.dim,), _collapsed_rows(p)[idx])
+    return np.conj(phase_table(p.dim)) * np.exp(1j * p.full()) / np.sqrt(p.dim)
 
 
 @functools.lru_cache(maxsize=16)
 def channel_state(n: int) -> StateVector:
     """The full resource: GHZ on (A1,B1,C1) tensor GHZ on (A2,B2,C2)."""
     return tensor(ghz_state(n), ghz_state(n))
-
-
-def mod_add(a: int, b: int, n: int) -> int:
-    """The outcome-combination rule: addition modulo N."""
-    return (a + b) % n
 
 
 @functools.lru_cache(maxsize=1024)
@@ -421,8 +410,8 @@ def finish(
     """
     n = alice.dim
     rule = CorrectionRule(
-        a1_index=mod_add(outcome.m, outcome.n, n),
-        b2_index=mod_add(outcome.k, outcome.l, n),
+        a1_index=(outcome.m + outcome.n) % n,
+        b2_index=(outcome.k + outcome.l) % n,
     )
     a1_before, b2_before = legs
     table = phase_table(n)
@@ -511,7 +500,7 @@ def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     return {
-        oc: CorrectionRule(mod_add(oc.m, oc.n, n), mod_add(oc.k, oc.l, n))
+        oc: CorrectionRule((oc.m + oc.n) % n, (oc.k + oc.l) % n)
         for oc in all_outcomes(n)
     }
 

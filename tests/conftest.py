@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bcrsp.noise import NoiseKind, exact_fidelities
+from bcrsp.noise import NoiseKind, noisy_protocol_run, run_fidelities
 from bcrsp.protocol import PhaseVector
 
 GAMMA_GRID = tuple(np.linspace(0.0, 1.0, 11))
@@ -20,7 +20,10 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _sweep(kind: NoiseKind) -> dict[float, tuple[float, float]]:
     zero = PhaseVector.zero(4)
-    return {g: exact_fidelities(zero, zero, 4, kind, g) for g in GAMMA_GRID}
+    return {
+        g: run_fidelities(noisy_protocol_run(zero, zero, 4, kind, g), zero, zero)
+        for g in GAMMA_GRID
+    }
 
 
 @pytest.fixture(scope="session")

@@ -253,6 +253,10 @@ class TestMalformedConfig:
             ("run", {**RUN_BASE, "trials": 1e200}, ["trials must be at most 1000000, got 1e+200"]),
             ("run", {**NOISY_BASE, "trials": 10**9},
              ["trials must be at most 1000000, got 1000000000"]),
+            ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": 10**9}},
+             ["gamma_grid steps must be at most 1000000, got 1000000000"]),
+            ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": -1}},
+             ["gamma_grid steps must be at least 0, got -1"]),
         ],
     )
     def test_message_names_the_field(self, tmp_path, capsys, command, payload, words):
@@ -638,6 +642,8 @@ class TestBoundaryFuzz:
     @example(case=("sweep", {**SWEEP_BASE, "dimension": 10**9}))
     @example(case=("sweep", {**SWEEP_BASE,
                              "gamma_grid": {"start": 1e308, "stop": -1e308, "steps": 3}}))
+    @example(case=("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": 10**9}}))
+    @example(case=("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": -1}}))
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_one_line_errors(self, case):
         command, doc = case

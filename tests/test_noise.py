@@ -10,14 +10,11 @@ from bcrsp.noise import (
     OutcomePolicy,
     closed_form_fidelity,
     compare_paper_vs_exact,
-    dephasing_kraus,
-    exact_fidelities,
     kraus_for,
     noisy_protocol_run,
     paper_fidelity_dephasing,
     paper_fidelity_phaseflip_equatorial,
-    phase_flip_kraus,
-    qudit_flip_kraus,
+    run_fidelities,
 )
 from bcrsp.protocol import (
     OutcomeTuple,
@@ -51,13 +48,13 @@ def exact_dephasing_equatorial(gamma: float) -> float:
 
 class TestKrausSets:
     def test_flip_zero_strength_is_identity_only(self):
-        chan = qudit_flip_kraus(0.0, 4)
+        chan = kraus_for(NoiseKind.QUDIT_FLIP, 0.0, 4)
         assert len(chan.operators) == 1
         np.testing.assert_array_equal(chan.operators[0].entries, np.eye(4))
 
     def test_flip_coefficients(self):
         gamma = 0.52
-        chan = qudit_flip_kraus(gamma, 4)
+        chan = kraus_for(NoiseKind.QUDIT_FLIP, gamma, 4)
         assert len(chan.operators) == 4
         np.testing.assert_allclose(
             chan.operators[0].entries, np.sqrt(1 - 3 * gamma / 4) * np.eye(4), atol=1e-15
@@ -70,18 +67,18 @@ class TestKrausSets:
         )
 
     def test_flip_full_strength_coefficients(self):
-        chan = qudit_flip_kraus(1.0, 4)
+        chan = kraus_for(NoiseKind.QUDIT_FLIP, 1.0, 4)
         assert len(chan.operators) == 4
         for op in chan.operators:
             np.testing.assert_allclose(np.abs(op.entries[op.entries != 0]), 0.5, atol=1e-15)
 
     def test_dephasing_zero_strength(self):
-        chan = dephasing_kraus(0.0, 4)
+        chan = kraus_for(NoiseKind.DEPHASING, 0.0, 4)
         assert len(chan.operators) == 1
         np.testing.assert_array_equal(chan.operators[0].entries, np.eye(4))
 
     def test_dephasing_full_strength(self):
-        chan = dephasing_kraus(1.0, 4)
+        chan = kraus_for(NoiseKind.DEPHASING, 1.0, 4)
         np.testing.assert_allclose(
             chan.operators[0].entries, np.diag([1.0, 0, 0, 0]), atol=1e-15
         )
@@ -92,7 +89,7 @@ class TestKrausSets:
 
     def test_dephasing_generic_form(self):
         gamma = 0.3
-        chan = dephasing_kraus(gamma, 4)
+        chan = kraus_for(NoiseKind.DEPHASING, gamma, 4)
         np.testing.assert_allclose(
             chan.operators[0].entries,
             np.diag([1.0] + [np.sqrt(1 - gamma)] * 3),
@@ -100,14 +97,14 @@ class TestKrausSets:
         )
 
     def test_phase_flip_operator_count(self):
-        assert len(phase_flip_kraus(0.0, 4).operators) == 1
-        assert len(phase_flip_kraus(0.4, 4).operators) == 10
-        assert len(phase_flip_kraus(1.0, 4).operators) == 10
+        assert len(kraus_for(NoiseKind.QUDIT_PHASE_FLIP, 0.0, 4).operators) == 1
+        assert len(kraus_for(NoiseKind.QUDIT_PHASE_FLIP, 0.4, 4).operators) == 10
+        assert len(kraus_for(NoiseKind.QUDIT_PHASE_FLIP, 1.0, 4).operators) == 10
 
     def test_phase_flip_spot_operator(self):
         # phase index 1, shift index 1: sqrt(g/12) sum_j e^{i pi j/2}|j+1><j|
         gamma = 0.6
-        chan = phase_flip_kraus(gamma, 4)
+        chan = kraus_for(NoiseKind.QUDIT_PHASE_FLIP, gamma, 4)
         expected = np.zeros((4, 4), dtype=complex)
         for j in range(4):
             expected[(j + 1) % 4, j] = np.exp(1j * np.pi * j / 2)
@@ -116,7 +113,7 @@ class TestKrausSets:
         )
 
     def test_phase_flip_completeness_tight(self):
-        chan = phase_flip_kraus(0.6, 4)
+        chan = kraus_for(NoiseKind.QUDIT_PHASE_FLIP, 0.6, 4)
         assert chan.completeness_deviation(chan.operators) <= 1e-12
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
@@ -161,13 +158,6 @@ def reference_kraus(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
     return np.array(ops)
 
 
-BUILDERS = {
-    NoiseKind.QUDIT_FLIP: qudit_flip_kraus,
-    NoiseKind.DEPHASING: dephasing_kraus,
-    NoiseKind.QUDIT_PHASE_FLIP: phase_flip_kraus,
-}
-
-
 class TestKrausStack:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_public_builders_equal_raw_stack_bitwise(self, kind):
@@ -175,10 +165,9 @@ class TestKrausStack:
             for gamma in (0.0, 0.123456, 0.37, 1.0):
                 stack = noise._kraus_stack(kind, gamma, n)
                 assert stack.tobytes() == reference_kraus(kind, gamma, n).tobytes()
-                for chan in (BUILDERS[kind](gamma, n), kraus_for(kind, gamma, n)):
-                    ops = np.array([op.entries for op in chan.operators])
-                    assert ops.shape == stack.shape
-                    assert ops.tobytes() == stack.tobytes()
+                ops = np.array([op.entries for op in kraus_for(kind, gamma, n).operators])
+                assert ops.shape == stack.shape
+                assert ops.tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_corrupted_shape_is_not_complete(self, kind, monkeypatch):
@@ -392,7 +381,8 @@ class TestLegChannels:
     @given(noisy_cases())
     def test_fidelities_follow_the_autocorrelation_laws(self, case):
         alice, bob, n, kind, gamma, policy, _ = case
-        f_a1, f_b2 = exact_fidelities(alice, bob, n, kind, gamma, policy)
+        run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
+        f_a1, f_b2 = run_fidelities(run, alice, bob)
         assert abs(f_a1 - law_fidelity(kind, gamma, n, autocorrelation_power(bob))) <= 1e-14
         assert abs(f_b2 - law_fidelity(kind, gamma, n, autocorrelation_power(alice))) <= 1e-14
 
@@ -403,10 +393,12 @@ class TestLegChannels:
         for kind in NoiseKind:
             for gamma in (0.0, 0.37, 1.0):
                 law = law_fidelity(kind, gamma, n, 1.0)
-                for f in exact_fidelities(target, target, n, kind, gamma):
+                run = noisy_protocol_run(target, target, n, kind, gamma)
+                for f in run_fidelities(run, target, target):
                     assert abs(f - law) <= 1e-14
         # the worst target for qudit flip: F^2 = 1 - g + g/N
-        f_a1, _ = exact_fidelities(target, target, n, NoiseKind.QUDIT_FLIP, 1.0)
+        run = noisy_protocol_run(target, target, n, NoiseKind.QUDIT_FLIP, 1.0)
+        f_a1, _ = run_fidelities(run, target, target)
         assert f_a1**2 == pytest.approx(1 / n, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
@@ -415,10 +407,12 @@ class TestLegChannels:
             target = linear_phase(n, k)
             assert autocorrelation_power(target) == pytest.approx(n, abs=1e-12)
             for gamma in (0.37, 1.0):
-                for f in exact_fidelities(target, target, n, NoiseKind.QUDIT_FLIP, gamma):
+                run = noisy_protocol_run(target, target, n, NoiseKind.QUDIT_FLIP, gamma)
+                for f in run_fidelities(run, target, target):
                     assert abs(f - 1.0) <= 1e-14
                 law = law_fidelity(NoiseKind.QUDIT_PHASE_FLIP, gamma, n, n)
-                for f in exact_fidelities(target, target, n, NoiseKind.QUDIT_PHASE_FLIP, gamma):
+                run = noisy_protocol_run(target, target, n, NoiseKind.QUDIT_PHASE_FLIP, gamma)
+                for f in run_fidelities(run, target, target):
                     assert abs(f - law) <= 1e-14
 
 
@@ -511,8 +505,10 @@ class TestExactEvaluator:
     def test_swap_symmetry(self):
         rng = np.random.default_rng(13)
         alice, bob = random_phase_vector(4, rng), random_phase_vector(4, rng)
-        fa1, fb1 = exact_fidelities(alice, bob, 4, NoiseKind.DEPHASING, 0.37)
-        fa2, fb2 = exact_fidelities(bob, alice, 4, NoiseKind.DEPHASING, 0.37)
+        run = noisy_protocol_run(alice, bob, 4, NoiseKind.DEPHASING, 0.37)
+        fa1, fb1 = run_fidelities(run, alice, bob)
+        run = noisy_protocol_run(bob, alice, 4, NoiseKind.DEPHASING, 0.37)
+        fa2, fb2 = run_fidelities(run, bob, alice)
         assert fa1 == pytest.approx(fb2, abs=1e-12)
         assert fb1 == pytest.approx(fa2, abs=1e-12)
 
@@ -571,7 +567,8 @@ class TestExactEvaluator:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
         flat = PhaseVector.zero(n)
-        f_a1, f_b2 = exact_fidelities(flat, flat, n, NoiseKind.QUDIT_FLIP, 0.7)
+        run = noisy_protocol_run(flat, flat, n, NoiseKind.QUDIT_FLIP, 0.7)
+        f_a1, f_b2 = run_fidelities(run, flat, flat)
         assert f_a1 == pytest.approx(1.0, abs=1e-10)
         assert f_b2 == pytest.approx(1.0, abs=1e-10)
 

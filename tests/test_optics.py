@@ -26,7 +26,6 @@ from bcrsp.optics import (
     reck_decompose,
     reconstruction_error,
     sender_network,
-    sender_network_matrix,
     verify_correction_circuits,
 )
 from bcrsp.protocol import PhaseVector, correction_unitary, ghz_state, sender_basis
@@ -259,7 +258,7 @@ class TestQuotedNetwork:
 
 class TestSenderNetwork:
     def test_zero_phases_reduce_to_controller_network(self):
-        mat = sender_network_matrix(PhaseVector.zero(4))
+        mat = compose_network(sender_network(PhaseVector.zero(4)))
         np.testing.assert_allclose(mat, controller_basis_matrix(4), atol=1e-10)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -267,7 +266,7 @@ class TestSenderNetwork:
         rng = np.random.default_rng(seed)
         p = random_phase_vector(4, rng)
         np.testing.assert_allclose(
-            sender_network_matrix(p), sender_basis(p).matrix(), atol=1e-10
+            compose_network(sender_network(p)), sender_basis(p).matrix(), atol=1e-10
         )
 
     def test_receiver_side_same_construction(self):
@@ -275,7 +274,7 @@ class TestSenderNetwork:
         rng = np.random.default_rng(9)
         p = random_phase_vector(4, rng)
         np.testing.assert_allclose(
-            sender_network_matrix(p), sender_basis(p).matrix(), atol=1e-10
+            compose_network(sender_network(p)), sender_basis(p).matrix(), atol=1e-10
         )
 
     def test_input_shifters_factor_out(self):
@@ -290,7 +289,7 @@ class TestSenderNetwork:
         rng = np.random.default_rng(12)
         p = random_phase_vector(5, rng)
         np.testing.assert_allclose(
-            sender_network_matrix(p), sender_basis(p).matrix(), atol=1e-10
+            compose_network(sender_network(p)), sender_basis(p).matrix(), atol=1e-10
         )
 
 
