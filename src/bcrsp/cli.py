@@ -22,7 +22,7 @@ from .core import random_unitary, unitarity_deviation
 from .noise import (
     NoiseKind,
     OutcomePolicy,
-    closed_form_fidelity,
+    compare_paper_vs_exact,
     kraus_for,
     noisy_protocol_run,
     run_fidelities,
@@ -74,11 +74,12 @@ def _fmt(x: float) -> str:
 def _number(raw, cast, name: str):
     """cast(raw), reporting a value of the wrong type as a ValueError.
 
-    A boolean is not a number, and an integer field takes a float only when
-    it is integral (4.0, not 2.7), so no value is silently truncated.
+    A boolean or a string is not a number, and an integer field takes a
+    float only when it is integral (4.0, not 2.7), so no value is silently
+    truncated.
     """
     truncates = cast is int and isinstance(raw, float) and not raw.is_integer()
-    if not isinstance(raw, bool) and not truncates:
+    if not isinstance(raw, (bool, str)) and not truncates:
         try:
             return cast(raw)
         except (TypeError, ValueError, OverflowError):
@@ -251,34 +252,30 @@ def cmd_sweep(args) -> int:
     bob = _phase_vector(n, cfg.get("bob_phases", [0.0] * (n - 1)), "bob_phases")
     noise_cfg = _noise_block(cfg.get("noise", {}), ("kind",))
     kind = _choice(NoiseKind, noise_cfg["kind"], "noise kind")
-    policy = _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
+    # checked, not passed on: the policy changes only diagnostics, which a sweep does not print
+    _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
     grid = _gamma_grid(cfg.get("gamma_grid"))
 
-    rows = []
-    for gamma in grid:
-        run = noisy_protocol_run(alice, bob, n, kind, gamma, policy)
-        f_a1, f_b2 = run_fidelities(run, alice, bob)
-        paper = closed_form_fidelity(kind, bob, gamma)
-        rows.append((gamma, f_a1, f_b2, paper))
+    rows = compare_paper_vs_exact(kind, alice, bob, grid, n).rows
 
     if args.format == "json":
         doc = [
             {
-                "gamma": g,
-                "exact_fidelity_A1": fa,
-                "exact_fidelity_B2": fb,
-                "paper_fidelity": p,
-                "deviation": None if p is None else abs(fa - p),
+                "gamma": r.gamma,
+                "exact_fidelity_A1": r.exact_a1,
+                "exact_fidelity_B2": r.exact_b2,
+                "paper_fidelity": r.paper,
+                "deviation": r.deviation,
             }
-            for g, fa, fb, p in rows
+            for r in rows
         ]
         _write_out(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = ["gamma,exact_fidelity_A1,exact_fidelity_B2,paper_fidelity,deviation"]
-        for g, fa, fb, p in rows:
-            paper_s = "" if p is None else _fmt(p)
-            dev_s = "" if p is None else _fmt(abs(fa - p))
-            lines.append(f"{_fmt(g)},{_fmt(fa)},{_fmt(fb)},{paper_s},{dev_s}")
+        for r in rows:
+            paper_s = "" if r.paper is None else _fmt(r.paper)
+            dev_s = "" if r.deviation is None else _fmt(r.deviation)
+            lines.append(f"{_fmt(r.gamma)},{_fmt(r.exact_a1)},{_fmt(r.exact_b2)},{paper_s},{dev_s}")
         _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -363,7 +360,7 @@ def cmd_decompose(args) -> int:
         return 1
     net = optics.reck_decompose(mat)
     err = optics.reconstruction_error(net, mat)
-    doc = json.loads(optics.network_to_json(net))
+    doc = optics._network_doc(net)
     doc["reconstruction_error"] = _fmt(err)
     doc["beam_splitters"] = len(net.beam_splitters())
     doc["phase_shifters"] = len(net.phase_shifters())

@@ -15,11 +15,12 @@ conjugated basis rows. The protocol engine and sessions do not need them,
 because a GHZ leg stays diagonal under every slot measurement; they carry
 each leg as its diagonal and share only the Born distribution,
 `born_cdf`, whose checks every sampled outcome passes.
-`born_draw` inverts that cumulative distribution at one `rng.random()`,
-exactly as `Generator.choice` does, so seeded outcomes are those of
-`rng.choice`; the engine caches the CDFs per target and makes only that
-last step per draw. `_json_object` and `_json_integer` read the fields
-of the JSON documents that transcripts and interferometer networks load.
+`born_draw` inverts that cumulative distribution at one `rng.random()`
+(`_invert_cdf`), exactly as `Generator.choice` does, so seeded outcomes
+are those of `rng.choice`; the engine caches the CDFs per target and
+makes only that last step per draw. `_json_object` and `_json_integer`
+read the fields of the JSON documents that transcripts and
+interferometer networks load.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class MeasurementBasis:
         for v in vecs:
             if v.dims != (self.dim,):
                 raise ValueError(f"basis vector dims {v.dims} != ({self.dim},)")
-        gram = self.matrix() @ self.matrix().conj().T
-        dev = float(np.max(np.abs(gram - np.eye(self.dim))))
+        # the rows are orthonormal when the matrix of columns is unitary
+        dev = unitarity_deviation(self.matrix().conj().T)
         if not dev <= ATOL:
             raise ValueError(f"basis is not orthonormal (deviation {dev:.3e})")
         object.__setattr__(self, "vectors", vecs)
@@ -350,7 +351,12 @@ def born_draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     without re-checking `p`. A caller that draws often from one
     distribution can keep its `born_cdf` and make only the last step.
     """
-    return int(born_cdf(probs).searchsorted(rng.random(), side="right"))
+    return _invert_cdf(born_cdf(probs), rng)
+
+
+def _invert_cdf(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The outcome index whose interval of `cdf` holds one `rng.random()`."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def project(
@@ -434,6 +440,8 @@ def _unnormalized(state: StateVector) -> StateVector:
 def fidelity_density(target: StateVector, rho: np.ndarray) -> float:
     """sqrt(<target| rho |target>) between a pure target and a density matrix."""
     v = target.amplitudes
+    if rho.shape != (len(v), len(v)):
+        raise ValueError(f"target dims {target.dims} do not match rho shape {rho.shape}")
     return float(np.sqrt(max(np.real(np.vdot(v, rho @ v)), 0.0)))
 
 

@@ -115,6 +115,17 @@ def element_matrix(el: NetworkElement, n: int) -> np.ndarray:
     return ps_matrix(el, n).entries
 
 
+def _mix_columns(lo: list, hi: list, omega: float, phi: float, rows: int) -> None:
+    """Right-multiply columns (lo, hi) = (n, m) by the coupler block, in rows 0..rows-1."""
+    ph = cmath.exp(1j * phi)
+    s, c = math.sin(omega), math.cos(omega)
+    ps, pc = ph * s, ph * c
+    for i in range(rows):
+        x, y = lo[i], hi[i]
+        lo[i] = x * ps + y * c
+        hi[i] = x * pc - y * s
+
+
 def compose_network(net: InterferometerNetwork) -> np.ndarray:
     """The product of the element matrices in list order.
 
@@ -125,14 +136,7 @@ def compose_network(net: InterferometerNetwork) -> np.ndarray:
     cols = np.eye(net.dim, dtype=complex).tolist()  # cols[j] is column j
     for el in net.elements:
         if isinstance(el, BeamSplitter):
-            ph = cmath.exp(1j * el.phi)
-            s, c = math.sin(el.omega), math.cos(el.omega)
-            ps, pc = ph * s, ph * c
-            lo, hi = cols[el.n], cols[el.m]
-            for i in range(net.dim):
-                x, y = lo[i], hi[i]
-                lo[i] = x * ps + y * c
-                hi[i] = x * pc - y * s
+            _mix_columns(cols[el.n], cols[el.m], el.omega, el.phi, net.dim)
         else:
             ph = cmath.exp(1j * el.theta)
             cols[el.mode] = [x * ph for x in cols[el.mode]]
@@ -211,13 +215,7 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetwork:
             omega = math.atan2(abs(b), abs(a))
             phi = math.pi + cmath.phase(b) - cmath.phase(a)
             splitters.append(BeamSplitter(m=r, n=c, omega=omega, phi=phi))
-            s, co = math.sin(omega), math.cos(omega)
-            ph = cmath.exp(1j * phi)
-            ps, pc = ph * s, ph * co
-            for i in range(r + 1):
-                x, y = left[i], right[i]
-                left[i] = x * ps + y * co
-                right[i] = x * pc - y * s
+            _mix_columns(left, right, omega, phi, r + 1)
     shifters = tuple(
         PhaseShifter(mode=i, theta=-cmath.phase(cols[i][i])) for i in range(n)
     )
@@ -291,16 +289,10 @@ def paper_network_4d() -> FixedNetworkReport:
     def dev(mat: np.ndarray) -> float:
         return float(np.max(np.abs(mat - target)))
 
-    bs_mats = [element_matrix(b, 4) for b in splitters]
-    ps_mat = np.eye(4, dtype=complex)
-    for s in shifters:
-        ps_mat = ps_mat @ element_matrix(s, 4)
-    chain = np.eye(4, dtype=complex)
-    for m in bs_mats:
-        chain = chain @ m
-    chain_dag = np.eye(4, dtype=complex)
-    for m in bs_mats:
-        chain_dag = chain_dag @ m.conj().T
+    ps_mat = compose_network(InterferometerNetwork(4, shifters))
+    chain = compose_network(InterferometerNetwork(4, splitters))
+    # T21+ T31+ ... T43+ is the conjugate transpose of the reversed chain
+    chain_dag = compose_network(InterferometerNetwork(4, splitters[::-1])).conj().T
     alternates = {
         "phase_layer_last": dev(chain @ ps_mat),
         "daggered_couplers": dev(ps_mat @ chain_dag),
@@ -345,10 +337,7 @@ def correction_circuit(k: int, n: int = 4) -> list[PhaseShifter]:
 
 
 def correction_circuit_matrix(k: int, n: int = 4) -> np.ndarray:
-    out = np.eye(n, dtype=complex)
-    for ps in correction_circuit(k, n):
-        out = out @ ps_matrix(ps, n).entries
-    return out
+    return compose_network(InterferometerNetwork(n, tuple(correction_circuit(k, n))))
 
 
 def verify_correction_circuits(n: int = 4) -> bool:
@@ -363,16 +352,19 @@ def verify_correction_circuits(n: int = 4) -> bool:
 # serialization
 
 
+def _network_doc(net: InterferometerNetwork) -> dict:
+    """The JSON object of a network: its dim and one object per element."""
+    elements = [
+        {"kind": "bs", "modes": [el.m, el.n], "omega": el.omega, "phi": el.phi}
+        if isinstance(el, BeamSplitter)
+        else {"kind": "ps", "mode": el.mode, "theta": el.theta}
+        for el in net.elements
+    ]
+    return {"dim": net.dim, "elements": elements}
+
+
 def network_to_json(net: InterferometerNetwork) -> str:
-    elements = []
-    for el in net.elements:
-        if isinstance(el, BeamSplitter):
-            elements.append(
-                {"kind": "bs", "modes": [el.m, el.n], "omega": el.omega, "phi": el.phi}
-            )
-        else:
-            elements.append({"kind": "ps", "mode": el.mode, "theta": el.theta})
-    return json.dumps({"dim": net.dim, "elements": elements}, indent=2) + "\n"
+    return json.dumps(_network_doc(net), indent=2) + "\n"
 
 
 def _angle(value, key: str, where: str) -> float:

@@ -48,6 +48,7 @@ from .core import (
     MeasurementBasis,
     Operator,
     StateVector,
+    _invert_cdf,
     born_cdf,
     same_ray,
     tensor,
@@ -115,25 +116,6 @@ class CorrectionRule:
     b2_index: int
 
 
-def _state_view(name: str) -> property:
-    """A read-only property: the validated `StateVector` of the raw field `name`_amps.
-
-    It is built on first read, with `StateVector`'s norm check, and kept in
-    the instance `__dict__`, so later reads return the same object.
-    """
-    raw = f"{name}_amps"
-
-    def view(self) -> StateVector:
-        cache = self.__dict__
-        state = cache.get(name)
-        if state is None:
-            amps = cache[raw]
-            state = cache[name] = StateVector(amps.shape, amps)
-        return state
-
-    return property(view, doc=f"`{raw}` as a one-qudit `StateVector`.")
-
-
 @dataclass(frozen=True)
 class ProtocolResult:
     """One run: the outcome tuple, its probability, the corrections and whether
@@ -142,8 +124,9 @@ class ProtocolResult:
     The one-qudit remainders of A1 and B2 before correction and the
     corrected outputs are kept as raw read-only amplitude arrays (the `_amps`
     fields). `a1_before`, `b2_before`, `alice_final` and `bob_final` are
-    their `StateVector` views, validated and built on first read, so a run
-    whose caller reads only `recovered` builds none.
+    their `StateVector` views, validated and built on first read and then
+    kept (`functools.cached_property`), so a run whose caller reads only
+    `recovered` builds none.
     """
 
     outcome: OutcomeTuple
@@ -155,10 +138,32 @@ class ProtocolResult:
     bob_final_amps: np.ndarray
     recovered: tuple[bool, bool]
 
-    a1_before = _state_view("a1_before")
-    b2_before = _state_view("b2_before")
-    alice_final = _state_view("alice_final")
-    bob_final = _state_view("bob_final")
+    @functools.cached_property
+    def a1_before(self) -> StateVector:
+        return StateVector(self.a1_before_amps.shape, self.a1_before_amps)
+
+    @functools.cached_property
+    def b2_before(self) -> StateVector:
+        return StateVector(self.b2_before_amps.shape, self.b2_before_amps)
+
+    @functools.cached_property
+    def alice_final(self) -> StateVector:
+        return StateVector(self.alice_final_amps.shape, self.alice_final_amps)
+
+    @functools.cached_property
+    def bob_final(self) -> StateVector:
+        return StateVector(self.bob_final_amps.shape, self.bob_final_amps)
+
+
+def _correction_rule(outcome: OutcomeTuple, n: int) -> CorrectionRule:
+    """U_{m+n} on A1 (C1 with B1) and U_{k+l} on B2 (C2 with A2), indices mod N."""
+    return CorrectionRule((outcome.m + outcome.n) % n, (outcome.k + outcome.l) % n)
+
+
+def _check_dims(alice: PhaseVector, bob: PhaseVector, n: int, owner: str = "protocol") -> None:
+    """Reject targets whose dimension is not the run's `n`; `owner` names the run."""
+    if alice.dim != n or bob.dim != n:
+        raise ValueError(f"phase vectors have dims {alice.dim}/{bob.dim}, {owner} dim is {n}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -203,12 +208,6 @@ def _ghz_diagonal(n: int) -> np.ndarray:
     return _read_only(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
 
 
-@functools.lru_cache(maxsize=64)
-def _ghz_tensor(n: int) -> np.ndarray:
-    """Read-only (N, N, N) amplitudes of (1/sqrt(N)) sum_j |jjj>."""
-    return _read_only(_diagonal_tensor(_ghz_diagonal(n), 3))
-
-
 def leg_state(diagonal: np.ndarray, slots: int) -> StateVector:
     """A leg carried as its diagonal, as a state of its `slots` remaining qudits."""
     n = len(diagonal)
@@ -219,7 +218,7 @@ def ghz_state(n: int) -> StateVector:
     """(1/sqrt(N)) sum_j |jjj> on three qudits."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    return StateVector((n, n, n), _ghz_tensor(n).reshape(-1))
+    return leg_state(_ghz_diagonal(n), 3)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -355,16 +354,14 @@ def _born_table(target: PhaseVector) -> BornTable:
     return BornTable(cdfs[0], cdfs[1:])
 
 
-def _invert(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """The outcome index whose CDF interval holds one `rng.random()`."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
 def _draw_senders(
     alice: PhaseVector, bob: PhaseVector, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Born-draw the senders' (l, n), Alice's A2 then Bob's B1, from the cached CDFs."""
-    return _invert(_born_table(alice).sender_cdf, rng), _invert(_born_table(bob).sender_cdf, rng)
+    return (
+        _invert_cdf(_born_table(alice).sender_cdf, rng),
+        _invert_cdf(_born_table(bob).sender_cdf, rng),
+    )
 
 
 def _draw_controller(
@@ -372,8 +369,8 @@ def _draw_controller(
 ) -> tuple[int, int]:
     """Born-draw the controller's (m, k) after (l, n): C1 on Bob's leg, then C2 on Alice's."""
     return (
-        _invert(_born_table(bob).controller_cdf[n], rng),
-        _invert(_born_table(alice).controller_cdf[l], rng),
+        _invert_cdf(_born_table(bob).controller_cdf[n], rng),
+        _invert_cdf(_born_table(alice).controller_cdf[l], rng),
     )
 
 
@@ -408,13 +405,9 @@ def finish(
     of `phase_table`. Recovery means the same ray as the target, up to ATOL,
     on the raw arrays; no `StateVector` is built here.
     """
-    n = alice.dim
-    rule = CorrectionRule(
-        a1_index=(outcome.m + outcome.n) % n,
-        b2_index=(outcome.k + outcome.l) % n,
-    )
+    rule = _correction_rule(outcome, alice.dim)
     a1_before, b2_before = legs
-    table = phase_table(n)
+    table = phase_table(alice.dim)
     alice_final = table[rule.a1_index] * a1_before
     bob_final = table[rule.b2_index] * b2_before
     recovered = (
@@ -451,10 +444,7 @@ def run_protocol(
     Alice's target appears on B2, Bob's on A1; both recovered flags must come
     back true in the noiseless channel.
     """
-    if alice.dim != n or bob.dim != n:
-        raise ValueError(
-            f"phase vectors have dims {alice.dim}/{bob.dim}, protocol dim is {n}"
-        )
+    _check_dims(alice, bob, n)
     if outcome is None:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
@@ -499,10 +489,7 @@ def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    return {
-        oc: CorrectionRule((oc.m + oc.n) % n, (oc.k + oc.l) % n)
-        for oc in all_outcomes(n)
-    }
+    return {oc: _correction_rule(oc, n) for oc in all_outcomes(n)}
 
 
 @dataclass(frozen=True)
@@ -525,7 +512,7 @@ def _leg_deviation(target: PhaseVector, n: int) -> float:
     acc = np.einsum(
         "sta,sb,tc->abc", kept, sender_basis(target).matrix(), fourier_basis(n).matrix()
     ) / n
-    return float(np.max(np.abs(acc - _ghz_tensor(n))))
+    return float(np.max(np.abs(acc - _diagonal_tensor(_ghz_diagonal(n), 3))))
 
 
 def verify_decomposition(alice: PhaseVector, bob: PhaseVector, n: int) -> DecompositionCheck:
@@ -540,9 +527,6 @@ def verify_decomposition(alice: PhaseVector, bob: PhaseVector, n: int) -> Decomp
     of the two legs' entrywise deviations, and ok means it is at most ATOL.
     No N^6 array is built.
     """
-    if alice.dim != n or bob.dim != n:
-        raise ValueError(
-            f"phase vectors have dims {alice.dim}/{bob.dim}, protocol dim is {n}"
-        )
+    _check_dims(alice, bob, n)
     dev = max(_leg_deviation(bob, n), _leg_deviation(alice, n))
     return DecompositionCheck(dev <= ATOL, dev)

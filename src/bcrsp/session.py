@@ -36,12 +36,13 @@ from .protocol import (
     OutcomeTuple,
     PhaseVector,
     ProtocolResult,
+    _check_dims,
     _draw_controller,
     _draw_senders,
     _drawn_result,
     _forced_legs,
-    _ghz_diagonal,
     _leg_table,
+    ghz_state,
     leg_state,
 )
 
@@ -72,6 +73,16 @@ class ClassicalMessage:
     outcome_index: int
 
 
+_A, _B, _C = PartyId.ALICE, PartyId.BOB, PartyId.CHARLIE
+
+# step -> its announcements in transcript order: (sender, receiver, basis
+# label, slot of the announced outcome)
+_ANNOUNCEMENTS = {
+    1: ((_A, _B, "A2", "l"), (_A, _C, "A2", "l"), (_B, _A, "B1", "n"), (_B, _C, "B1", "n")),
+    2: ((_C, _A, "C1", "m"), (_C, _A, "C2", "k"), (_C, _B, "C1", "m"), (_C, _B, "C2", "k")),
+}
+
+
 class Session:
     """One protocol execution driven by repeated advance() calls.
 
@@ -90,10 +101,7 @@ class Session:
         charlie_consents: bool,
         seed=None,
     ):
-        if alice.dim != n or bob.dim != n:
-            raise ValueError(
-                f"phase vectors have dims {alice.dim}/{bob.dim}, session dim is {n}"
-            )
+        _check_dims(alice, bob, n, "session")
         self.n = n
         self.alice = alice
         self.bob = bob
@@ -107,16 +115,11 @@ class Session:
 
     # -- step bodies --------------------------------------------------
 
-    def _announce(self, sender: PartyId, receiver: PartyId, label: str, index: int):
-        self.transcript.append(
-            ClassicalMessage(
-                sender=sender,
-                receiver=receiver,
-                step=self.step,
-                kind="outcome",
-                basis_label=label,
-                outcome_index=index,
-            )
+    def _announce(self):
+        """Append this step's announcements of the outcomes just drawn."""
+        self.transcript.extend(
+            ClassicalMessage(sender, receiver, self.step, "outcome", label, self.outcomes[slot])
+            for sender, receiver, label, slot in _ANNOUNCEMENTS[self.step]
         )
 
     def _step_senders(self):
@@ -124,10 +127,7 @@ class Session:
         # is unobservable
         l, nn = _draw_senders(self.alice, self.bob, self._rng)
         self.outcomes.update(l=l, n=nn)
-        self._announce(PartyId.ALICE, PartyId.BOB, "A2", l)
-        self._announce(PartyId.ALICE, PartyId.CHARLIE, "A2", l)
-        self._announce(PartyId.BOB, PartyId.ALICE, "B1", nn)
-        self._announce(PartyId.BOB, PartyId.CHARLIE, "B1", nn)
+        self._announce()
 
     def _step_controller(self):
         if not self.charlie_consents:
@@ -137,10 +137,7 @@ class Session:
             self.alice, self.bob, self.outcomes["l"], self.outcomes["n"], self._rng
         )
         self.outcomes.update(m=m, k=k)
-        self._announce(PartyId.CHARLIE, PartyId.ALICE, "C1", m)
-        self._announce(PartyId.CHARLIE, PartyId.ALICE, "C2", k)
-        self._announce(PartyId.CHARLIE, PartyId.BOB, "C1", m)
-        self._announce(PartyId.CHARLIE, PartyId.BOB, "C2", k)
+        self._announce()
 
     def _step_corrections(self):
         self._result = _drawn_result(self.alice, self.bob, self.outcome_tuple())
@@ -162,7 +159,7 @@ class Session:
             # each leg's sender-projected row: B1's n on leg 0, A2's l on leg 1
             tables = _leg_table(self.bob), _leg_table(self.alice)
             return [leg_state(t.after[self.outcomes[s]], 2) for t, s in zip(tables, "nl")]
-        return [leg_state(_ghz_diagonal(self.n), 3) for _ in range(2)]
+        return [ghz_state(self.n) for _ in range(2)]
 
     def advance(self) -> SessionStatus:
         """Execute the next protocol step; raises on a terminal session."""

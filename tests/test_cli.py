@@ -9,9 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bcrsp.noise
 from bcrsp import cli
 from bcrsp.cli import main, parse_phase
-from bcrsp.noise import NoiseKind, OutcomePolicy
+from bcrsp.noise import (
+    NoiseKind,
+    OutcomePolicy,
+    compare_paper_vs_exact,
+    noisy_protocol_run,
+    run_fidelities,
+)
+from bcrsp.protocol import PhaseVector
 
 
 def write_config(tmp_path, name, payload):
@@ -257,6 +265,22 @@ class TestMalformedConfig:
              ["gamma_grid steps must be at most 1000000, got 1000000000"]),
             ("sweep", {**SWEEP_BASE, "gamma_grid": {"steps": -1}},
              ["gamma_grid steps must be at least 0, got -1"]),
+            # a number field takes no string, even one that int() or float() reads
+            ("run", {**RUN_BASE, "dimension": "3", "alice_phases": [0, 0]},
+             ["dimension must be an integer, got '3'"]),
+            ("run", {**RUN_BASE, "trials": "2"}, ["trials must be an integer, got '2'"]),
+            ("run", {**RUN_BASE, "seed": "1_0"}, ["seed must be an integer, got '1_0'"]),
+            ("run", {**RUN_BASE, "forced_outcome": [0, 0, "1", 0]},
+             ["forced_outcome index must be an integer, got '1'"]),
+            ("sweep", {**SWEEP_BASE, "dimension": " 4 "},
+             ["dimension must be an integer, got ' 4 '"]),
+            ("sweep", {**SWEEP_BASE, "gamma_grid": {"stop": "1e0"}},
+             ["gamma_grid stop must be a number, got '1e0'"]),
+            ("sweep", {**SWEEP_BASE, "gamma_grid": [0.0, "0.5"]},
+             ["gamma must be a number, got '0.5'"]),
+            ("run", {**NOISY_BASE, "noise": {"kind": "dephasing", "gamma": "0.5"}},
+             ["gamma must be a number, got '0.5'"]),
+            ("table", {"dimension": "3"}, ["dimension must be an integer, got '3'"]),
         ],
     )
     def test_message_names_the_field(self, tmp_path, capsys, command, payload, words):
@@ -379,6 +403,48 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["gamma"] == 0.5
+
+    @pytest.mark.parametrize("policy", [p.value for p in OutcomePolicy])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize(
+        "alice,bob",
+        [(PhaseVector(3, (0.4, 2.1)), PhaseVector(3, (1.7, 0.6))),
+         (PhaseVector.zero(4), PhaseVector.zero(4))],
+        ids=["n3-random", "n4-flat"],
+    )
+    def test_rows_are_the_comparison_report(self, tmp_path, capsys, alice, bob, kind, policy):
+        # every printed number is the report's, and the report's numbers are
+        # those of a run under the config's own policy
+        grid = [0.0, 0.25, 0.6, 1.0]
+        cfg = write_config(
+            tmp_path, "rows.json",
+            {"dimension": alice.dim, "alice_phases": list(alice.phases),
+             "bob_phases": list(bob.phases), "noise": {"kind": kind.value}, "policy": policy,
+             "gamma_grid": grid},
+        )
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows = compare_paper_vs_exact(kind, alice, bob, grid, alice.dim).rows
+        assert [
+            (r.gamma, r.exact_a1, r.exact_b2, r.paper, r.deviation) for r in rows
+        ] == [tuple(d.values()) for d in doc]
+        for r in rows:
+            run = noisy_protocol_run(alice, bob, alice.dim, kind, r.gamma, OutcomePolicy(policy))
+            assert (r.exact_a1, r.exact_b2) == run_fidelities(run, alice, bob)
+
+    def test_never_builds_an_ensemble(self, tmp_path, capsys, monkeypatch):
+        # the flat N=4 shift-and-phase rows are flagged, and a sweep prints no
+        # breakdown, so no eigendecomposition runs
+        def refuse(*args):
+            raise AssertionError("sweep built a branch ensemble")
+
+        monkeypatch.setattr(bcrsp.noise, "ensemble_from_density", refuse)
+        cfg = write_config(
+            tmp_path, "pf.json", {"dimension": 4, "noise": {"kind": "qudit-phase-flip"}}
+        )
+        assert main(["sweep", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert float(lines[-1].split(",")[4]) > 1e-6
 
     def test_missing_noise_kind(self, tmp_path, capsys):
         cfg = write_config(

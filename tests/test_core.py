@@ -439,6 +439,11 @@ class TestFidelity:
         rho = BranchEnsemble.pure(basis_state(2, 1)).density_matrix()
         assert fidelity_density(basis_state(2, 0), rho) == 0.0
 
+    def test_dimension_mismatch_names_both(self):
+        rho = np.eye(3, dtype=complex) / 3
+        with pytest.raises(ValueError, match=r"target dims \(2,\) do not match rho shape \(3, 3\)"):
+            fidelity_density(basis_state(2, 0), rho)
+
     def test_single_channel_use_against_density_oracle(self):
         # one pass of the shift-and-phase channel on the flat 4-level state;
         # only the identity branch overlaps the target, so F = sqrt(1 - 3g/4)

@@ -158,16 +158,20 @@ def reference_kraus(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
     return np.array(ops)
 
 
+def kraus_stack(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
+    """The operators of `kraus_for` as one (K, N, N) array."""
+    return np.array([op.entries for op in kraus_for(kind, gamma, n).operators])
+
+
 class TestKrausStack:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_public_builders_equal_raw_stack_bitwise(self, kind):
         for n in range(2, 17):
             for gamma in (0.0, 0.123456, 0.37, 1.0):
-                stack = noise._kraus_stack(kind, gamma, n)
-                assert stack.tobytes() == reference_kraus(kind, gamma, n).tobytes()
-                ops = np.array([op.entries for op in kraus_for(kind, gamma, n).operators])
-                assert ops.shape == stack.shape
-                assert ops.tobytes() == stack.tobytes()
+                stack = kraus_stack(kind, gamma, n)
+                reference = reference_kraus(kind, gamma, n)
+                assert stack.shape == reference.shape
+                assert stack.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_corrupted_shape_is_not_complete(self, kind, monkeypatch):
@@ -175,7 +179,7 @@ class TestKrausStack:
         count = noise._kraus_count
         monkeypatch.setattr(noise, "_kraus_count", lambda *args: count(*args) - 1)
         with pytest.raises(ValueError, match="not complete"):
-            noise._kraus_stack(kind, 0.5, 4)
+            kraus_for(kind, 0.5, 4)
         # the evaluator checks its leg weights instead: Phi(I) = I
         leg_weights = noise._leg_weights
 
@@ -192,7 +196,7 @@ class TestKrausStack:
         # a NaN deviation fails both completeness checks instead of slipping past
         monkeypatch.setattr(noise, "_check_gamma", float)
         with pytest.raises(ValueError, match="not complete"):
-            noise._kraus_stack(kind, float("nan"), 4)
+            kraus_for(kind, float("nan"), 4)
         leg_weights = noise._leg_weights
 
         def poisoned(kind, gamma, n):
@@ -245,7 +249,7 @@ def stack_marginals(alice, bob, n, kind, gamma, policy, cond):
     # measured slots: C1 and C2 (Fourier basis), B1 (Bob's basis), A2 (Alice's basis)
     bases = (fourier_basis(n), sender_basis(bob), sender_basis(alice))
     rows = np.stack([basis.matrix().conj() for basis in bases])
-    factors = stack_factors(rows, noise._kraus_stack(kind, gamma, n))
+    factors = stack_factors(rows, kraus_stack(kind, gamma, n))
     if policy is OutcomePolicy.CONDITIONED:
         rhos = factors[[1, 2], [cond.n, cond.l]] * factors[0, [cond.m, cond.k]] / n
         return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
@@ -286,7 +290,7 @@ class TestClosedFormTwirls:
         for n in (2, 3, 4, 7, 16):
             for gamma in (0.0, 0.37, 1.0):
                 run = noisy_protocol_run(PhaseVector.zero(n), PhaseVector.zero(n), n, kind, gamma)
-                count = len(noise._kraus_stack(kind, gamma, n))
+                count = len(kraus_for(kind, gamma, n).operators)
                 assert run.diagnostics["branch_count"] == count**4
 
     def test_piece_cache_is_keyed_by_target_only(self):
@@ -704,6 +708,24 @@ class TestComparisonReport:
         assert row.a1_branches
         weights = [w for w, _ in row.a1_branches]
         assert sum(weights) == pytest.approx(1.0, abs=1e-10)
+
+    def test_breakdown_is_built_on_read_from_the_run(self):
+        # a flagged row builds its breakdown when read, with the numbers of
+        # the A1 ensemble of its own run; an unflagged row keeps no run
+        rng = np.random.default_rng(43)
+        alice, bob = random_phase_vector(4, rng), random_phase_vector(4, rng)
+        report = compare_paper_vs_exact(NoiseKind.DEPHASING, alice, bob, [0.0, 0.3])
+        kept, flagged = report.rows
+        assert not kept.flagged and kept._flagged_run is None
+        assert kept.a1_branches == ()
+        assert flagged.flagged and "a1_branches" not in vars(flagged)
+        run = noisy_protocol_run(alice, bob, 4, NoiseKind.DEPHASING, 0.3)
+        target = equatorial_state(bob)
+        expected = tuple(
+            (w, abs(target.overlap(s)) ** 2) for w, s in run.a1_ensemble.branches
+        )
+        assert flagged.a1_branches == expected
+        assert flagged.a1_branches is flagged.a1_branches
 
     def test_dephasing_report_emitted_with_reference_column(self):
         report = compare_paper_vs_exact(
