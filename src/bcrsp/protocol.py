@@ -59,6 +59,12 @@ from .core import (
 PROTOCOL_ORDER = (("l", 1), ("n", 0), ("m", 0), ("k", 1))
 
 
+def _check_dimension(n: int) -> None:
+    """Reject a qudit dimension below 2."""
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """The N-1 free phases of an equal-amplitude qudit state (phase 0 on |0>)."""
@@ -68,8 +74,7 @@ class PhaseVector:
 
     def __post_init__(self):
         phases = tuple(float(p) for p in self.phases)
-        if self.dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.dim}")
+        _check_dimension(self.dim)
         if len(phases) != self.dim - 1:
             raise ValueError(
                 f"need {self.dim - 1} phases for dimension {self.dim}, got {len(phases)}"
@@ -216,8 +221,7 @@ def leg_state(diagonal: np.ndarray, slots: int) -> StateVector:
 
 def ghz_state(n: int) -> StateVector:
     """(1/sqrt(N)) sum_j |jjj> on three qudits."""
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    _check_dimension(n)
     return leg_state(_ghz_diagonal(n), 3)
 
 
@@ -235,8 +239,7 @@ def sender_basis(p: PhaseVector) -> MeasurementBasis:
 @functools.lru_cache(maxsize=64)
 def fourier_basis(n: int) -> MeasurementBasis:
     """tau-bar_k = (1/sqrt(N)) sum_j e^{i 2pi jk/N} |j> (the controller's basis)."""
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    _check_dimension(n)
     vectors = tuple(StateVector((n,), row / np.sqrt(n)) for row in phase_table(n))
     return MeasurementBasis(n, vectors)
 
@@ -487,8 +490,7 @@ def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
     A1 is corrected by U_{m (+) n} (controller's C1 with Bob's B1) and B2 by
     U_{k (+) l} (controller's C2 with Alice's A2).
     """
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    _check_dimension(n)
     return {oc: _correction_rule(oc, n) for oc in all_outcomes(n)}
 
 

@@ -13,18 +13,20 @@ and step 3 corrects the drawn tuple through the engine's forced path, so
 equal seeds give bitwise-equal results. `Session.legs` rebuilds each
 leg's tensor view from the outcomes on demand.
 
-`export_transcript` writes `json.dumps(doc, indent=2)` byte for byte, but
-encodes each distinct message once: a run announces few distinct messages
-(eight routes times N outcome indices), so their indented blocks are
-cached and spliced into the header. `import_transcript` rejects, with
-ValueError, any document whose shape the exporter cannot produce.
+Each step's four announcements depend only on its two drawn outcomes,
+so they are built once per (step, outcomes) and shared between sessions.
+`export_transcript` writes `json.dumps(doc, indent=2)` byte for byte,
+splicing each message's indented block, encoded once per message object,
+into the header. `import_transcript` checks each distinct raw message
+once and rejects, with ValueError, a field that is missing or of the
+wrong type or range; see its docstring for what it does not check.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from enum import Enum
 from typing import Optional
 
@@ -72,15 +74,32 @@ class ClassicalMessage:
     basis_label: str
     outcome_index: int
 
+    @cached_property
+    def _json_block(self) -> str:
+        """This message in an exported `messages` list, 4-space indented, encoded once."""
+        values = (self.sender.value, self.receiver.value, self.step, self.kind,
+                  self.basis_label, self.outcome_index)
+        block = json.dumps(dict(zip([key for key, _ in _MESSAGE_FIELDS], values)), indent=2)
+        return "    " + block.replace("\n", "\n    ")
+
 
 _A, _B, _C = PartyId.ALICE, PartyId.BOB, PartyId.CHARLIE
 
 # step -> its announcements in transcript order: (sender, receiver, basis
-# label, slot of the announced outcome)
+# label, which of the step's two drawn outcomes it announces)
 _ANNOUNCEMENTS = {
-    1: ((_A, _B, "A2", "l"), (_A, _C, "A2", "l"), (_B, _A, "B1", "n"), (_B, _C, "B1", "n")),
-    2: ((_C, _A, "C1", "m"), (_C, _A, "C2", "k"), (_C, _B, "C1", "m"), (_C, _B, "C2", "k")),
+    1: ((_A, _B, "A2", 0), (_A, _C, "A2", 0), (_B, _A, "B1", 1), (_B, _C, "B1", 1)),
+    2: ((_C, _A, "C1", 0), (_C, _A, "C2", 1), (_C, _B, "C1", 0), (_C, _B, "C2", 1)),
 }
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _announcements(step: int, *drawn: int) -> tuple[ClassicalMessage, ...]:
+    """Step `step`'s four announcements of its two drawn outcomes, built once and shared."""
+    return tuple(
+        ClassicalMessage(sender, receiver, step, "outcome", label, drawn[slot])
+        for sender, receiver, label, slot in _ANNOUNCEMENTS[step]
+    )
 
 
 class Session:
@@ -115,19 +134,16 @@ class Session:
 
     # -- step bodies --------------------------------------------------
 
-    def _announce(self):
-        """Append this step's announcements of the outcomes just drawn."""
-        self.transcript.extend(
-            ClassicalMessage(sender, receiver, self.step, "outcome", label, self.outcomes[slot])
-            for sender, receiver, label, slot in _ANNOUNCEMENTS[self.step]
-        )
+    def _announce(self, first: int, second: int):
+        """Append this step's announcements of the two outcomes just drawn."""
+        self.transcript.extend(_announcements(self.step, first, second))
 
     def _step_senders(self):
         # serialized A2-then-B1; the two act on different legs so the order
         # is unobservable
         l, nn = _draw_senders(self.alice, self.bob, self._rng)
         self.outcomes.update(l=l, n=nn)
-        self._announce()
+        self._announce(l, nn)
 
     def _step_controller(self):
         if not self.charlie_consents:
@@ -137,7 +153,7 @@ class Session:
             self.alice, self.bob, self.outcomes["l"], self.outcomes["n"], self._rng
         )
         self.outcomes.update(m=m, k=k)
-        self._announce()
+        self._announce(m, k)
 
     def _step_corrections(self):
         self._result = _drawn_result(self.alice, self.bob, self.outcome_tuple())
@@ -203,27 +219,6 @@ def new_session(
     return Session(alice, bob, n, charlie_consents, seed)
 
 
-@lru_cache(maxsize=4096, typed=True)
-def _message_block(sender, receiver, step, kind, basis_label, outcome_index) -> str:
-    """One message as it sits in the exported `messages` list, 4-space indented.
-
-    `typed=True` keeps values that compare equal but encode differently,
-    such as `True` and `1`, in separate entries.
-    """
-    block = json.dumps(
-        {
-            "from": sender,
-            "to": receiver,
-            "step": step,
-            "kind": kind,
-            "basis_label": basis_label,
-            "outcome_index": outcome_index,
-        },
-        indent=2,
-    )
-    return "    " + block.replace("\n", "\n    ")
-
-
 @lru_cache(maxsize=256, typed=True)
 def _transcript_head(dimension, status) -> str:
     """The exported document with an empty `messages` list."""
@@ -242,24 +237,15 @@ def export_transcript(session: Session) -> str:
     """Stable JSON serialization of a terminal session's transcript.
 
     The text is `json.dumps(doc, indent=2)` of the whole document. The
-    header and each message block are encoded once per distinct value and
-    cached; the blocks are spliced into the header's empty `messages` list.
+    header is encoded once per distinct value and cached, each message
+    block once per message object; the blocks are spliced into the
+    header's empty `messages` list.
     """
     if session.status is SessionStatus.RUNNING:
         raise RuntimeError("cannot export the transcript of a running session")
     head = _transcript_head(session.n, session.status.value)
     # a terminal session has announced at least step 1's four messages
-    blocks = ",\n".join(
-        _message_block(
-            msg.sender.value,
-            msg.receiver.value,
-            msg.step,
-            msg.kind,
-            msg.basis_label,
-            msg.outcome_index,
-        )
-        for msg in session.transcript
-    )
+    blocks = ",\n".join([msg._json_block for msg in session.transcript])
     # head ends with `"messages": []\n}`
     return f"{head[:-4]}[\n{blocks}\n  ]\n}}\n"
 
@@ -288,14 +274,45 @@ def _string(value, key: str, where: str) -> str:
     raise ValueError(f"{where} field {key!r} must be a string, got {value!r}")
 
 
+# a message's fields in document order, each with the check that reads it
+_MESSAGE_FIELDS = (
+    ("from", _party), ("to", _party), ("step", _json_integer),
+    ("kind", _string), ("basis_label", _string), ("outcome_index", _json_integer),
+)
+_NO_FIELD = object()
+
+
+def _message(i: int, *fields) -> ClassicalMessage:
+    """Transcript message `i` from its raw fields in `_MESSAGE_FIELDS` order.
+
+    ValueError names the first field that is `_NO_FIELD` (absent) or malformed, or a step below 1.
+    """
+    where = f"transcript message {i}"
+    values = []
+    for (key, read), value in zip(_MESSAGE_FIELDS, fields):
+        if value is _NO_FIELD:
+            raise ValueError(f"{where} has no {key!r} field")
+        values.append(read(value, key, where))
+    msg = ClassicalMessage(*values)
+    if msg.step < 1:
+        raise ValueError(f"{where} step must be at least 1, got {msg.step}")
+    return msg
+
+
+# `typed=True` keeps `true`, `1` and `1.0` apart: only the first is rejected
+_cached_message = lru_cache(maxsize=4096, typed=True)(_message)
+
+
 def import_transcript(serialized: str) -> TranscriptDocument:
     """Inverse of export_transcript; round-trips field by field.
 
-    Raises ValueError on any document whose shape export_transcript cannot
-    produce: a non-object document or message, a missing field, a non-list
-    `messages`, a boolean or non-integral integer field, a running status,
-    a non-string `kind` or `basis_label`, a dimension below 2, a step below
-    1, or an outcome index outside [0, dimension).
+    Raises ValueError on a non-object document or message, a missing
+    field, a non-list `messages`, a boolean or non-integral integer field,
+    another version, a running or unknown status, an unknown party, a
+    non-string `kind` or `basis_label`, a dimension below 2, a step below
+    1, or an outcome index outside [0, dimension). It checks nothing else:
+    extra keys, any `kind`, any step, a message to its own sender and any
+    message count for the status all import.
     """
     where = "transcript document"
     doc = _json_object(json.loads(serialized), where)
@@ -311,26 +328,20 @@ def import_transcript(serialized: str) -> TranscriptDocument:
             raise ValueError("transcript status is 'running'; only terminal sessions export")
         if not isinstance(doc["messages"], list):
             raise ValueError(f"transcript messages must be a JSON list, got {doc['messages']!r}")
-        messages = []
-        for i, m in enumerate(doc["messages"]):
-            where = f"transcript message {i}"
-            m = _json_object(m, where)
-            msg = ClassicalMessage(
-                sender=_party(m["from"], "from", where),
-                receiver=_party(m["to"], "to", where),
-                step=_json_integer(m["step"], "step", where),
-                kind=_string(m["kind"], "kind", where),
-                basis_label=_string(m["basis_label"], "basis_label", where),
-                outcome_index=_json_integer(m["outcome_index"], "outcome_index", where),
-            )
-            if msg.step < 1:
-                raise ValueError(f"{where} step must be at least 1, got {msg.step}")
-            if not 0 <= msg.outcome_index < dimension:
-                raise ValueError(
-                    f"{where} outcome_index {msg.outcome_index} is out of range"
-                    f" for dimension {dimension}"
-                )
-            messages.append(msg)
     except KeyError as exc:
         raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
+    messages = []
+    for i, m in enumerate(doc["messages"]):
+        m = _json_object(m, f"transcript message {i}")
+        fields = [m.get(key, _NO_FIELD) for key, _ in _MESSAGE_FIELDS]
+        try:
+            msg = _cached_message(i, *fields)
+        except TypeError:  # an unhashable field value, such as a list
+            msg = _message(i, *fields)
+        if not 0 <= msg.outcome_index < dimension:
+            raise ValueError(
+                f"transcript message {i} outcome_index {msg.outcome_index} is out of range"
+                f" for dimension {dimension}"
+            )
+        messages.append(msg)
     return TranscriptDocument(version, dimension, status, tuple(messages))

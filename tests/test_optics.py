@@ -321,6 +321,10 @@ class TestCorrectionCircuits:
             )
         assert verify_correction_circuits(n)
 
+    def test_banks_verify_at_every_dimension(self):
+        # scalar cmath.exp and vectorised np.exp differ in the last bit from n=6 on
+        assert [n for n in range(2, 65) if not verify_correction_circuits(n)] == []
+
 
 class TestSerialization:
     def test_round_trip(self):

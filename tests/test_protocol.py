@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bcrsp import protocol
 from bcrsp.cli import main
 from bcrsp.core import ATOL, StateVector, born_cdf, born_draw, measure, project, same_ray
+from bcrsp.optics import cnot_gate, ghz_via_cnot
 from bcrsp.protocol import (
     PROTOCOL_ORDER,
     ProtocolResult,
@@ -455,6 +456,19 @@ class TestValidation:
     def test_phase_vector_finite(self):
         with pytest.raises(ValueError, match="finite"):
             PhaseVector(3, (np.inf, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_every_dimension_below_two_gives_one_message(self, n):
+        for call in (
+            lambda: PhaseVector(n, ()),
+            lambda: ghz_state(n),
+            lambda: fourier_basis(n),
+            lambda: build_correction_table(n),
+            lambda: cnot_gate(n),
+            lambda: ghz_via_cnot(n),
+        ):
+            with pytest.raises(ValueError, match=rf"^dimension must be at least 2, got {n}$"):
+                call()
 
     def test_outcome_bounds(self):
         with pytest.raises(ValueError, match="out of range"):

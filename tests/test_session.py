@@ -4,11 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from bcrsp.core import fidelity_density, project, reduced_density, tensor
+from bcrsp.core import (
+    _json_integer,
+    _json_object,
+    fidelity_density,
+    project,
+    reduced_density,
+    tensor,
+)
 from bcrsp.protocol import PhaseVector, equatorial_state, ghz_state, run_protocol, sender_basis
 from bcrsp.session import (
+    ClassicalMessage,
     PartyId,
     SessionStatus,
+    TranscriptDocument,
+    _party,
+    _string,
     export_transcript,
     import_transcript,
     new_session,
@@ -95,6 +106,59 @@ def _drop(key, message=None):
     return edit
 
 
+# (edit, pattern of the ValueError it causes) for documents import_transcript rejects
+MALFORMED = [
+    (lambda doc: [], "JSON object"),
+    (lambda doc: 5, "JSON object"),
+    (lambda doc: {"version": 1}, "'dimension'"),
+    (_drop("status"), "'status'"),
+    (_drop("messages"), "'messages'"),
+    (_set("messages", 5), "JSON list"),
+    (_set("messages", {}), "JSON list"),
+    (lambda doc: {**doc, "messages": [{}]}, "'from'"),
+    (lambda doc: {**doc, "messages": [5]}, "JSON object"),
+    (_drop("outcome_index", message=3), "'outcome_index'"),
+    (_set("version", True), "'version'"),
+    (_set("dimension", True), "'dimension'"),
+    (_set("dimension", 2.5), "'dimension'"),
+    (_set("step", 1.7, message=0), "'step'"),
+    (_set("step", "1", message=0), "'step'"),
+    (_set("outcome_index", True, message=2), "'outcome_index'"),
+    (_set("outcome_index", 0.5, message=7), "'outcome_index'"),
+    (_set("status", "running"), "'running'"),
+    (_set("kind", 5, message=1), "'kind' must be a string"),
+    (_set("basis_label", None, message=6), "'basis_label' must be a string"),
+    (_set("outcome_index", 99, message=0), "out of range for dimension 3"),
+    (_set("outcome_index", 3, message=5), "out of range for dimension 3"),
+    (_set("outcome_index", -1, message=4), "out of range for dimension 3"),
+    (_set("dimension", -4), "at least 2"),
+    (_set("dimension", 1), "at least 2"),
+    (_set("step", -2, message=3), "at least 1"),
+    (_set("step", 0, message=0), "at least 1"),
+]
+MALFORMED_IDS = [
+    "list-document", "number-document", "missing-dimension", "missing-status",
+    "missing-messages", "number-messages", "object-messages", "empty-message",
+    "number-message", "missing-outcome-index", "boolean-version",
+    "boolean-dimension", "fractional-dimension", "fractional-step", "string-step",
+    "boolean-outcome-index", "fractional-outcome-index", "running-status",
+    "number-kind", "null-basis-label", "outcome-index-99", "outcome-index-at-dimension",
+    "negative-outcome-index", "negative-dimension", "dimension-1", "negative-step",
+    "zero-step",
+]
+
+NON_PARTIES = ["eve", "Alice", ["alice"], None, 1]
+# the same cases with every non-party name in message 4's `from` and `to`
+ALL_REJECTED = MALFORMED + [
+    (_set(key, value, message=4), f"message 4 field '{key}' names no party")
+    for key in ("from", "to")
+    for value in NON_PARTIES
+]
+ALL_REJECTED_IDS = MALFORMED_IDS + [
+    f"{key}-{value}" for key in ("from", "to") for value in NON_PARTIES
+]
+
+
 class TestTranscript:
     def test_completed_has_eight_announcements_in_step_order(self, qutrit_pair):
         alice, bob = qutrit_pair
@@ -169,55 +233,14 @@ class TestTranscript:
         ses.run_to_completion()
         return json.loads(export_transcript(ses))
 
-    @pytest.mark.parametrize(
-        "edit, match",
-        [
-            (lambda doc: [], "JSON object"),
-            (lambda doc: 5, "JSON object"),
-            (lambda doc: {"version": 1}, "'dimension'"),
-            (_drop("status"), "'status'"),
-            (_drop("messages"), "'messages'"),
-            (_set("messages", 5), "JSON list"),
-            (_set("messages", {}), "JSON list"),
-            (lambda doc: {**doc, "messages": [{}]}, "'from'"),
-            (lambda doc: {**doc, "messages": [5]}, "JSON object"),
-            (_drop("outcome_index", message=3), "'outcome_index'"),
-            (_set("version", True), "'version'"),
-            (_set("dimension", True), "'dimension'"),
-            (_set("dimension", 2.5), "'dimension'"),
-            (_set("step", 1.7, message=0), "'step'"),
-            (_set("step", "1", message=0), "'step'"),
-            (_set("outcome_index", True, message=2), "'outcome_index'"),
-            (_set("outcome_index", 0.5, message=7), "'outcome_index'"),
-            (_set("status", "running"), "'running'"),
-            (_set("kind", 5, message=1), "'kind' must be a string"),
-            (_set("basis_label", None, message=6), "'basis_label' must be a string"),
-            (_set("outcome_index", 99, message=0), "out of range for dimension 3"),
-            (_set("outcome_index", 3, message=5), "out of range for dimension 3"),
-            (_set("outcome_index", -1, message=4), "out of range for dimension 3"),
-            (_set("dimension", -4), "at least 2"),
-            (_set("dimension", 1), "at least 2"),
-            (_set("step", -2, message=3), "at least 1"),
-            (_set("step", 0, message=0), "at least 1"),
-        ],
-        ids=[
-            "list-document", "number-document", "missing-dimension", "missing-status",
-            "missing-messages", "number-messages", "object-messages", "empty-message",
-            "number-message", "missing-outcome-index", "boolean-version",
-            "boolean-dimension", "fractional-dimension", "fractional-step", "string-step",
-            "boolean-outcome-index", "fractional-outcome-index", "running-status",
-            "number-kind", "null-basis-label", "outcome-index-99", "outcome-index-at-dimension",
-            "negative-outcome-index", "negative-dimension", "dimension-1", "negative-step",
-            "zero-step",
-        ],
-    )
+    @pytest.mark.parametrize("edit, match", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_import_raises_value_error(self, qutrit_pair, edit, match):
         text = json.dumps(edit(self._exported(qutrit_pair)))
         with pytest.raises(ValueError, match=match):
             import_transcript(text)
 
     @pytest.mark.parametrize("key", ["from", "to"])
-    @pytest.mark.parametrize("value", ["eve", "Alice", ["alice"], None, 1])
+    @pytest.mark.parametrize("value", NON_PARTIES)
     def test_import_rejects_unknown_parties(self, qutrit_pair, key, value):
         text = json.dumps(_set(key, value, message=4)(self._exported(qutrit_pair)))
         with pytest.raises(ValueError, match=f"message 4 field '{key}' names no party"):
@@ -229,6 +252,117 @@ class TestTranscript:
         restored = import_transcript(json.dumps(doc))
         assert type(restored.dimension) is int and type(restored.messages[0].step) is int
         assert restored == import_transcript(json.dumps(self._exported(qutrit_pair)))
+
+    @staticmethod
+    def _uncached_import(serialized: str) -> TranscriptDocument:
+        # the former import_transcript body: every field of every message checked on each read
+        where = "transcript document"
+        doc = _json_object(json.loads(serialized), where)
+        try:
+            version = _json_integer(doc["version"], "version", where)
+            if version != 1:
+                raise ValueError(f"unsupported transcript version {version!r}")
+            dimension = _json_integer(doc["dimension"], "dimension", where)
+            if dimension < 2:
+                raise ValueError(f"transcript dimension must be at least 2, got {dimension}")
+            status = SessionStatus(doc["status"])
+            if status is SessionStatus.RUNNING:
+                raise ValueError("transcript status is 'running'; only terminal sessions export")
+            if not isinstance(doc["messages"], list):
+                raise ValueError(
+                    f"transcript messages must be a JSON list, got {doc['messages']!r}"
+                )
+            messages = []
+            for i, m in enumerate(doc["messages"]):
+                where = f"transcript message {i}"
+                m = _json_object(m, where)
+                msg = ClassicalMessage(
+                    sender=_party(m["from"], "from", where),
+                    receiver=_party(m["to"], "to", where),
+                    step=_json_integer(m["step"], "step", where),
+                    kind=_string(m["kind"], "kind", where),
+                    basis_label=_string(m["basis_label"], "basis_label", where),
+                    outcome_index=_json_integer(m["outcome_index"], "outcome_index", where),
+                )
+                if msg.step < 1:
+                    raise ValueError(f"{where} step must be at least 1, got {msg.step}")
+                if not 0 <= msg.outcome_index < dimension:
+                    raise ValueError(
+                        f"{where} outcome_index {msg.outcome_index} is out of range"
+                        f" for dimension {dimension}"
+                    )
+                messages.append(msg)
+        except KeyError as exc:
+            raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
+        return TranscriptDocument(version, dimension, status, tuple(messages))
+
+    @classmethod
+    def _outcome(cls, read, text: str) -> str:
+        """repr of what `read` returns for `text`, or its exception's type and message."""
+        try:
+            return repr(read(text))
+        except Exception as exc:  # compared, not handled: any type must match
+            return f"{type(exc).__name__}: {exc}"
+
+    @pytest.mark.parametrize("edit, match", ALL_REJECTED, ids=ALL_REJECTED_IDS)
+    def test_warm_cache_keeps_each_error_message(self, qutrit_pair, edit, match):
+        # the valid import puts every one of its messages in the cache, at its index
+        import_transcript(json.dumps(self._exported(qutrit_pair)))
+        text = json.dumps(edit(self._exported(qutrit_pair)))
+        with pytest.raises(ValueError, match=match) as caught:
+            import_transcript(text)
+        assert f"ValueError: {caught.value}" == self._outcome(self._uncached_import, text)
+
+    def test_import_equals_uncached_reader_on_random_edits(self, qutrit_pair):
+        # several fields per document set to values that compare or hash alike, or
+        # cannot be hashed, or deleted: the first bad field in order must be named
+        base = self._exported(qutrit_pair)
+        values = [True, False, 1, 1.0, 0, 0.0, -1, 2.5, 99, "1", "alice", "bob", "eve",
+                  "outcome", "A2", None, ["alice"], {}, []]
+        keys = ["from", "to", "step", "kind", "basis_label", "outcome_index"]
+        rng = np.random.default_rng(24)
+        for _ in range(600):
+            doc = json.loads(json.dumps(base))
+            for _ in range(int(rng.integers(1, 4))):
+                msg = doc["messages"][int(rng.integers(8))]
+                key = keys[int(rng.integers(6))]
+                if rng.random() < 0.2:
+                    msg.pop(key, None)
+                else:
+                    msg[key] = values[int(rng.integers(len(values)))]
+            text = json.dumps(doc)
+            assert self._outcome(import_transcript, text) == self._outcome(
+                self._uncached_import, text
+            )
+
+    def test_cached_one_keeps_true_rejected_and_float_read_as_int(self, qutrit_pair):
+        import_transcript(json.dumps(self._exported(qutrit_pair)))
+        for key in ("step", "outcome_index"):
+            doc = self._exported(qutrit_pair)
+            doc["messages"][0][key] = 1
+            assert getattr(import_transcript(json.dumps(doc)).messages[0], key) == 1
+            doc["messages"][0][key] = True
+            with pytest.raises(ValueError, match=f"message 0 field '{key}' must be an integer"):
+                import_transcript(json.dumps(doc))
+            doc["messages"][0][key] = 1.0
+            restored = import_transcript(json.dumps(doc)).messages[0]
+            assert type(getattr(restored, key)) is int and getattr(restored, key) == 1
+
+    @pytest.mark.parametrize("value", [["alice"], {}])
+    @pytest.mark.parametrize(
+        "key", ["from", "to", "step", "kind", "basis_label", "outcome_index"]
+    )
+    def test_unhashable_field_raises_value_error(self, qutrit_pair, key, value):
+        text = json.dumps(_set(key, value, message=2)(self._exported(qutrit_pair)))
+        with pytest.raises(ValueError, match=f"message 2 field '{key}'"):
+            import_transcript(text)
+
+    def test_equal_announcements_are_one_object(self, qutrit_pair):
+        first, second = (new_session(*qutrit_pair, 3, seed=8) for _ in range(2))
+        first.run_to_completion()
+        second.run_to_completion()
+        assert len(first.transcript) == 8
+        assert all(a is b for a, b in zip(first.transcript, second.transcript))
 
     @staticmethod
     def _uncached_export(session) -> str:
@@ -253,7 +387,7 @@ class TestTranscript:
 
     def test_export_matches_uncached_encoder(self):
         rng = np.random.default_rng(55)
-        for n in (2, 3, 4, 7):
+        for n in range(2, 17):
             alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
             for seed in range(20):
                 ses = new_session(alice, bob, n, charlie_consents=seed % 4 != 0, seed=seed)
