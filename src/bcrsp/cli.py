@@ -256,7 +256,7 @@ def cmd_sweep(args) -> int:
     _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
     grid = _gamma_grid(cfg.get("gamma_grid"))
 
-    rows = compare_paper_vs_exact(kind, alice, bob, grid, n).rows
+    rows = compare_paper_vs_exact(kind, alice, bob, grid).rows
 
     if args.format == "json":
         doc = [

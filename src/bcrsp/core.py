@@ -131,14 +131,6 @@ class Operator:
             if not dev <= ATOL:
                 raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
 
-    @property
-    def dim_out(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def dim_in(self) -> int:
-        return self.entries.shape[1]
-
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-random n x n unitary: QR of a complex Gaussian, phases fixed by R."""
@@ -239,10 +231,6 @@ class BranchEnsemble:
         amps = np.array([s.amplitudes for _, s in self.branches])
         return (amps.T * weights) @ amps.conj()
 
-    @staticmethod
-    def pure(state: StateVector) -> "BranchEnsemble":
-        return BranchEnsemble(((1.0, state),))
-
 
 def ensemble_from_density(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:
     """Exact pure-branch decomposition of a density matrix via eigensystem.
@@ -303,10 +291,9 @@ def apply_on(op: Operator, state: StateVector, targets: int | Sequence[int]) -> 
     dims = state.dims
     targets = _subsystems(targets, dims)
     d_t = int(np.prod([dims[t] for t in targets]))
-    if op.dim_in != d_t or op.dim_out != d_t:
-        raise ValueError(
-            f"operator is {op.dim_out}x{op.dim_in} but targets span dimension {d_t}"
-        )
+    if op.entries.shape != (d_t, d_t):
+        out_dim, in_dim = op.entries.shape
+        raise ValueError(f"operator is {out_dim}x{in_dim} but targets span dimension {d_t}")
     rows = op.entries @ _front_rows(state.tensor_view(), targets)
     rest = [d for i, d in enumerate(dims) if i not in targets]
     moved = rows.reshape([dims[t] for t in targets] + rest)
@@ -392,8 +379,7 @@ def measure(
     _check_target(target, dims)
     if basis.dim != dims[target]:
         raise ValueError(f"basis dim {basis.dim} != subsystem dim {dims[target]}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     amps = state.tensor_view()
     if not state.normalized:
         amps = amps / np.linalg.norm(amps)

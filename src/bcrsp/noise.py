@@ -44,6 +44,7 @@ from .core import (
 from .protocol import (
     OutcomeTuple,
     PhaseVector,
+    _check_dimension,
     _check_dims,
     _equatorial_amplitudes,
     _read_only,
@@ -89,6 +90,7 @@ def kraus_for(kind: NoiseKind, gamma: float, n: int = 4) -> KrausSet:
     The operators are filled into one (K, N, N) stack; `KrausSet` raises
     ValueError when sum_k K_k+ K_k departs from the identity by more than ATOL.
     """
+    _check_dimension(n)
     gamma = _check_gamma(gamma)
     count = _kraus_count(kind, gamma, n)
     stack = np.zeros((count, n, n), dtype=complex)
@@ -310,19 +312,17 @@ class ComparisonReport:
     noise: NoiseKind
     rows: tuple[ComparisonRow, ...]
 
-    @property
-    def flagged_rows(self) -> tuple[ComparisonRow, ...]:
-        return tuple(r for r in self.rows if r.flagged)
-
 
 def compare_paper_vs_exact(
     noise: NoiseKind,
     alice: PhaseVector,
     bob: PhaseVector,
     gammas,
-    n: int = 4,
 ) -> ComparisonReport:
     """Tabulate exact ensemble fidelity against the quoted closed forms.
+
+    N is the targets' dimension; targets of different dimensions raise
+    ValueError.
 
     Rows whose exact A1 fidelity departs from the closed form by more than
     1e-6 carry the branch-level breakdown (weight, squared overlap with
@@ -332,7 +332,7 @@ def compare_paper_vs_exact(
     target_a1 = equatorial_state(bob)
     rows = []
     for gamma in gammas:
-        run = noisy_protocol_run(alice, bob, n, noise, gamma)
+        run = noisy_protocol_run(alice, bob, alice.dim, noise, gamma)
         exact_a1, exact_b2 = run_fidelities(run, alice, bob)
         paper = closed_form_fidelity(noise, bob, gamma)
         deviation = None if paper is None else abs(exact_a1 - paper)

@@ -28,7 +28,7 @@ from .core import (
     tensor,
     unitarity_deviation,
 )
-from .protocol import PhaseVector, _check_dimension, correction_unitary, fourier_basis
+from .protocol import PhaseVector, _check_dimension, _fourier_bras, correction_unitary
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def reconstruction_error(net: InterferometerNetwork, u: np.ndarray) -> float:
 
 def controller_basis_matrix(n: int = 4) -> np.ndarray:
     """Rows are the controller's measurement vectors in path coordinates."""
-    return fourier_basis(n).matrix()
+    return _fourier_bras(n).conj()
 
 
 # printed coupler parameters of the fixed four-mode mesh, keyed by the
@@ -324,6 +324,7 @@ def sender_network(p: PhaseVector) -> InterferometerNetwork:
 
 def correction_circuit(k: int, n: int = 4) -> list[PhaseShifter]:
     """Phase-shifter bank realizing the diagonal feed-forward unitary U_k."""
+    _check_dimension(n)
     if not 0 <= k < n:
         raise ValueError(f"correction index {k} out of range for dim {n}")
     shifters = []
@@ -344,6 +345,7 @@ def verify_correction_circuits(n: int = 4) -> bool:
     The bank's scalar `cmath.exp` and U_k's vectorised `np.exp` (`phase_table`)
     can differ in the last bit: 0.5000000000000001 against 0.49999999999999933
     at n=6, k=1, j=5."""
+    _check_dimension(n)
     return all(
         np.abs(correction_circuit_matrix(k, n) - correction_unitary(k, n).entries).max() <= ATOL
         for k in range(n)

@@ -29,14 +29,19 @@ sender's slot's and the controller's slot's after each s: one
 a `ProtocolResult` holds them read-only and builds each validated
 `StateVector` view only when it is first read, so a run whose caller
 reads only `recovered` builds none. `leg_state` builds views of a leg as
-a tensor. The four-basis expansion is checked per leg as well. The
-six-qudit order (A1, B1, C1, A2, B2, C2) is used only by
-`channel_state`, the whole resource as one register.
+a tensor. The bras are read-only rows of `phase_table`, conjugated and, for
+a sender, shifted by the target's phases; `sender_basis` and
+`fourier_basis` are their validated views, which no run, session,
+`outcome_probability` or decomposition check builds. The four-basis
+expansion is checked per leg as well. The six-qudit order (A1, B1, C1,
+A2, B2, C2) is used only by `channel_state`, the whole resource as one
+register.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -226,26 +231,39 @@ def ghz_state(n: int) -> StateVector:
 
 
 @functools.lru_cache(maxsize=1024)
+def _sender_bras(p: PhaseVector) -> np.ndarray:
+    """Read-only conjugated rows of sender_basis(p); row i is the bra of outcome i."""
+    return _read_only(np.conj(phase_table(p.dim) * np.exp(-1j * p.full()) / np.sqrt(p.dim)))
+
+
+@functools.lru_cache(maxsize=64)
+def _fourier_bras(n: int) -> np.ndarray:
+    """Read-only conjugated rows of fourier_basis(n)."""
+    _check_dimension(n)
+    return _read_only(np.conj(phase_table(n) / np.sqrt(n)))
+
+
+def _basis(bras: np.ndarray) -> MeasurementBasis:
+    """The validated basis whose vectors are the conjugated `bras`."""
+    n = len(bras)
+    return MeasurementBasis(n, tuple(StateVector((n,), ket) for ket in bras.conj()))
+
+
+@functools.lru_cache(maxsize=1024)
 def sender_basis(p: PhaseVector) -> MeasurementBasis:
     """Measurement family tau_l = (1/sqrt(N)) sum_j e^{i 2pi jl/N} e^{-i theta_j} |j>."""
-    n = p.dim
-    dephase = np.exp(-1j * p.full())
-    vectors = tuple(
-        StateVector((n,), row * dephase / np.sqrt(n)) for row in phase_table(n)
-    )
-    return MeasurementBasis(n, vectors)
+    return _basis(_sender_bras(p))
 
 
 @functools.lru_cache(maxsize=64)
 def fourier_basis(n: int) -> MeasurementBasis:
     """tau-bar_k = (1/sqrt(N)) sum_j e^{i 2pi jk/N} |j> (the controller's basis)."""
-    _check_dimension(n)
-    vectors = tuple(StateVector((n,), row / np.sqrt(n)) for row in phase_table(n))
-    return MeasurementBasis(n, vectors)
+    return _basis(_fourier_bras(n))
 
 
 def correction_unitary(k: int, n: int) -> Operator:
     """Diagonal U_k = sum_j e^{i 2pi jk/N} |j><j|."""
+    _check_dimension(n)
     if not 0 <= k < n:
         raise ValueError(f"correction index {k} out of range for dim {n}")
     return Operator(np.diag(phase_table(n)[k]), unitary=True)
@@ -256,7 +274,10 @@ def _collapsed_rows(p: PhaseVector) -> np.ndarray:
     the target phases.
 
     The exponent sign is the one that makes correction_unitary(idx) map row
-    idx back onto equatorial_state(p).
+    idx back onto equatorial_state(p). The rows equal `_sender_bras(p)` bit
+    for bit, but the decomposition check derives them here on its own: read
+    against the conjugate of the matrix it expands in, a sign error in the
+    target phases would cancel out of the check.
     """
     return np.conj(phase_table(p.dim)) * np.exp(1j * p.full()) / np.sqrt(p.dim)
 
@@ -265,18 +286,6 @@ def _collapsed_rows(p: PhaseVector) -> np.ndarray:
 def channel_state(n: int) -> StateVector:
     """The full resource: GHZ on (A1,B1,C1) tensor GHZ on (A2,B2,C2)."""
     return tensor(ghz_state(n), ghz_state(n))
-
-
-@functools.lru_cache(maxsize=1024)
-def _sender_bras(p: PhaseVector) -> np.ndarray:
-    """Read-only conjugated rows of sender_basis(p); row i is the bra of outcome i."""
-    return _read_only(sender_basis(p).matrix().conj())
-
-
-@functools.lru_cache(maxsize=64)
-def _fourier_bras(n: int) -> np.ndarray:
-    """Read-only conjugated rows of fourier_basis(n)."""
-    return _read_only(fourier_basis(n).matrix().conj())
 
 
 def _project_leg(diagonal: np.ndarray, bra: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
@@ -449,8 +458,7 @@ def run_protocol(
     """
     _check_dims(alice, bob, n)
     if outcome is None:
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(rng)
         senders = _draw_senders(alice, bob, rng)
         controller = _draw_controller(alice, bob, *senders, rng)
         return _drawn_result(alice, bob, OutcomeTuple(*senders, *controller))
@@ -477,11 +485,7 @@ def _zero_target(n: int) -> PhaseVector:
 
 
 def all_outcomes(n: int) -> Iterable[OutcomeTuple]:
-    for l in range(n):
-        for nn in range(n):
-            for m in range(n):
-                for k in range(n):
-                    yield OutcomeTuple(l, nn, m, k)
+    return itertools.starmap(OutcomeTuple, itertools.product(range(n), repeat=4))
 
 
 def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
@@ -512,7 +516,7 @@ def _leg_deviation(target: PhaseVector, n: int) -> float:
     s = np.arange(n)
     kept = _collapsed_rows(target)[(s[:, None] + s[None, :]) % n]
     acc = np.einsum(
-        "sta,sb,tc->abc", kept, sender_basis(target).matrix(), fourier_basis(n).matrix()
+        "sta,sb,tc->abc", kept, _sender_bras(target).conj(), _fourier_bras(n).conj()
     ) / n
     return float(np.max(np.abs(acc - _diagonal_tensor(_ghz_diagonal(n), 3))))
 

@@ -132,35 +132,6 @@ class Session:
         self.outcomes: dict[str, int] = {}
         self._result: Optional[ProtocolResult] = None
 
-    # -- step bodies --------------------------------------------------
-
-    def _announce(self, first: int, second: int):
-        """Append this step's announcements of the two outcomes just drawn."""
-        self.transcript.extend(_announcements(self.step, first, second))
-
-    def _step_senders(self):
-        # serialized A2-then-B1; the two act on different legs so the order
-        # is unobservable
-        l, nn = _draw_senders(self.alice, self.bob, self._rng)
-        self.outcomes.update(l=l, n=nn)
-        self._announce(l, nn)
-
-    def _step_controller(self):
-        if not self.charlie_consents:
-            self.status = SessionStatus.ABORTED
-            return
-        m, k = _draw_controller(
-            self.alice, self.bob, self.outcomes["l"], self.outcomes["n"], self._rng
-        )
-        self.outcomes.update(m=m, k=k)
-        self._announce(m, k)
-
-    def _step_corrections(self):
-        self._result = _drawn_result(self.alice, self.bob, self.outcome_tuple())
-        self.status = SessionStatus.COMPLETED
-
-    # -- public surface -----------------------------------------------
-
     @property
     def legs(self) -> list[StateVector]:
         """The current [A1·B1·C1, B2·A2·C2] legs, kept qudit first.
@@ -183,11 +154,22 @@ class Session:
             raise RuntimeError(f"session is already {self.status.value}")
         self.step += 1
         if self.step == 1:
-            self._step_senders()
+            # serialized A2-then-B1; the two act on different legs so the order
+            # is unobservable
+            l, nn = _draw_senders(self.alice, self.bob, self._rng)
+            self.outcomes.update(l=l, n=nn)
+            self.transcript.extend(_announcements(1, l, nn))
+        elif self.step == 2 and not self.charlie_consents:
+            self.status = SessionStatus.ABORTED
         elif self.step == 2:
-            self._step_controller()
-        elif self.step == 3:
-            self._step_corrections()
+            m, k = _draw_controller(
+                self.alice, self.bob, self.outcomes["l"], self.outcomes["n"], self._rng
+            )
+            self.outcomes.update(m=m, k=k)
+            self.transcript.extend(_announcements(2, m, k))
+        else:
+            self._result = _drawn_result(self.alice, self.bob, self.outcome_tuple())
+            self.status = SessionStatus.COMPLETED
         return self.status
 
     def run_to_completion(self) -> SessionStatus:

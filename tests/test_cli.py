@@ -424,7 +424,7 @@ class TestSweep:
         )
         assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        rows = compare_paper_vs_exact(kind, alice, bob, grid, alice.dim).rows
+        rows = compare_paper_vs_exact(kind, alice, bob, grid).rows
         assert [
             (r.gamma, r.exact_a1, r.exact_b2, r.paper, r.deviation) for r in rows
         ] == [tuple(d.values()) for d in doc]

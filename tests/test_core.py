@@ -387,7 +387,7 @@ CHANNELS = {
 class TestApplyKraus:
     def test_identity_channel_is_noop(self):
         chan = KrausSet(2, (Operator(np.eye(2, dtype=complex)),))
-        ens = BranchEnsemble.pure(tensor(basis_state(2, 0), basis_state(2, 1)))
+        ens = BranchEnsemble(((1.0, tensor(basis_state(2, 0), basis_state(2, 1))),))
         out = apply_kraus(ens, chan, 0)
         assert len(out.branches) == 1
         w, s = out.branches[0]
@@ -395,7 +395,7 @@ class TestApplyKraus:
         np.testing.assert_array_equal(s.amplitudes, ens.branches[0][1].amplitudes)
 
     def test_flip_channel_at_zero_strength(self):
-        ens = BranchEnsemble.pure(equatorial_state(PhaseVector(4, (0.3, 0.6, 0.9))))
+        ens = BranchEnsemble(((1.0, equatorial_state(PhaseVector(4, (0.3, 0.6, 0.9)))),))
         out = apply_kraus(ens, kraus_for(NoiseKind.QUDIT_FLIP, 0.0, 4), 0)
         assert len(out.branches) == 1
         fid = fidelity_density(ens.branches[0][1], out.density_matrix())
@@ -413,7 +413,7 @@ class TestApplyKraus:
         for op in chan.operators:
             big = np.kron(np.eye(dim), op.entries)
             expected += big @ rho @ big.conj().T
-        out = apply_kraus(BranchEnsemble.pure(state), chan, 1)
+        out = apply_kraus(BranchEnsemble(((1.0, state),)), chan, 1)
         np.testing.assert_allclose(out.density_matrix(), expected, atol=1e-10)
 
     @pytest.mark.parametrize("kind", CHANNELS.values(), ids=CHANNELS.keys())
@@ -421,7 +421,7 @@ class TestApplyKraus:
         rng = np.random.default_rng(5)
         state = StateVector((4, 4), random_state(rng, 16))
         for gamma in np.linspace(0.0, 1.0, 20):
-            out = apply_kraus(BranchEnsemble.pure(state), kraus_for(kind, gamma, 4), 0)
+            out = apply_kraus(BranchEnsemble(((1.0, state),)), kraus_for(kind, gamma, 4), 0)
             assert sum(w for w, _ in out.branches) == pytest.approx(1.0, abs=1e-12)
 
     def test_incomplete_set_rejected(self):
@@ -432,11 +432,11 @@ class TestApplyKraus:
 class TestFidelity:
     def test_pure_self(self):
         psi = equatorial_state(PhaseVector(3, (0.2, 1.9)))
-        rho = BranchEnsemble.pure(psi).density_matrix()
+        rho = BranchEnsemble(((1.0, psi),)).density_matrix()
         assert fidelity_density(psi, rho) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
-        rho = BranchEnsemble.pure(basis_state(2, 1)).density_matrix()
+        rho = BranchEnsemble(((1.0, basis_state(2, 1)),)).density_matrix()
         assert fidelity_density(basis_state(2, 0), rho) == 0.0
 
     def test_dimension_mismatch_names_both(self):
@@ -450,7 +450,7 @@ class TestFidelity:
         gamma = 0.4
         target = equatorial_state(PhaseVector.zero(4))
         chan = kraus_for(NoiseKind.QUDIT_PHASE_FLIP, gamma, 4)
-        ens = apply_kraus(BranchEnsemble.pure(target), chan, 0)
+        ens = apply_kraus(BranchEnsemble(((1.0, target),)), chan, 0)
         fid = fidelity_density(target, ens.density_matrix())
         assert fid == pytest.approx(np.sqrt(1 - 3 * gamma / 4), abs=1e-12)
 
@@ -461,8 +461,8 @@ class TestFidelity:
         psi = StateVector((3,), random_state(rng, 3))
         a = StateVector((3,), random_state(rng, 3))
         b = StateVector((3,), random_state(rng, 3))
-        ens_a = BranchEnsemble.pure(a)
-        ens_b = BranchEnsemble.pure(b)
+        ens_a = BranchEnsemble(((1.0, a),))
+        ens_b = BranchEnsemble(((1.0, b),))
         if lam in (0.0, 1.0):
             mixed = ens_a if lam == 1.0 else ens_b
         else:

@@ -7,8 +7,24 @@ from hypothesis import strategies as st
 
 from bcrsp import protocol
 from bcrsp.cli import main
-from bcrsp.core import ATOL, StateVector, born_cdf, born_draw, measure, project, same_ray
-from bcrsp.optics import cnot_gate, ghz_via_cnot
+from bcrsp.core import (
+    ATOL,
+    MeasurementBasis,
+    StateVector,
+    born_cdf,
+    born_draw,
+    measure,
+    project,
+    same_ray,
+)
+from bcrsp.noise import NoiseKind, kraus_for
+from bcrsp.optics import (
+    cnot_gate,
+    controller_basis_matrix,
+    correction_circuit,
+    ghz_via_cnot,
+    verify_correction_circuits,
+)
 from bcrsp.protocol import (
     PROTOCOL_ORDER,
     ProtocolResult,
@@ -148,6 +164,48 @@ class TestBases:
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
         f = fourier_basis(n).matrix()
         assert np.max(np.abs(f @ f.conj().T - np.eye(n))) <= 1e-10
+
+    def test_bases_are_views_of_the_engine_bras(self):
+        # the validated bases and the optical controller matrix hold the
+        # engine's bras conjugated, bit for bit, and `_collapsed_rows`, which
+        # the decomposition check derives on its own, gives the sender's bras
+        rng = np.random.default_rng(2064)
+        for n in range(2, 65):
+            four = protocol._fourier_bras(n).conj()
+            assert np.array_equal(fourier_basis(n).matrix(), four), n
+            assert np.array_equal(controller_basis_matrix(n), four), n
+            for _ in range(4):
+                p = random_phase_vector(n, rng)
+                bras = protocol._sender_bras(p)
+                assert np.array_equal(sender_basis(p).matrix(), bras.conj()), n
+                assert np.array_equal(protocol._collapsed_rows(p), bras), n
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_engine_builds_no_basis_object(self, n, monkeypatch):
+        # every engine path reads the raw bras; each path gets a target pair
+        # no other test uses, so its caches start cold
+        built = []
+        check = MeasurementBasis.__post_init__
+
+        def counted(basis):
+            built.append(basis.dim)
+            check(basis)
+
+        monkeypatch.setattr(MeasurementBasis, "__post_init__", counted)
+        rng = np.random.default_rng(7100 + n)
+
+        def fresh_pair():
+            return random_phase_vector(n, rng), random_phase_vector(n, rng)
+
+        oc = OutcomeTuple(n - 1, 1, 0, n // 2)
+        run_protocol(*fresh_pair(), n, outcome=oc)
+        run_protocol(*fresh_pair(), n, rng=5)
+        assert new_session(*fresh_pair(), n, seed=6).run_to_completion() is SessionStatus.COMPLETED
+        outcome_probability(n, oc)
+        assert verify_decomposition(*fresh_pair(), n)
+        assert built == []
+        sender_basis(fresh_pair()[0])
+        assert built == [n]
 
 
 class TestCorrections:
@@ -466,6 +524,11 @@ class TestValidation:
             lambda: build_correction_table(n),
             lambda: cnot_gate(n),
             lambda: ghz_via_cnot(n),
+            lambda: correction_unitary(0, n),
+            lambda: correction_circuit(0, n),
+            lambda: verify_correction_circuits(n),
+            lambda: controller_basis_matrix(n),
+            *(lambda kind=kind: kraus_for(kind, 0.5, n) for kind in NoiseKind),
         ):
             with pytest.raises(ValueError, match=rf"^dimension must be at least 2, got {n}$"):
                 call()

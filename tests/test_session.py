@@ -421,6 +421,17 @@ class TestDecline:
         with pytest.raises(RuntimeError, match="did not complete"):
             ses.result()
 
+    def test_abort_draws_nothing(self, qutrit_pair):
+        # the consent check comes before the controller's draws
+        alice, bob = qutrit_pair
+        ses = new_session(alice, bob, 3, charlie_consents=False, seed=23)
+        fresh = ses._rng.bit_generator.state
+        ses.advance()
+        after_senders = ses._rng.bit_generator.state
+        assert after_senders != fresh
+        assert ses.advance() is SessionStatus.ABORTED
+        assert ses._rng.bit_generator.state == after_senders
+
     def test_aborted_outcome_tuple_raises(self, qutrit_pair):
         # m and k were never measured, so no outcome tuple exists
         alice, bob = qutrit_pair
