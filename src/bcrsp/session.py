@@ -17,14 +17,18 @@ Each step's four announcements depend only on its two drawn outcomes,
 so they are built once per (step, outcomes) and shared between sessions.
 `export_transcript` writes `json.dumps(doc, indent=2)` byte for byte,
 splicing each message's indented block, encoded once per message object,
-into the header. `import_transcript` checks each distinct raw message
-once and rejects, with ValueError, a field that is missing or of the
-wrong type or range; see its docstring for what it does not check.
+into the header. An export is therefore a function of (dimension,
+status, l, n, m, k), and `import_transcript` accepts exactly the
+documents export can write: a text equal to the export of the values it
+reads is returned without parsing, and any other text is decoded and
+rejected, with one ValueError line, at its first malformed field or
+first difference from an export.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from enum import Enum
@@ -74,13 +78,16 @@ class ClassicalMessage:
     basis_label: str
     outcome_index: int
 
+    def _json_fields(self) -> dict:
+        """This message as an entry of an exported `messages` list."""
+        values = (self.sender.value, self.receiver.value, self.step, self.kind,
+                  self.basis_label, self.outcome_index)
+        return dict(zip([key for key, _ in _MESSAGE_FIELDS], values))
+
     @cached_property
     def _json_block(self) -> str:
         """This message in an exported `messages` list, 4-space indented, encoded once."""
-        values = (self.sender.value, self.receiver.value, self.step, self.kind,
-                  self.basis_label, self.outcome_index)
-        block = json.dumps(dict(zip([key for key, _ in _MESSAGE_FIELDS], values)), indent=2)
-        return "    " + block.replace("\n", "\n    ")
+        return "    " + json.dumps(self._json_fields(), indent=2).replace("\n", "\n    ")
 
 
 _A, _B, _C = PartyId.ALICE, PartyId.BOB, PartyId.CHARLIE
@@ -201,35 +208,37 @@ def new_session(
     return Session(alice, bob, n, charlie_consents, seed)
 
 
+_DOCUMENT_KEYS = ("version", "dimension", "status", "messages")
+
+
 @lru_cache(maxsize=256, typed=True)
 def _transcript_head(dimension, status) -> str:
     """The exported document with an empty `messages` list."""
     return json.dumps(
-        {
-            "version": TRANSCRIPT_SCHEMA_VERSION,
-            "dimension": dimension,
-            "status": status,
-            "messages": [],
-        },
-        indent=2,
+        dict(zip(_DOCUMENT_KEYS, (TRANSCRIPT_SCHEMA_VERSION, dimension, status, []))), indent=2
     )
+
+
+def _transcript_text(dimension, status: str, messages) -> str:
+    """`json.dumps(doc, indent=2)` of a transcript, spliced from cached pieces.
+
+    The header is encoded once per distinct value, each message block once
+    per message object.
+    """
+    head = _transcript_head(dimension, status)
+    blocks = ",\n".join([msg._json_block for msg in messages])
+    # head ends with `"messages": []\n}`
+    return f"{head[:-4]}[\n{blocks}\n  ]\n}}\n"
 
 
 def export_transcript(session: Session) -> str:
     """Stable JSON serialization of a terminal session's transcript.
 
-    The text is `json.dumps(doc, indent=2)` of the whole document. The
-    header is encoded once per distinct value and cached, each message
-    block once per message object; the blocks are spliced into the
-    header's empty `messages` list.
+    The text is `json.dumps(doc, indent=2)` of the whole document.
     """
     if session.status is SessionStatus.RUNNING:
         raise RuntimeError("cannot export the transcript of a running session")
-    head = _transcript_head(session.n, session.status.value)
-    # a terminal session has announced at least step 1's four messages
-    blocks = ",\n".join([msg._json_block for msg in session.transcript])
-    # head ends with `"messages": []\n}`
-    return f"{head[:-4]}[\n{blocks}\n  ]\n}}\n"
+    return _transcript_text(session.n, session.status.value, session.transcript)
 
 
 @dataclass(frozen=True)
@@ -241,6 +250,8 @@ class TranscriptDocument:
 
 
 _PARTIES = {party.value: party for party in PartyId}
+_TERMINAL = {status.value: status for status in (SessionStatus.COMPLETED, SessionStatus.ABORTED)}
+_MESSAGE_COUNT = {SessionStatus.COMPLETED: 8, SessionStatus.ABORTED: 4}
 
 
 def _party(value, key: str, where: str) -> PartyId:
@@ -261,41 +272,85 @@ _MESSAGE_FIELDS = (
     ("from", _party), ("to", _party), ("step", _json_integer),
     ("kind", _string), ("basis_label", _string), ("outcome_index", _json_integer),
 )
-_NO_FIELD = object()
 
 
-def _message(i: int, *fields) -> ClassicalMessage:
-    """Transcript message `i` from its raw fields in `_MESSAGE_FIELDS` order.
+def _message(i: int, raw, dimension: int) -> ClassicalMessage:
+    """Transcript message `i` from its decoded JSON object.
 
-    ValueError names the first field that is `_NO_FIELD` (absent) or malformed, or a step below 1.
+    ValueError names the first field that is absent or malformed, a step
+    below 1, or an outcome index outside [0, dimension).
     """
     where = f"transcript message {i}"
+    raw = _json_object(raw, where)
     values = []
-    for (key, read), value in zip(_MESSAGE_FIELDS, fields):
-        if value is _NO_FIELD:
+    for key, read in _MESSAGE_FIELDS:
+        if key not in raw:
             raise ValueError(f"{where} has no {key!r} field")
-        values.append(read(value, key, where))
+        values.append(read(raw[key], key, where))
     msg = ClassicalMessage(*values)
     if msg.step < 1:
         raise ValueError(f"{where} step must be at least 1, got {msg.step}")
+    if not 0 <= msg.outcome_index < dimension:
+        raise ValueError(
+            f"{where} outcome_index {msg.outcome_index} is out of range for dimension {dimension}"
+        )
     return msg
 
 
-# `typed=True` keeps `true`, `1` and `1.0` apart: only the first is rejected
-_cached_message = lru_cache(maxsize=4096, typed=True)(_message)
+def _exported(status: SessionStatus, indices) -> tuple[ClassicalMessage, ...]:
+    """The messages an export writes, read from its messages' outcome indices in order."""
+    # l and n are first announced by messages 0 and 2, m and k by 4 and 5
+    step1 = _announcements(1, indices[0], indices[2])
+    if status is SessionStatus.ABORTED:
+        return step1
+    return step1 + _announcements(2, indices[4], indices[5])
+
+
+# an export up to its first message, with the version inlined; then each
+# message's last line. Past 9 digits a number takes the parsing path.
+_EXPORT_HEAD = re.compile(
+    rf'{{\n  "version": {TRANSCRIPT_SCHEMA_VERSION},\n  "dimension": ([0-9]{{1,9}}),\n'
+    r'  "status": "(completed|aborted)",\n'
+)
+_OUTCOME_INDEX = re.compile(r'"outcome_index": ([0-9]{1,9})\n')
 
 
 def import_transcript(serialized: str) -> TranscriptDocument:
-    """Inverse of export_transcript; round-trips field by field.
+    """Inverse of export_transcript: accepts exactly the documents it can write.
 
-    Raises ValueError on a non-object document or message, a missing
-    field, a non-list `messages`, a boolean or non-integral integer field,
-    another version, a running or unknown status, an unknown party, a
-    non-string `kind` or `basis_label`, a dimension below 2, a step below
-    1, or an outcome index outside [0, dimension). It checks nothing else:
-    extra keys, any `kind`, any step, a message to its own sender and any
-    message count for the status all import.
+    An exported text is a function of (dimension, status, l, n, m, k), so
+    the text is first read as one: the dimension, status and outcome
+    indices are taken from the export layout without parsing, and if the
+    text equals the export of those values, its document is returned
+    without `json.loads`. The messages are the shared announcements a
+    session holds.
+
+    Any other text is decoded, and ValueError names the first malformed
+    field: a non-object document or message, a missing field, a non-list
+    `messages`, a boolean or non-integral integer field, another version,
+    a running or unknown status, an unknown party, a non-string `kind` or
+    `basis_label`, a dimension below 2, a step below 1, or an outcome
+    index outside [0, dimension). Then, reading l, n, m and k from
+    messages 0, 2, 4 and 5, a document whose decoded JSON differs from the
+    export of those outcomes is rejected with the reason: an extra key, a
+    message count that is not 4 for `aborted` or 8 for `completed`, or a
+    field (`kind`, `step`, route, label, outcome) other than the export's.
+    Integral floats such as `3.0` read as ints, so a re-indented or compact
+    `json.dumps` of an export imports.
     """
+    head = _EXPORT_HEAD.match(serialized) if type(serialized) is str else None
+    if head is not None:
+        dimension, status = int(head[1]), _TERMINAL[head[2]]
+        indices = [int(i) for i in _OUTCOME_INDEX.findall(serialized, head.end())]
+        if dimension >= 2 and len(indices) == _MESSAGE_COUNT[status] and max(indices) < dimension:
+            messages = _exported(status, indices)
+            if serialized == _transcript_text(dimension, head[2], messages):
+                return TranscriptDocument(TRANSCRIPT_SCHEMA_VERSION, dimension, status, messages)
+    return _parse_transcript(serialized)
+
+
+def _parse_transcript(serialized) -> TranscriptDocument:
+    """import_transcript of a text that is not an export byte for byte."""
     where = "transcript document"
     doc = _json_object(json.loads(serialized), where)
     try:
@@ -312,18 +367,27 @@ def import_transcript(serialized: str) -> TranscriptDocument:
             raise ValueError(f"transcript messages must be a JSON list, got {doc['messages']!r}")
     except KeyError as exc:
         raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
-    messages = []
-    for i, m in enumerate(doc["messages"]):
-        m = _json_object(m, f"transcript message {i}")
-        fields = [m.get(key, _NO_FIELD) for key, _ in _MESSAGE_FIELDS]
-        try:
-            msg = _cached_message(i, *fields)
-        except TypeError:  # an unhashable field value, such as a list
-            msg = _message(i, *fields)
-        if not 0 <= msg.outcome_index < dimension:
-            raise ValueError(
-                f"transcript message {i} outcome_index {msg.outcome_index} is out of range"
-                f" for dimension {dimension}"
-            )
-        messages.append(msg)
-    return TranscriptDocument(version, dimension, status, tuple(messages))
+    messages = [_message(i, m, dimension) for i, m in enumerate(doc["messages"])]
+    # every field is well formed; what follows an export could not have written
+    for key in doc:
+        if key not in _DOCUMENT_KEYS:
+            raise ValueError(f"{where} has an extra key {key!r}")
+    count = _MESSAGE_COUNT[status]
+    if len(messages) != count:
+        raise ValueError(
+            f"transcript status {status.value!r} has {len(messages)} messages;"
+            f" an export writes {count}"
+        )
+    exported = _exported(status, [msg.outcome_index for msg in messages])
+    for i, (raw, msg) in enumerate(zip(doc["messages"], exported)):
+        fields = msg._json_fields()
+        for key in raw:
+            if key not in fields:
+                raise ValueError(f"transcript message {i} has an extra key {key!r}")
+        for key, value in fields.items():
+            if raw[key] != value:
+                raise ValueError(
+                    f"transcript message {i} field {key!r} is {raw[key]!r}"
+                    f" where an export writes {value!r}"
+                )
+    return TranscriptDocument(version, dimension, status, exported)

@@ -12,6 +12,7 @@ from bcrsp.core import (
     reduced_density,
     tensor,
 )
+from bcrsp import session as session_module
 from bcrsp.protocol import PhaseVector, equatorial_state, ghz_state, run_protocol, sender_basis
 from bcrsp.session import (
     ClassicalMessage,
@@ -148,6 +149,13 @@ MALFORMED_IDS = [
 ]
 
 NON_PARTIES = ["eve", "Alice", ["alice"], None, 1]
+# each exported message in order: (from, to, step, basis_label, the outcome it announces)
+EXPORT_ROUTES = (
+    ("alice", "bob", 1, "A2", "l"), ("alice", "charlie", 1, "A2", "l"),
+    ("bob", "alice", 1, "B1", "n"), ("bob", "charlie", 1, "B1", "n"),
+    ("charlie", "alice", 2, "C1", "m"), ("charlie", "alice", 2, "C2", "k"),
+    ("charlie", "bob", 2, "C1", "m"), ("charlie", "bob", 2, "C2", "k"),
+)
 # the same cases with every non-party name in message 4's `from` and `to`
 ALL_REJECTED = MALFORMED + [
     (_set(key, value, message=4), f"message 4 field '{key}' names no party")
@@ -157,6 +165,58 @@ ALL_REJECTED = MALFORMED + [
 ALL_REJECTED_IDS = MALFORMED_IDS + [
     f"{key}-{value}" for key in ("from", "to") for value in NON_PARTIES
 ]
+
+
+
+def _swap(i, j):
+    """Edit of an exported document: swap messages i and j."""
+    def edit(doc):
+        msgs = doc["messages"]
+        msgs[i], msgs[j] = msgs[j], msgs[i]
+        return doc
+    return edit
+
+
+# (edit, the one-line ValueError) for well-formed documents export cannot write; the
+# completed N=3 export they edit announces l, n, m, k = 0, 2, 0, 2
+NOT_EXPORTS = {
+    "extra-document-key": (_set("note", "x"), "transcript document has an extra key 'note'"),
+    "extra-message-key": (
+        _set("note", 1, message=3), "transcript message 3 has an extra key 'note'"
+    ),
+    "bogus-kind": (
+        _set("kind", "bogus", message=2),
+        "transcript message 2 field 'kind' is 'bogus' where an export writes 'outcome'",
+    ),
+    "step-9": (
+        _set("step", 9, message=6),
+        "transcript message 6 field 'step' is 9 where an export writes 2",
+    ),
+    "step-2-label-on-step-1": (
+        _set("basis_label", "C1", message=1),
+        "transcript message 1 field 'basis_label' is 'C1' where an export writes 'A2'",
+    ),
+    "to-own-sender": (
+        _set("to", "alice", message=0),
+        "transcript message 0 field 'to' is 'alice' where an export writes 'bob'",
+    ),
+    "swapped-messages": (
+        _swap(2, 5),
+        "transcript message 2 field 'from' is 'charlie' where an export writes 'bob'",
+    ),
+    "outcome-announced-twice-differently": (
+        _set("outcome_index", 1, message=1),
+        "transcript message 1 field 'outcome_index' is 1 where an export writes 0",
+    ),
+    "aborted-with-8": (
+        _set("status", "aborted"),
+        "transcript status 'aborted' has 8 messages; an export writes 4",
+    ),
+    "completed-with-4": (
+        lambda doc: {**doc, "messages": doc["messages"][:4]},
+        "transcript status 'completed' has 4 messages; an export writes 8",
+    ),
+}
 
 
 class TestTranscript:
@@ -255,7 +315,8 @@ class TestTranscript:
 
     @staticmethod
     def _uncached_import(serialized: str) -> TranscriptDocument:
-        # the former import_transcript body: every field of every message checked on each read
+        # the former import_transcript body, every field of every message checked on each
+        # read, then the rejection of anything export_transcript cannot write
         where = "transcript document"
         doc = _json_object(json.loads(serialized), where)
         try:
@@ -292,6 +353,32 @@ class TestTranscript:
                         f" for dimension {dimension}"
                     )
                 messages.append(msg)
+            for key in doc:
+                if key not in ("version", "dimension", "status", "messages"):
+                    raise ValueError(f"transcript document has an extra key {key!r}")
+            count = 4 if status is SessionStatus.ABORTED else 8
+            if len(messages) != count:
+                raise ValueError(
+                    f"transcript status {status.value!r} has {len(messages)} messages;"
+                    f" an export writes {count}"
+                )
+            drawn = {}  # each outcome as its first announcement gives it
+            for msg, route in zip(messages, EXPORT_ROUTES):
+                drawn.setdefault(route[-1], msg.outcome_index)
+            for i, (m, (sender, receiver, step, label, slot)) in enumerate(
+                zip(doc["messages"], EXPORT_ROUTES)
+            ):
+                want = {"from": sender, "to": receiver, "step": step, "kind": "outcome",
+                        "basis_label": label, "outcome_index": drawn[slot]}
+                for key in m:
+                    if key not in want:
+                        raise ValueError(f"transcript message {i} has an extra key {key!r}")
+                for key, value in want.items():
+                    if m[key] != value:
+                        raise ValueError(
+                            f"transcript message {i} field {key!r} is {m[key]!r}"
+                            f" where an export writes {value!r}"
+                        )
         except KeyError as exc:
             raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
         return TranscriptDocument(version, dimension, status, tuple(messages))
@@ -306,7 +393,7 @@ class TestTranscript:
 
     @pytest.mark.parametrize("edit, match", ALL_REJECTED, ids=ALL_REJECTED_IDS)
     def test_warm_cache_keeps_each_error_message(self, qutrit_pair, edit, match):
-        # the valid import puts every one of its messages in the cache, at its index
+        # a valid import first: nothing it leaves behind may change an error message
         import_transcript(json.dumps(self._exported(qutrit_pair)))
         text = json.dumps(edit(self._exported(qutrit_pair)))
         with pytest.raises(ValueError, match=match) as caught:
@@ -339,12 +426,18 @@ class TestTranscript:
         import_transcript(json.dumps(self._exported(qutrit_pair)))
         for key in ("step", "outcome_index"):
             doc = self._exported(qutrit_pair)
-            doc["messages"][0][key] = 1
+            # messages 0 and 1 are both step 1 and both announce l, so setting the
+            # two together keeps the document one that export can write
+            pair = doc["messages"][:2]
+            for msg in pair:
+                msg[key] = 1
             assert getattr(import_transcript(json.dumps(doc)).messages[0], key) == 1
-            doc["messages"][0][key] = True
+            for msg in pair:
+                msg[key] = True
             with pytest.raises(ValueError, match=f"message 0 field '{key}' must be an integer"):
                 import_transcript(json.dumps(doc))
-            doc["messages"][0][key] = 1.0
+            for msg in pair:
+                msg[key] = 1.0
             restored = import_transcript(json.dumps(doc)).messages[0]
             assert type(getattr(restored, key)) is int and getattr(restored, key) == 1
 
@@ -356,6 +449,61 @@ class TestTranscript:
         text = json.dumps(_set(key, value, message=2)(self._exported(qutrit_pair)))
         with pytest.raises(ValueError, match=f"message 2 field '{key}'"):
             import_transcript(text)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_import_of_an_export_returns_its_messages(self, n):
+        rng = np.random.default_rng(2600 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        for seed in range(20):
+            for consents in (True, False):
+                ses = new_session(alice, bob, n, charlie_consents=consents, seed=seed)
+                ses.run_to_completion()
+                doc = import_transcript(export_transcript(ses))
+                assert (doc.version, doc.dimension, doc.status) == (1, n, ses.status)
+                assert len(doc.messages) == len(ses.transcript) == (8 if consents else 4)
+                assert all(a is b for a, b in zip(doc.messages, ses.transcript))
+
+    def test_an_export_imports_without_json_loads(self, qutrit_pair, monkeypatch):
+        sessions = [new_session(*qutrit_pair, 3, charlie_consents=c, seed=8) for c in (1, 0)]
+        texts = []
+        for ses in sessions:
+            ses.run_to_completion()
+            texts.append(export_transcript(ses))
+        compact = json.dumps(json.loads(texts[0]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads was called")
+
+        monkeypatch.setattr(session_module.json, "loads", refuse)
+        for ses, text in zip(sessions, texts):
+            assert import_transcript(text).messages == tuple(ses.transcript)
+        with pytest.raises(AssertionError, match="json.loads was called"):
+            import_transcript(compact)  # any other text is parsed
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"indent": 4}, {"separators": (",", ":")}, {"indent": "\t", "sort_keys": True}],
+        ids=["default", "indent-4", "compact", "tabs-sorted-keys"],
+    )
+    def test_reencoded_export_imports(self, qutrit_pair, options):
+        for consents in (True, False):
+            ses = new_session(*qutrit_pair, 3, charlie_consents=consents, seed=8)
+            ses.run_to_completion()
+            text = export_transcript(ses)
+            restored = import_transcript(json.dumps(json.loads(text), **options))
+            assert restored == import_transcript(text)
+            assert restored.messages == tuple(ses.transcript)
+        assert import_transcript(text.encode()) == import_transcript(text)
+
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "export-layout"])
+    @pytest.mark.parametrize("name", sorted(NOT_EXPORTS))
+    def test_import_rejects_what_export_cannot_write(self, qutrit_pair, name, indent):
+        edit, message = NOT_EXPORTS[name]
+        text = json.dumps(edit(self._exported(qutrit_pair)), indent=indent) + "\n"
+        with pytest.raises(ValueError) as caught:
+            import_transcript(text)
+        assert str(caught.value) == message
+        assert f"ValueError: {message}" == self._outcome(self._uncached_import, text)
 
     def test_equal_announcements_are_one_object(self, qutrit_pair):
         first, second = (new_session(*qutrit_pair, 3, seed=8) for _ in range(2))
