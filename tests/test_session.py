@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bcrsp import session as session_module
 from bcrsp.core import (
     _json_integer,
     _json_object,
@@ -12,7 +13,6 @@ from bcrsp.core import (
     reduced_density,
     tensor,
 )
-from bcrsp import session as session_module
 from bcrsp.protocol import PhaseVector, equatorial_state, ghz_state, run_protocol, sender_basis
 from bcrsp.session import (
     ClassicalMessage,
@@ -165,7 +165,6 @@ ALL_REJECTED = MALFORMED + [
 ALL_REJECTED_IDS = MALFORMED_IDS + [
     f"{key}-{value}" for key in ("from", "to") for value in NON_PARTIES
 ]
-
 
 
 def _swap(i, j):
@@ -464,7 +463,7 @@ class TestTranscript:
                 assert all(a is b for a, b in zip(doc.messages, ses.transcript))
 
     def test_an_export_imports_without_json_loads(self, qutrit_pair, monkeypatch):
-        sessions = [new_session(*qutrit_pair, 3, charlie_consents=c, seed=8) for c in (1, 0)]
+        sessions = [new_session(*qutrit_pair, 3, c, seed=8) for c in (True, False)]
         texts = []
         for ses in sessions:
             ses.run_to_completion()
