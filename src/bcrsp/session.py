@@ -368,7 +368,7 @@ def _parse_transcript(serialized) -> TranscriptDocument:
     except KeyError as exc:
         raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
     messages = [_message(i, m, dimension) for i, m in enumerate(doc["messages"])]
-    # every field is well formed; what follows an export could not have written
+    # every field is well formed; reject what an export could not have written
     for key in doc:
         if key not in _DOCUMENT_KEYS:
             raise ValueError(f"{where} has an extra key {key!r}")
