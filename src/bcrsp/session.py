@@ -20,9 +20,10 @@ splicing each message's indented block, encoded once per message object,
 into the header. An export is therefore a function of (dimension,
 status, l, n, m, k), and `import_transcript` accepts exactly the
 documents export can write: a text equal to the export of the values it
-reads is returned without parsing, and any other text is decoded and
-rejected, with one ValueError line, at its first malformed field or
-first difference from an export.
+reads is returned without parsing, and any other text is decoded: a
+document equal to an export's imports, and any other is rejected, with
+one ValueError line, at its first malformed field or first difference
+from an export.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ class ClassicalMessage:
     basis_label: str
     outcome_index: int
 
+    @cached_property
     def _json_fields(self) -> dict:
-        """This message as an entry of an exported `messages` list."""
+        """This message as an entry of an exported `messages` list, built once; never mutated."""
         values = (self.sender.value, self.receiver.value, self.step, self.kind,
                   self.basis_label, self.outcome_index)
         return dict(zip([key for key, _ in _MESSAGE_FIELDS], values))
@@ -87,13 +89,14 @@ class ClassicalMessage:
     @cached_property
     def _json_block(self) -> str:
         """This message in an exported `messages` list, 4-space indented, encoded once."""
-        return "    " + json.dumps(self._json_fields(), indent=2).replace("\n", "\n    ")
+        return "    " + json.dumps(self._json_fields, indent=2).replace("\n", "\n    ")
 
 
 _A, _B, _C = PartyId.ALICE, PartyId.BOB, PartyId.CHARLIE
 
 # step -> its announcements in transcript order: (sender, receiver, basis
 # label, which of the step's two drawn outcomes it announces)
+# `_exported` relies on this order: l, n, m, k first appear in messages 0, 2, 4, 5
 _ANNOUNCEMENTS = {
     1: ((_A, _B, "A2", 0), (_A, _C, "A2", 0), (_B, _A, "B1", 1), (_B, _C, "B1", 1)),
     2: ((_C, _A, "C1", 0), (_C, _A, "C2", 1), (_C, _B, "C1", 0), (_C, _B, "C2", 1)),
@@ -250,7 +253,6 @@ class TranscriptDocument:
 
 
 _PARTIES = {party.value: party for party in PartyId}
-_TERMINAL = {status.value: status for status in (SessionStatus.COMPLETED, SessionStatus.ABORTED)}
 _MESSAGE_COUNT = {SessionStatus.COMPLETED: 8, SessionStatus.ABORTED: 4}
 
 
@@ -274,27 +276,25 @@ _MESSAGE_FIELDS = (
 )
 
 
-def _message(i: int, raw, dimension: int) -> ClassicalMessage:
-    """Transcript message `i` from its decoded JSON object.
+def _outcome_index(i: int, raw, dimension: int) -> int:
+    """The outcome index of transcript message `i`, once all its decoded fields read.
 
     ValueError names the first field that is absent or malformed, a step
     below 1, or an outcome index outside [0, dimension).
     """
     where = f"transcript message {i}"
     raw = _json_object(raw, where)
-    values = []
+    values = {}
     for key, read in _MESSAGE_FIELDS:
         if key not in raw:
             raise ValueError(f"{where} has no {key!r} field")
-        values.append(read(raw[key], key, where))
-    msg = ClassicalMessage(*values)
-    if msg.step < 1:
-        raise ValueError(f"{where} step must be at least 1, got {msg.step}")
-    if not 0 <= msg.outcome_index < dimension:
-        raise ValueError(
-            f"{where} outcome_index {msg.outcome_index} is out of range for dimension {dimension}"
-        )
-    return msg
+        values[key] = read(raw[key], key, where)
+    step, index = values["step"], values["outcome_index"]
+    if step < 1:
+        raise ValueError(f"{where} step must be at least 1, got {step}")
+    if not 0 <= index < dimension:
+        raise ValueError(f"{where} outcome_index {index} is out of range for dimension {dimension}")
+    return index
 
 
 def _exported(status: SessionStatus, indices) -> tuple[ClassicalMessage, ...]:
@@ -325,12 +325,15 @@ def import_transcript(serialized: str) -> TranscriptDocument:
     without `json.loads`. The messages are the shared announcements a
     session holds.
 
-    Any other text is decoded, and ValueError names the first malformed
-    field: a non-object document or message, a missing field, a non-list
-    `messages`, a boolean or non-integral integer field, another version,
-    a running or unknown status, an unknown party, a non-string `kind` or
-    `basis_label`, a dimension below 2, a step below 1, or an outcome
-    index outside [0, dimension). Then, reading l, n, m and k from
+    Any other text is decoded. A document equal to the export of the
+    outcomes it holds, with every `step` and `outcome_index` an int,
+    returns the shared messages without the field readers. Otherwise
+    ValueError names the first malformed field: a non-object document or
+    message, a missing field, a non-list `messages`, a boolean or
+    non-integral integer field, another version, a running or unknown
+    status, an unknown party, a non-string `kind` or `basis_label`, a
+    dimension below 2, a step below 1, or an outcome index outside
+    [0, dimension). Then, reading l, n, m and k from
     messages 0, 2, 4 and 5, a document whose decoded JSON differs from the
     export of those outcomes is rejected with the reason: an extra key, a
     message count that is not 4 for `aborted` or 8 for `completed`, or a
@@ -340,7 +343,7 @@ def import_transcript(serialized: str) -> TranscriptDocument:
     """
     head = _EXPORT_HEAD.match(serialized) if type(serialized) is str else None
     if head is not None:
-        dimension, status = int(head[1]), _TERMINAL[head[2]]
+        dimension, status = int(head[1]), SessionStatus(head[2])
         indices = [int(i) for i in _OUTCOME_INDEX.findall(serialized, head.end())]
         if dimension >= 2 and len(indices) == _MESSAGE_COUNT[status] and max(indices) < dimension:
             messages = _exported(status, indices)
@@ -367,27 +370,40 @@ def _parse_transcript(serialized) -> TranscriptDocument:
             raise ValueError(f"transcript messages must be a JSON list, got {doc['messages']!r}")
     except KeyError as exc:
         raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
-    messages = [_message(i, m, dimension) for i, m in enumerate(doc["messages"])]
+    raw = doc["messages"]
+    # a decoded export, such as a re-indented one, needs no field readers. Its
+    # integer fields must be ints, for no bool may pass as 0 or 1, and only
+    # ints in range may key the message cache.
+    if len(doc) == len(_DOCUMENT_KEYS) and len(raw) == _MESSAGE_COUNT[status] and all(
+        type(m) is dict and type(m.get("step")) is int and type(m.get("outcome_index")) is int
+        for m in raw
+    ):
+        indices = [m["outcome_index"] for m in raw]
+        if 0 <= min(indices) and max(indices) < dimension:
+            exported = _exported(status, indices)
+            if raw == [msg._json_fields for msg in exported]:
+                return TranscriptDocument(version, dimension, status, exported)
+    indices = [_outcome_index(i, m, dimension) for i, m in enumerate(raw)]
     # every field is well formed; reject what an export could not have written
     for key in doc:
         if key not in _DOCUMENT_KEYS:
             raise ValueError(f"{where} has an extra key {key!r}")
     count = _MESSAGE_COUNT[status]
-    if len(messages) != count:
+    if len(indices) != count:
         raise ValueError(
-            f"transcript status {status.value!r} has {len(messages)} messages;"
+            f"transcript status {status.value!r} has {len(indices)} messages;"
             f" an export writes {count}"
         )
-    exported = _exported(status, [msg.outcome_index for msg in messages])
-    for i, (raw, msg) in enumerate(zip(doc["messages"], exported)):
-        fields = msg._json_fields()
-        for key in raw:
+    exported = _exported(status, indices)
+    for i, (m, msg) in enumerate(zip(raw, exported)):
+        fields = msg._json_fields
+        for key in m:
             if key not in fields:
                 raise ValueError(f"transcript message {i} has an extra key {key!r}")
         for key, value in fields.items():
-            if raw[key] != value:
+            if m[key] != value:
                 raise ValueError(
-                    f"transcript message {i} field {key!r} is {raw[key]!r}"
+                    f"transcript message {i} field {key!r} is {m[key]!r}"
                     f" where an export writes {value!r}"
                 )
     return TranscriptDocument(version, dimension, status, exported)

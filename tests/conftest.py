@@ -1,11 +1,10 @@
 """Shared fixtures; the expensive noise sweeps are computed once per run.
 
-Hypothesis draws the same examples on every run (the default profile), so
-two runs execute the same tests and a failure reproduces. Set
-HYPOTHESIS_PROFILE=fresh to draw new examples instead.
+Hypothesis draws the same examples on every run (the `derandomized`
+profile loaded here), so two runs execute the same tests and a failure
+reproduces. `pytest --hypothesis-profile=default` draws new examples
+instead.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -15,8 +14,7 @@ from bcrsp.noise import NoiseKind, noisy_protocol_run, run_fidelities
 from bcrsp.protocol import PhaseVector
 
 settings.register_profile("derandomized", derandomize=True)
-settings.register_profile("fresh", derandomize=False)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
+settings.load_profile("derandomized")
 
 GAMMA_GRID = tuple(np.linspace(0.0, 1.0, 11))
 

@@ -132,6 +132,8 @@ MALFORMED = [
     (_set("outcome_index", 99, message=0), "out of range for dimension 3"),
     (_set("outcome_index", 3, message=5), "out of range for dimension 3"),
     (_set("outcome_index", -1, message=4), "out of range for dimension 3"),
+    # the export announces n = k = 2 consistently, so only the range check rejects it
+    (_set("dimension", 2), "message 2 outcome_index 2 is out of range for dimension 2"),
     (_set("dimension", -4), "at least 2"),
     (_set("dimension", 1), "at least 2"),
     (_set("step", -2, message=3), "at least 1"),
@@ -144,8 +146,8 @@ MALFORMED_IDS = [
     "boolean-dimension", "fractional-dimension", "fractional-step", "string-step",
     "boolean-outcome-index", "fractional-outcome-index", "running-status",
     "number-kind", "null-basis-label", "outcome-index-99", "outcome-index-at-dimension",
-    "negative-outcome-index", "negative-dimension", "dimension-1", "negative-step",
-    "zero-step",
+    "negative-outcome-index", "outcomes-past-dimension-2", "negative-dimension",
+    "dimension-1", "negative-step", "zero-step",
 ]
 
 NON_PARTIES = ["eve", "Alice", ["alice"], None, 1]
@@ -493,6 +495,22 @@ class TestTranscript:
             assert restored == import_transcript(text)
             assert restored.messages == tuple(ses.transcript)
         assert import_transcript(text.encode()) == import_transcript(text)
+
+    def test_decoded_export_skips_the_field_readers(self, qutrit_pair, monkeypatch):
+        ses = new_session(*qutrit_pair, 3, seed=8)
+        ses.run_to_completion()
+        doc = json.loads(export_transcript(ses))
+        calls = []
+        read = session_module._outcome_index
+        monkeypatch.setattr(
+            session_module, "_outcome_index", lambda *args: calls.append(args) or read(*args)
+        )
+        restored = import_transcript(json.dumps(doc))
+        assert calls == []
+        assert all(a is b for a, b in zip(restored.messages, ses.transcript, strict=True))
+        doc["messages"][3]["step"] = 1.0  # an integral float goes through the readers
+        assert import_transcript(json.dumps(doc)) == restored
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "export-layout"])
     @pytest.mark.parametrize("name", sorted(NOT_EXPORTS))
