@@ -277,7 +277,7 @@ _MESSAGE_FIELDS = (
 
 
 def _outcome_index(i: int, raw, dimension: int) -> int:
-    """The outcome index of transcript message `i`, once all its decoded fields read.
+    """The outcome index of transcript message `i`, once every decoded field reads.
 
     ValueError names the first field that is absent or malformed, a step
     below 1, or an outcome index outside [0, dimension).
@@ -370,11 +370,11 @@ def _parse_transcript(serialized) -> TranscriptDocument:
             raise ValueError(f"transcript messages must be a JSON list, got {doc['messages']!r}")
     except KeyError as exc:
         raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
-    raw = doc["messages"]
+    raw, count = doc["messages"], _MESSAGE_COUNT[status]
     # a decoded export, such as a re-indented one, needs no field readers. Its
     # integer fields must be ints, for no bool may pass as 0 or 1, and only
     # ints in range may key the message cache.
-    if len(doc) == len(_DOCUMENT_KEYS) and len(raw) == _MESSAGE_COUNT[status] and all(
+    if len(doc) == len(_DOCUMENT_KEYS) and len(raw) == count and all(
         type(m) is dict and type(m.get("step")) is int and type(m.get("outcome_index")) is int
         for m in raw
     ):
@@ -388,7 +388,6 @@ def _parse_transcript(serialized) -> TranscriptDocument:
     for key in doc:
         if key not in _DOCUMENT_KEYS:
             raise ValueError(f"{where} has an extra key {key!r}")
-    count = _MESSAGE_COUNT[status]
     if len(indices) != count:
         raise ValueError(
             f"transcript status {status.value!r} has {len(indices)} messages;"
