@@ -214,7 +214,9 @@ def cmd_run(args) -> int:
             )
         run = noisy_protocol_run(alice, bob, n, kind, gamma, policy, forced)
         f_a1, f_b2 = run_fidelities(run, alice, bob)
-        report["noise"] = run.diagnostics
+        # the residuals go right after branch_count, where a report has always had them
+        items = list(run.diagnostics.items())
+        report["noise"] = dict(items[:4]) | run.residuals | dict(items[4:])
         report["fidelity_a1"] = f_a1
         report["fidelity_b2"] = f_b2
     elif forced is not None:

@@ -13,9 +13,10 @@ in its target |t><t| sent through one single-qudit map: Phi_flip once,
 Phi_deph twice, or Phi_sp then Delta_g(rho) = (1-g) rho + g diag(rho), with
 Phi_k the channel `kraus_for(k, g, N)`. Each map is a gamma-weighted sum of
 two pieces cached per target, so the map costs O(N^2) and is exact over
-every Kraus history without enumerating them. A call costs O(N^3) all the
-same: its diagnostics include `_invariant_residuals`, whose `eigvalsh` of
-both outputs takes most of a call from N=16 up. The closed-form fidelity
+every Kraus history without enumerating them. A call is O(N^2) too: it
+checks completeness, Phi(I) = I, on every call, and leaves the O(N^3)
+invariant residuals, one batched `eigvalsh` of both outputs, to the first
+read of `NoisyRunResult.residuals`. The closed-form fidelity
 expressions quoted alongside are reference evaluators only; agreement with
 the exact simulation is reported, never assumed.
 
@@ -117,9 +118,24 @@ def kraus_for(kind: NoiseKind, gamma: float, n: int = 4) -> KrausSet:
 
 @dataclass(frozen=True)
 class NoisyRunResult:
+    """The exact A1 and B2 outputs of a noisy run.
+
+    `diagnostics` holds what the call decided: noise, gamma, policy,
+    branch_count and, for a conditioned run, conditioned_outcome and
+    outcome_probability. `residuals` holds what checks the outputs: trace,
+    hermiticity, smallest eigenvalue and trace error per output, from one
+    batched `eigvalsh`, computed on first read and kept.
+    """
+
     rho_a1: np.ndarray
     rho_b2: np.ndarray
     diagnostics: dict
+
+    @functools.cached_property
+    def residuals(self) -> dict:
+        """The eight invariant residuals, `trace_*`, `hermiticity_*`,
+        `min_eigenvalue_*` and `trace_error_*` for a1 and b2."""
+        return _invariant_residuals(np.stack((self.rho_a1, self.rho_b2)))
 
     @property
     def a1_ensemble(self) -> BranchEnsemble:
@@ -216,7 +232,6 @@ def noisy_protocol_run(
     out = weights * pieces[:, 0] + circ_weights * pieces[:, 1]
     if not (dev := float(np.abs(out[2] - probe[0]).max())) <= ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
-    rhos = out[:2]
 
     diagnostics = {
         "noise": noise.value,
@@ -224,7 +239,6 @@ def noisy_protocol_run(
         "policy": policy.value,
         # B1, C1, A2 and C2 each pass one channel use
         "branch_count": _kraus_count(noise, gamma, n) ** 4,
-        **_invariant_residuals(rhos),
     }
     if policy is OutcomePolicy.CONDITIONED:
         cond = conditioned_outcome or OutcomeTuple(0, 0, 0, 0)
@@ -232,7 +246,7 @@ def noisy_protocol_run(
         diagnostics["conditioned_outcome"] = cond.as_tuple()
         diagnostics["outcome_probability"] = 1.0 / n**4
 
-    return NoisyRunResult(rho_a1=rhos[0], rho_b2=rhos[1], diagnostics=diagnostics)
+    return NoisyRunResult(rho_a1=out[0], rho_b2=out[1], diagnostics=diagnostics)
 
 
 def run_fidelities(

@@ -87,6 +87,15 @@ class PhaseVector:
         if not all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
         object.__setattr__(self, "phases", phases)
+        # the caches keyed by a target hash it several times per run; hash the phases once
+        object.__setattr__(self, "_hash", hash((self.dim, phases)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the stored hash is recomputed, never pickled
+        return PhaseVector, (self.dim, self.phases)
 
     def full(self) -> np.ndarray:
         """All N phases including the implicit leading zero."""

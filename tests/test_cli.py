@@ -2,6 +2,7 @@ import io
 import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from bcrsp.noise import (
 )
 from bcrsp.protocol import PhaseVector
 
+GOLDEN = Path(__file__).parent / "golden"
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -147,6 +149,20 @@ class TestRun:
         report = json.loads(capsys.readouterr().out)
         assert report["fidelity_a1"] == pytest.approx(1.0, abs=1e-10)
         assert report["noise"]["branch_count"] == 256
+
+    @pytest.mark.parametrize("policy", [p.value for p in OutcomePolicy])
+    def test_noisy_run_reports_every_residual_in_golden_order(self, tmp_path, capsys, policy):
+        alice, bob = PhaseVector(5, (0.3, 1.9, 2.4, 5.1)), PhaseVector(5, (1.2, 0.0, 4.4, 2.8))
+        cfg = {"dimension": 5, "alice_phases": list(alice.phases), "bob_phases": list(bob.phases),
+               "noise": {"kind": "qudit-phase-flip", "gamma": 0.45}, "policy": policy}
+        assert main(["run", "--config", write_config(tmp_path, "run.json", cfg)]) == 0
+        noise = json.loads(capsys.readouterr().out)["noise"]
+        golden = json.loads((GOLDEN / f"run-noisy-{policy}.json").read_text())["noise"]
+        assert list(noise) == list(golden)
+        run = noisy_protocol_run(alice, bob, 5, NoiseKind.QUDIT_PHASE_FLIP, 0.45,
+                                 OutcomePolicy(policy))
+        assert len(run.residuals) == 8
+        assert {k: noise[k] for k in run.residuals} == run.residuals
 
     @pytest.mark.parametrize("missing", ["kind", "gamma"])
     def test_noise_block_missing_field_is_config_error(self, tmp_path, capsys, missing):
@@ -445,6 +461,18 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert float(lines[-1].split(",")[4]) > 1e-6
+
+    @pytest.mark.parametrize("kind", [k.value for k in NoiseKind])
+    def test_never_computes_residuals(self, tmp_path, capsys, monkeypatch, kind):
+        # a sweep prints fidelities only, so no eigvalsh of an output runs
+        def refuse(*args):
+            raise AssertionError("sweep computed invariant residuals")
+
+        monkeypatch.setattr(bcrsp.noise, "_invariant_residuals", refuse)
+        cfg = write_config(tmp_path, "res.json", {"dimension": 16, "noise": {"kind": kind}})
+        for fmt in ("csv", "json"):
+            assert main(["sweep", "--config", cfg, "--format", fmt]) == 0
+            assert capsys.readouterr().out
 
     def test_missing_noise_kind(self, tmp_path, capsys):
         cfg = write_config(

@@ -316,7 +316,7 @@ class TestClosedFormTwirls:
             for kind in NoiseKind:
                 for policy in OutcomePolicy:
                     for gamma in (0.0, 0.37, float(rng.uniform()), 1.0):
-                        diag = noisy_protocol_run(alice, bob, n, kind, gamma, policy, oc).diagnostics
+                        diag = noisy_protocol_run(alice, bob, n, kind, gamma, policy, oc).residuals
                         assert diag["hermiticity_a1"] == 0.0
                         assert diag["hermiticity_b2"] == 0.0
 
@@ -503,8 +503,8 @@ class TestExactEvaluator:
 
     def test_averaged_traces_are_unit(self):
         run = noisy_protocol_run(ZERO4, ZERO4, 4, NoiseKind.DEPHASING, 0.4)
-        assert run.diagnostics["trace_a1"] == pytest.approx(1.0, abs=1e-12)
-        assert run.diagnostics["trace_b2"] == pytest.approx(1.0, abs=1e-12)
+        assert run.residuals["trace_a1"] == pytest.approx(1.0, abs=1e-12)
+        assert run.residuals["trace_b2"] == pytest.approx(1.0, abs=1e-12)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(13)
@@ -528,7 +528,7 @@ class TestExactEvaluator:
             alice, bob, 4, NoiseKind.DEPHASING, 0.6, policy=policy,
             conditioned_outcome=OutcomeTuple(2, 1, 3, 0),
         )
-        diag = run.diagnostics
+        diag = run.residuals
         for name, rho in (("a1", run.rho_a1), ("b2", run.rho_b2)):
             assert diag[f"hermiticity_{name}"] == np.max(np.abs(rho - rho.conj().T))
             assert diag[f"hermiticity_{name}"] <= 1e-14
@@ -549,7 +549,7 @@ class TestExactEvaluator:
                 alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
                 oc = OutcomeTuple(*(int(v) for v in rng.integers(0, n, 4)))
                 run = noisy_protocol_run(alice, bob, n, kind, 0.37, policy, oc)
-                diag = run.diagnostics
+                diag = run.residuals
                 for name, rho in (("a1", run.rho_a1), ("b2", run.rho_b2)):
                     assert diag[f"trace_{name}"] == float(np.real(np.trace(rho)))
                     assert diag[f"hermiticity_{name}"] == float(
@@ -559,6 +559,30 @@ class TestExactEvaluator:
                         np.min(np.linalg.eigvalsh(rho))
                     )
                     assert diag[f"trace_error_{name}"] == float(abs(np.trace(rho) - 1.0))
+
+    @pytest.mark.parametrize("policy", list(OutcomePolicy))
+    def test_residuals_run_one_eigvalsh_on_first_read(self, policy, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rng = np.random.default_rng(31)
+        alice, bob = random_phase_vector(16, rng), random_phase_vector(16, rng)
+        run = noisy_protocol_run(alice, bob, 16, NoiseKind.QUDIT_PHASE_FLIP, 0.37, policy)
+        run_fidelities(run, alice, bob)
+        assert calls == []
+        assert not set(run.diagnostics) & {
+            f"{k}_{leg}" for k in ("trace", "hermiticity", "min_eigenvalue", "trace_error")
+            for leg in ("a1", "b2")
+        }
+        residuals = run.residuals
+        assert calls == [(2, 16, 16)]
+        assert run.residuals is residuals
+        assert calls == [(2, 16, 16)]
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_sizes_beyond_history_enumeration(self, n):

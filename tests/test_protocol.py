@@ -1,11 +1,14 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcrsp import protocol
+from bcrsp import noise, protocol
 from bcrsp.cli import main
 from bcrsp.core import (
     ATOL,
@@ -514,6 +517,23 @@ class TestValidation:
     def test_phase_vector_finite(self):
         with pytest.raises(ValueError, match="finite"):
             PhaseVector(3, (np.inf, 0.0))
+
+    def test_phase_vector_hash_is_the_dataclass_hash_stored_once(self):
+        p = PhaseVector(4, (0.1, np.float64(0.2), 3))
+        q = PhaseVector(4, [0.1, 0.2, 3.0])
+        assert p == q and hash(p) == hash(q) == hash((4, (0.1, 0.2, 3.0)))
+        assert PhaseVector(3, (0.0, -0.0)) == PhaseVector.zero(3)
+        assert hash(PhaseVector(3, (0.0, -0.0))) == hash(PhaseVector.zero(3))
+        assert p != PhaseVector(4, (0.1, 0.2, 3.5))
+        assert repr(p) == "PhaseVector(dim=4, phases=(0.1, 0.2, 3.0))"
+        assert [f.name for f in dataclasses.fields(p)] == ["dim", "phases"]
+        assert dataclasses.astuple(p) == (4, (0.1, 0.2, 3.0))
+        for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+        # equal targets share one cache entry
+        assert noise._target_pieces(p) is noise._target_pieces(q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.dim = 5
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_every_dimension_below_two_gives_one_message(self, n):
