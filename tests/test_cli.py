@@ -24,6 +24,7 @@ from bcrsp.protocol import PhaseVector
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
