@@ -8,9 +8,7 @@ from .core import (
     MeasurementBasis,
     Operator,
     StateVector,
-    apply_kraus,
     apply_on,
-    basis_state,
     fidelity_density,
     measure,
     project,
@@ -31,8 +29,6 @@ from .optics import (
     BeamSplitter,
     InterferometerNetwork,
     PhaseShifter,
-    bs_matrix,
-    cnot_gate,
     compose_network,
     correction_circuit,
     ghz_via_cnot,

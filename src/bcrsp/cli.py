@@ -123,7 +123,24 @@ def _phase_vector(dim: int, raw, name: str) -> PhaseVector:
     return PhaseVector(dim, phases)
 
 
-def load_config(path: Optional[str]) -> dict:
+# the keys each config object may hold; any other key is an input error, so a
+# misspelled field cannot leave its default silently in place
+RUN_KEYS = ("dimension", "alice_phases", "bob_phases", "trials", "seed",
+            "forced_outcome", "noise", "policy")
+SWEEP_KEYS = ("dimension", "alice_phases", "bob_phases", "noise", "policy", "gamma_grid")
+TABLE_KEYS = ("dimension",)
+GAMMA_GRID_KEYS = ("start", "stop", "steps")
+
+
+def _known_keys(doc: dict, keys: tuple[str, ...], name: str) -> dict:
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown {name} key {key!r}; expected one of {list(keys)}")
+    return doc
+
+
+def load_config(path: Optional[str], keys: tuple[str, ...]) -> dict:
+    """The config object at `path` (or stdin), holding no key outside `keys`."""
     if path is None or path == "-":
         doc = json.load(sys.stdin)
     else:
@@ -131,7 +148,7 @@ def load_config(path: Optional[str]) -> dict:
             doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-    return doc
+    return _known_keys(doc, keys, "config")
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -152,19 +169,21 @@ def _choice(enum, raw, name: str):
         )
 
 
-def _noise_block(raw, required: tuple[str, ...]) -> dict:
+def _noise_block(raw, keys: tuple[str, ...]) -> dict:
+    """A noise object holding exactly `keys`."""
     if not isinstance(raw, dict):
         raise ValueError(f"noise must be a JSON object, got {raw!r}")
-    for key in required:
+    for key in keys:
         if key not in raw:
             raise ValueError(f"noise block is missing {key!r}")
-    return raw
+    return _known_keys(raw, keys, "noise")
 
 
 def _gamma_grid(raw) -> list[float]:
     if raw is None:
         raw = {"start": 0.0, "stop": 1.0, "steps": 11}
     if isinstance(raw, dict):
+        _known_keys(raw, GAMMA_GRID_KEYS, "gamma_grid")
         start = _number(raw.get("start", 0.0), float, "gamma_grid start")
         stop = _number(raw.get("stop", 1.0), float, "gamma_grid stop")
         steps = _bounded(raw.get("steps", 11), "gamma_grid steps", 0, MAX_GAMMA_STEPS)
@@ -183,7 +202,7 @@ def _gamma_grid(raw) -> list[float]:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, RUN_KEYS)
     n = _bounded(cfg.get("dimension", 0), "dimension", 2, MAX_DIMENSION)
     trials = _bounded(cfg.get("trials", 1), "trials", 1, MAX_TRIALS)
     alice = _phase_vector(n, cfg.get("alice_phases"), "alice_phases")
@@ -248,7 +267,7 @@ def _trial_row(index: int, res, alice: PhaseVector, bob: PhaseVector) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, SWEEP_KEYS)
     n = _bounded(cfg.get("dimension", 4), "dimension", 2, MAX_DIMENSION)
     alice = _phase_vector(n, cfg.get("alice_phases", [0.0] * (n - 1)), "alice_phases")
     bob = _phase_vector(n, cfg.get("bob_phases", [0.0] * (n - 1)), "bob_phases")
@@ -285,7 +304,7 @@ def cmd_sweep(args) -> int:
 def cmd_table(args) -> int:
     n = args.dimension
     if n is None:
-        cfg = load_config(args.config) if args.config else {}
+        cfg = load_config(args.config, TABLE_KEYS) if args.config else {}
         n = _number(cfg.get("dimension", 3), int, "dimension")
     if not 2 <= n <= 6:
         raise ValueError(f"table dimension must be in 2..6, got {n}")

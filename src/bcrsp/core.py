@@ -18,9 +18,7 @@ each leg as its diagonal and share only the Born distribution,
 `born_draw` inverts that cumulative distribution at one `rng.random()`
 (`_invert_cdf`), exactly as `Generator.choice` does, so seeded outcomes
 are those of `rng.choice`; the engine caches the CDFs per target and
-makes only that last step per draw. `_json_object` and `_json_integer`
-read the fields of the JSON documents that transcripts and
-interferometer networks load.
+makes only that last step per draw.
 """
 
 from __future__ import annotations
@@ -37,24 +35,8 @@ import numpy as np
 ATOL = 1e-10
 WEIGHT_ATOL = 1e-12
 
-# branches whose squared norm falls below this are dropped entirely
+# a projection whose probability falls below this leaves no remainder
 _PRUNE_EPS = 1e-30
-
-
-def _json_object(value, where: str) -> dict:
-    """A decoded JSON object; `where` names it in the error, such as "transcript document"."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got {value!r}")
-    return value
-
-
-def _json_integer(value, key: str, where: str) -> int:
-    """Field `key` of the object `where`: an int or an integral float such as 3.0, never a bool."""
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"{where} field {key!r} must be an integer, got {value!r}")
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -97,15 +79,6 @@ class StateVector:
         if self.dims != other.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def basis_state(dim: int, index: int) -> StateVector:
-    """Computational basis state |index> of a single qudit."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector((dim,), amps)
 
 
 def same_ray(a: np.ndarray, b: np.ndarray) -> bool:
@@ -391,36 +364,6 @@ def measure(
     post = remainder / np.sqrt(float(np.real(np.vdot(remainder, remainder))))
     rest_dims = dims[:target] + dims[target + 1 :]
     return outcome, StateVector(rest_dims, post, normalized=state.normalized)
-
-
-def apply_kraus(ens: BranchEnsemble, kraus: KrausSet, target: int) -> BranchEnsemble:
-    """Push an ensemble through a channel acting on one subsystem.
-
-    Every branch splits into one branch per Kraus operator, weighted by the
-    squared norm of the (unnormalized) image; zero-weight branches are
-    pruned. Total weight is preserved by channel completeness.
-    """
-    out: list[tuple[float, StateVector]] = []
-    for weight, state in ens.branches:
-        if state.dims[target] != kraus.dim:
-            raise ValueError(
-                f"channel dim {kraus.dim} != subsystem dim {state.dims[target]}"
-            )
-        for op in kraus.operators:
-            image = apply_on(op, _unnormalized(state), target)
-            norm_sq = float(np.real(np.vdot(image.amplitudes, image.amplitudes)))
-            w = weight * norm_sq
-            if w <= _PRUNE_EPS:
-                continue
-            out.append(
-                (w, StateVector(state.dims, image.amplitudes / np.sqrt(norm_sq)))
-            )
-    # completeness of the set guarantees the weights still sum to one
-    return BranchEnsemble(tuple(out))
-
-
-def _unnormalized(state: StateVector) -> StateVector:
-    return StateVector(state.dims, state.amplitudes, normalized=False)
 
 
 def fidelity_density(target: StateVector, rho: np.ndarray) -> float:

@@ -27,7 +27,7 @@ the exact simulation is reported, never assumed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -38,7 +38,6 @@ from .core import (
     BranchEnsemble,
     KrausSet,
     Operator,
-    StateVector,
     ensemble_from_density,
     fidelity_density,
 )
@@ -246,7 +245,9 @@ def noisy_protocol_run(
         diagnostics["conditioned_outcome"] = cond.as_tuple()
         diagnostics["outcome_probability"] = 1.0 / n**4
 
-    return NoisyRunResult(rho_a1=out[0], rho_b2=out[1], diagnostics=diagnostics)
+    # a copy, so a kept result does not hold the probe's block alive
+    rho_a1, rho_b2 = out[:2].copy()
+    return NoisyRunResult(rho_a1=rho_a1, rho_b2=rho_b2, diagnostics=diagnostics)
 
 
 def run_fidelities(
@@ -299,8 +300,7 @@ def closed_form_fidelity(
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One gamma of `compare_paper_vs_exact`; a flagged row keeps its run and
-    A1 target, from which `a1_branches` is built on first read."""
+    """One gamma of `compare_paper_vs_exact`."""
 
     gamma: float
     exact_a1: float
@@ -308,17 +308,6 @@ class ComparisonRow:
     paper: Optional[float]
     deviation: Optional[float]
     flagged: bool
-    _flagged_run: Optional[tuple[NoisyRunResult, StateVector]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @functools.cached_property
-    def a1_branches(self) -> tuple[tuple[float, float], ...]:
-        """(weight, squared overlap with the target) of each A1 ensemble branch."""
-        if self._flagged_run is None:
-            return ()
-        run, target = self._flagged_run
-        return tuple((w, abs(target.overlap(s)) ** 2) for w, s in run.a1_ensemble.branches)
 
 
 @dataclass(frozen=True)
@@ -333,17 +322,12 @@ def compare_paper_vs_exact(
     bob: PhaseVector,
     gammas,
 ) -> ComparisonReport:
-    """Tabulate exact ensemble fidelity against the quoted closed forms.
+    """Tabulate exact fidelity against the quoted closed forms.
 
     N is the targets' dimension; targets of different dimensions raise
-    ValueError.
-
-    Rows whose exact A1 fidelity departs from the closed form by more than
-    1e-6 carry the branch-level breakdown (weight, squared overlap with
-    the target) of the A1 ensemble, built when it is first read. Agreement
-    is an empirical finding.
+    ValueError. A row is flagged when its exact A1 fidelity departs from
+    the closed form by more than 1e-6. Agreement is an empirical finding.
     """
-    target_a1 = equatorial_state(bob)
     rows = []
     for gamma in gammas:
         run = noisy_protocol_run(alice, bob, alice.dim, noise, gamma)
@@ -351,8 +335,5 @@ def compare_paper_vs_exact(
         paper = closed_form_fidelity(noise, bob, gamma)
         deviation = None if paper is None else abs(exact_a1 - paper)
         flagged = deviation is not None and deviation > 1e-6
-        kept = (run, target_a1) if flagged else None
-        rows.append(
-            ComparisonRow(float(gamma), exact_a1, exact_b2, paper, deviation, flagged, kept)
-        )
+        rows.append(ComparisonRow(float(gamma), exact_a1, exact_b2, paper, deviation, flagged))
     return ComparisonReport(noise=noise, rows=tuple(rows))

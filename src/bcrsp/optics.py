@@ -11,23 +11,13 @@ controller's basis is rebuilt verbatim and compared against that synthesis.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .core import (
-    ATOL,
-    Operator,
-    StateVector,
-    _json_integer,
-    _json_object,
-    tensor,
-    unitarity_deviation,
-)
+from .core import ATOL, StateVector, tensor, unitarity_deviation
 from .protocol import PhaseVector, _check_dimension, _fourier_bras, correction_unitary
 
 
@@ -87,34 +77,6 @@ class InterferometerNetwork:
         return tuple(e for e in self.elements if isinstance(e, PhaseShifter))
 
 
-def bs_matrix(bs: BeamSplitter, n: int) -> Operator:
-    """The coupler embedded in an n-mode identity."""
-    if bs.m >= n:
-        raise ValueError(f"mode {bs.m} out of range for {n} modes")
-    mat = np.eye(n, dtype=complex)
-    ph = np.exp(1j * bs.phi)
-    s, c = np.sin(bs.omega), np.cos(bs.omega)
-    mat[bs.n, bs.n] = ph * s
-    mat[bs.n, bs.m] = ph * c
-    mat[bs.m, bs.n] = c
-    mat[bs.m, bs.m] = -s
-    return Operator(mat)
-
-
-def ps_matrix(ps: PhaseShifter, n: int) -> Operator:
-    if not 0 <= ps.mode < n:
-        raise ValueError(f"mode {ps.mode} out of range for {n} modes")
-    diag = np.ones(n, dtype=complex)
-    diag[ps.mode] = np.exp(1j * ps.theta)
-    return Operator(np.diag(diag))
-
-
-def element_matrix(el: NetworkElement, n: int) -> np.ndarray:
-    if isinstance(el, BeamSplitter):
-        return bs_matrix(el, n).entries
-    return ps_matrix(el, n).entries
-
-
 def _mix_columns(lo: list, hi: list, omega: float, phi: float, rows: int) -> None:
     """Right-multiply columns (lo, hi) = (n, m) by the coupler block, in rows 0..rows-1."""
     ph = cmath.exp(1j * phi)
@@ -147,16 +109,6 @@ def compose_network(net: InterferometerNetwork) -> np.ndarray:
 # entangling resource from one controlled shift
 
 
-def cnot_gate(n: int) -> Operator:
-    """Controlled cyclic shift |i, j> -> |i, (i + j) mod n>."""
-    _check_dimension(n)
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i * n + (i + j) % n, i * n + j] = 1.0
-    return Operator(mat, unitary=True)
-
-
 def bell_state(n: int) -> StateVector:
     """(1/sqrt(N)) sum_j |jj> on two qudits."""
     amps = np.zeros(n * n, dtype=complex)
@@ -168,9 +120,10 @@ def ghz_via_cnot(n: int) -> StateVector:
     """Bell pair plus a |0> ancilla, shifted by one controlled gate.
 
     The control is the second qudit of the pair, the target the ancilla;
-    the result equals the three-party GHZ state entrywise. `cnot_gate` only
-    permutes basis states, so it is applied as the index permutation
-    out[a, b, (b + c) mod n] = start[a, b, c]: O(n^3), with no n^2 x n^2 matrix.
+    the result equals the three-party GHZ state entrywise. The controlled
+    shift |b, c> -> |b, (b + c) mod n> only permutes basis states, so it is
+    applied as the index permutation out[a, b, (b + c) mod n] = start[a, b, c]:
+    O(n^3), with no n^2 x n^2 matrix.
     """
     _check_dimension(n)
     start = tensor(bell_state(n), StateVector((n,), np.eye(n, dtype=complex)[0]))
@@ -365,44 +318,3 @@ def _network_doc(net: InterferometerNetwork) -> dict:
         for el in net.elements
     ]
     return {"dim": net.dim, "elements": elements}
-
-
-def network_to_json(net: InterferometerNetwork) -> str:
-    return json.dumps(_network_doc(net), indent=2) + "\n"
-
-
-def _angle(value, key: str, where: str) -> float:
-    """A finite int or float, kept as it is so that a round trip is exact."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return value
-    raise ValueError(f"{where} field {key!r} must be a finite number, got {value!r}")
-
-
-def network_from_json(serialized: str) -> InterferometerNetwork:
-    """Inverse of network_to_json; any other document raises ValueError
-    naming the element and the field."""
-    where = "network document"
-    doc = _json_object(json.loads(serialized), where)
-    elements: list[NetworkElement] = []
-    try:
-        dim = _json_integer(doc["dim"], "dim", where)
-        if not isinstance(doc["elements"], list):
-            raise ValueError(f"network elements must be a JSON list, got {doc['elements']!r}")
-        for i, el in enumerate(doc["elements"]):
-            where = f"network element {i}"
-            el = _json_object(el, where)
-            if el["kind"] == "bs":
-                modes = el["modes"]
-                if not isinstance(modes, list) or len(modes) != 2:
-                    raise ValueError(f"{where} field 'modes' must be a pair, got {modes!r}")
-                m, n = (_json_integer(v, "modes", where) for v in modes)
-                omega, phi = (_angle(el[key], key, where) for key in ("omega", "phi"))
-                elements.append(BeamSplitter(m=m, n=n, omega=omega, phi=phi))
-            elif el["kind"] == "ps":
-                mode = _json_integer(el["mode"], "mode", where)
-                elements.append(PhaseShifter(mode, _angle(el["theta"], "theta", where)))
-            else:
-                raise ValueError(f"{where} has unknown element kind {el['kind']!r}")
-    except KeyError as exc:
-        raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
-    return InterferometerNetwork(dim=dim, elements=tuple(elements))

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateVector, _json_integer, _json_object
+from .core import StateVector
 from .protocol import (
     PROTOCOL_ORDER,
     OutcomeTuple,
@@ -254,6 +254,22 @@ class TranscriptDocument:
 
 _PARTIES = {party.value: party for party in PartyId}
 _MESSAGE_COUNT = {SessionStatus.COMPLETED: 8, SessionStatus.ABORTED: 4}
+
+
+def _json_object(value, where: str) -> dict:
+    """A decoded JSON object; `where` names it in the error, such as "transcript document"."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_integer(value, key: str, where: str) -> int:
+    """Field `key` of the object `where`: an int or an integral float such as 3.0, never a bool."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{where} field {key!r} must be an integer, got {value!r}")
 
 
 def _party(value, key: str, where: str) -> PartyId:

@@ -231,6 +231,16 @@ MALFORMED = {
     "run-null-policy": ("run", {**NOISY_BASE, "policy": None}),
     "sweep-list-policy": ("sweep", {**SWEEP_BASE, "policy": ["averaged"]}),
     "sweep-zero-dimension": ("sweep", {**SWEEP_BASE, "dimension": 0}),
+    # a key the command does not read would leave its default silently in place
+    "run-misspelled-key": ("run", {**RUN_BASE, "dimention": 3}),
+    "run-noise-extra-key": ("run", {**RUN_BASE, "noise": {"kind": "dephasing", "gamma": 0.3,
+                                                          "gama": 0.5}}),
+    "run-grid-key": ("run", {**NOISY_BASE, "gamma_grid": [0.1]}),
+    "sweep-misspelled-key": ("sweep", {"dimention": 3, "noise": {"kind": "dephasing"}}),
+    "sweep-noise-gamma": ("sweep", {**SWEEP_BASE, "noise": {"kind": "dephasing", "gamma": 0.3}}),
+    "sweep-grid-misspelled-key": ("sweep", {**SWEEP_BASE, "gamma_grid": {"step": 3}}),
+    "sweep-trials": ("sweep", {**SWEEP_BASE, "trials": 2}),
+    "table-phases": ("table", {"dimension": 3, "alice_phases": [0, 0]}),
 }
 
 
@@ -298,6 +308,21 @@ class TestMalformedConfig:
             ("run", {**NOISY_BASE, "noise": {"kind": "dephasing", "gamma": "0.5"}},
              ["gamma must be a number, got '0.5'"]),
             ("table", {"dimension": "3"}, ["dimension must be an integer, got '3'"]),
+            # an unknown key is named, with the keys its object takes
+            ("sweep", {"dimention": 3, "noise": {"kind": "dephasing"}},
+             ["unknown config key 'dimention'; expected one of ['dimension', 'alice_phases', "
+              "'bob_phases', 'noise', 'policy', 'gamma_grid']"]),
+            ("sweep", {**SWEEP_BASE, "gamma_grid": {"step": 3}},
+             ["unknown gamma_grid key 'step'; expected one of ['start', 'stop', 'steps']"]),
+            ("sweep", {**SWEEP_BASE, "noise": {"kind": "dephasing", "gamma": 0.3}},
+             ["unknown noise key 'gamma'; expected one of ['kind']"]),
+            ("run", {**RUN_BASE, "noise": {"kind": "dephasing", "gamma": 0.3, "gama": 0.5}},
+             ["unknown noise key 'gama'; expected one of ['kind', 'gamma']"]),
+            ("run", {**RUN_BASE, "gamma_grid": [0.1]},
+             ["unknown config key 'gamma_grid'; expected one of ['dimension', 'alice_phases', "
+              "'bob_phases', 'trials', 'seed', 'forced_outcome', 'noise', 'policy']"]),
+            ("table", {"dimension": 3, "seed": 1},
+             ["unknown config key 'seed'; expected one of ['dimension']"]),
         ],
     )
     def test_message_names_the_field(self, tmp_path, capsys, command, payload, words):
@@ -663,7 +688,10 @@ def configs(draw):
     command = draw(st.sampled_from(["run", "sweep", "table"]))
     n = draw(st.integers(-2, 6))
     phases = st.lists(PHASE, min_size=max(n - 1, 0), max_size=max(n - 1, 0))
-    doc = {"dimension": n, "alice_phases": draw(phases), "bob_phases": draw(phases)}
+    # each command's document holds only that command's keys
+    doc = {"dimension": n}
+    if command != "table":
+        doc.update(alice_phases=draw(phases), bob_phases=draw(phases))
     noise = {"kind": draw(st.sampled_from([k.value for k in NoiseKind])), "gamma": draw(GAMMA)}
     policy = draw(st.sampled_from([p.value for p in OutcomePolicy]))
     if command == "run" and draw(st.booleans()):

@@ -9,9 +9,7 @@ from bcrsp.core import (
     MeasurementBasis,
     Operator,
     StateVector,
-    apply_kraus,
     apply_on,
-    basis_state,
     born_cdf,
     born_draw,
     fidelity_density,
@@ -33,6 +31,7 @@ from bcrsp.protocol import (
     sender_basis,
 )
 from conftest import random_state
+from dense import apply_kraus, basis_state
 
 
 class TestStateVector:

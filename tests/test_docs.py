@@ -1,9 +1,14 @@
-"""Speed figures quoted in the README must come from a committed benchmark record.
+"""README.md may quote only what the repository holds.
 
 Every `<n> ops/s` and `from <a> to <b> ops/s` in README.md has to equal a
 rounded `ops_per_s` number of some `BENCH_*.json` at the repository root,
 and both ends of a `from ... to ...` figure the same file, so a quoted
 number cannot drift from the record it was measured in.
+
+Every snake_case identifier inside a backticked span of README.md has to
+occur in the Python sources under `src/` or `perfbench/`, or be the name of
+a test under `tests/`, so the README cannot name a function, field or
+config key that is gone. Spans that name a file are skipped.
 """
 
 import json
@@ -46,8 +51,32 @@ def recorded_ops_per_s() -> dict[int, set[str]]:
     return found
 
 
+SPAN = re.compile(r"`([^`\n]+)`")
+FILE_SPAN = re.compile(r"/|\.(?:py|json|md|csv|txt|toml)\b")
+SNAKE_CASE = re.compile(r"\b_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b")
+
+
+def readme_identifiers() -> list[str]:
+    """The distinct snake_case identifiers of README.md's backticked spans,
+    leaving out spans that name a file."""
+    found = set()
+    for span in SPAN.findall((ROOT / "README.md").read_text()):
+        if not FILE_SPAN.search(span):
+            found.update(SNAKE_CASE.findall(span))
+    return sorted(found)
+
+
+def _words(paths) -> set[str]:
+    return {w for path in paths for w in re.findall(r"\w+", path.read_text())}
+
+
 FIGURES = readme_figures()
 RECORDED = recorded_ops_per_s()
+IDENTIFIERS = readme_identifiers()
+SOURCE_WORDS = _words(p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py")))
+TEST_NAMES = set(re.findall(r"def (test_\w+)", " ".join(
+    p.read_text() for p in sorted((ROOT / "tests").glob("test_*.py"))
+)))
 
 
 def test_readme_quotes_speed_figures():
@@ -61,3 +90,15 @@ def test_readme_ops_per_s_figure_is_recorded(figure):
     for value, names in zip(figure, files):
         assert names, f"README quotes {value} ops/s, which no BENCH_*.json records"
     assert set.intersection(*files), f"README figure {figure} mixes records {files}"
+
+
+def test_readme_quotes_identifiers():
+    # a broken pattern would make the check below vacuous
+    assert len(IDENTIFIERS) >= 20
+
+
+@pytest.mark.parametrize("name", IDENTIFIERS)
+def test_readme_identifier_exists(name):
+    assert name in SOURCE_WORDS or name in TEST_NAMES, (
+        f"README names `{name}`, which occurs in neither src/ nor perfbench/ and names no test"
+    )

@@ -3,7 +3,9 @@
 Each CLI case is a subcommand, its JSON config (or None for a command
 that reads none) and the golden file its output is compared with. The files
 pin `sweep` (csv and json, every noise kind and both policies, N=3 on a
-random target and N=4 on the flat one), one seeded trial `run`, two noisy
+random target and N=4 on the flat one; the policy changes no sweep output,
+so a conditioned sweep is compared with its averaged twin's file), one
+seeded trial `run`, two noisy
 `run`s, `table` for N=2..6 read from the config, `decompose` of the two
 builtin matrices and the `verify` report. Each transcript case is a
 seeded session whose `export_transcript` text is pinned: a completed N=3
@@ -74,6 +76,13 @@ def _cases() -> dict[str, tuple[list[str], dict | None]]:
 
 CASES = _cases()
 
+
+def golden_file(name: str) -> str:
+    """The golden file a case's output must equal: its own, or for a
+    conditioned sweep the averaged one."""
+    return name.replace("-conditioned-", "-averaged-") if name.startswith("sweep-") else name
+
+
 # name -> (dimension, alice phases, bob phases, Charlie consents, seed)
 TRANSCRIPTS = {
     "transcript-completed-n3.json": (3, (0.4, 2.1), (1.7, 0.6), True, 31),
@@ -105,7 +114,7 @@ def _render(argv: list[str], cfg: dict | None, workdir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_file(name, tmp_path):
     argv, cfg = CASES[name]
-    assert _render(argv, cfg, tmp_path) == (GOLDEN / name).read_bytes()
+    assert _render(argv, cfg, tmp_path) == (GOLDEN / golden_file(name)).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
@@ -126,7 +135,8 @@ def _render_case(name: str, workdir: Path) -> bytes:
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *TRANSCRIPTS])
+    files = {*map(golden_file, CASES), *TRANSCRIPTS}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(files)
 
 
 def _leaves(doc) -> list:
@@ -172,7 +182,7 @@ if __name__ == "__main__":
         sys.exit(f"error: no golden case named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(names):
+        for name in sorted(set(map(golden_file, names))):
             path, new = GOLDEN / name, _render_case(name, Path(tmp))
             old = path.read_bytes() if path.exists() else None
             print(f"{name}: {'new' if old is None else _change(old, new, name)}")

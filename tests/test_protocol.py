@@ -22,7 +22,6 @@ from bcrsp.core import (
 )
 from bcrsp.noise import NoiseKind, kraus_for
 from bcrsp.optics import (
-    cnot_gate,
     controller_basis_matrix,
     correction_circuit,
     ghz_via_cnot,
@@ -51,6 +50,7 @@ from bcrsp.protocol import (
 )
 from bcrsp.session import SessionStatus, new_session
 from conftest import random_phase_vector
+from dense import cnot_gate
 
 W3 = np.exp(2j * np.pi / 3)
 

@@ -6,8 +6,6 @@ import pytest
 
 from bcrsp import session as session_module
 from bcrsp.core import (
-    _json_integer,
-    _json_object,
     fidelity_density,
     project,
     reduced_density,
@@ -19,6 +17,8 @@ from bcrsp.session import (
     PartyId,
     SessionStatus,
     TranscriptDocument,
+    _json_integer,
+    _json_object,
     _party,
     _string,
     export_transcript,
