@@ -30,9 +30,9 @@ from .noise import (
 from .protocol import (
     OutcomeTuple,
     PhaseVector,
-    _equatorial_amplitudes,
     all_outcomes,
     build_correction_table,
+    equatorial_state,
     ghz_state,
     outcome_probability,
     run_protocol,
@@ -238,13 +238,10 @@ def cmd_run(args) -> int:
         report["noise"] = dict(items[:4]) | run.residuals | dict(items[4:])
         report["fidelity_a1"] = f_a1
         report["fidelity_b2"] = f_b2
-    elif forced is not None:
-        res = run_protocol(alice, bob, n, outcome=forced)
-        all_recovered = all(res.recovered)
-        report["trials"].append(_trial_row(0, res, alice, bob))
     else:
-        for t in range(trials):
-            res = run_protocol(alice, bob, n, rng=None if seed is None else [seed, t])
+        # a forced run is one trial; its outcome is given, so no seed is drawn
+        for t in range(1 if forced is not None else trials):
+            res = run_protocol(alice, bob, n, forced, None if seed is None else [seed, t])
             all_recovered = all_recovered and all(res.recovered)
             report["trials"].append(_trial_row(t, res, alice, bob))
 
@@ -259,9 +256,9 @@ def _trial_row(index: int, res, alice: PhaseVector, bob: PhaseVector) -> dict:
         "outcome": list(res.outcome.as_tuple()),
         "correction_a1": res.corrections.a1_index,
         "correction_b2": res.corrections.b2_index,
-        # StateVector.overlap's arithmetic on the raw arrays, so no view is built
-        "fidelity_a1": abs(complex(np.vdot(res.alice_final_amps, _equatorial_amplitudes(bob)))),
-        "fidelity_b2": abs(complex(np.vdot(res.bob_final_amps, _equatorial_amplitudes(alice)))),
+        # |<final|target>| on the raw arrays, so no view of the result is built
+        "fidelity_a1": abs(complex(np.vdot(res.alice_final_amps, equatorial_state(bob).amplitudes))),
+        "fidelity_b2": abs(complex(np.vdot(res.bob_final_amps, equatorial_state(alice).amplitudes))),
         "recovered": list(res.recovered),
     }
 
@@ -303,6 +300,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_table(args) -> int:
     n = args.dimension
+    if n is not None and args.config is not None:
+        raise ValueError("table takes --dimension or --config, not both")
     if n is None:
         cfg = load_config(args.config, TABLE_KEYS) if args.config else {}
         n = _number(cfg.get("dimension", 3), int, "dimension")

@@ -75,11 +75,6 @@ class StateVector:
         """Amplitudes reshaped to one axis per subsystem (read-only)."""
         return self.amplitudes.reshape(self.dims)
 
-    def overlap(self, other: "StateVector") -> complex:
-        if self.dims != other.dims:
-            raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     """Equality of normalized amplitude arrays up to a global phase."""

@@ -46,7 +46,6 @@ from .protocol import (
     PhaseVector,
     _check_dimension,
     _check_dims,
-    _equatorial_amplitudes,
     _read_only,
     equatorial_state,
     phase_table,
@@ -174,7 +173,7 @@ def _leg_weights(kind: NoiseKind, gamma: float, n: int) -> tuple[np.ndarray, np.
 def _target_pieces(p: PhaseVector) -> np.ndarray:
     """Read-only (rho_t, circ(rho_t)) of one target with amplitudes x: rho_t = x x+
     and circ(rho_t)[a, q] = c[q-a], with c[d] = sum_j x[j] conj(x[j+d])."""
-    x = _equatorial_amplitudes(p)
+    x = equatorial_state(p).amplitudes
     wrap = -np.subtract.outer(np.arange(p.dim), np.arange(p.dim)) % p.dim  # (q-a) mod N
     c = (x @ x.conj()[wrap.T])[wrap[:, 0]]
     pieces = np.stack((np.outer(x, x.conj()), c[wrap]))

@@ -201,15 +201,9 @@ def phase_table(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _equatorial_amplitudes(p: PhaseVector) -> np.ndarray:
-    """Read-only amplitudes of equatorial_state(p)."""
-    return _read_only(np.exp(1j * p.full()) / np.sqrt(p.dim))
-
-
-@functools.lru_cache(maxsize=1024)
 def equatorial_state(p: PhaseVector) -> StateVector:
     """(1/sqrt(N)) sum_j e^{i theta_j} |j>; cached, frozen and read-only."""
-    return StateVector((p.dim,), _equatorial_amplitudes(p))
+    return StateVector((p.dim,), np.exp(1j * p.full()) / np.sqrt(p.dim))
 
 
 def _diagonal_tensor(diagonal: np.ndarray, slots: int) -> np.ndarray:
@@ -432,8 +426,8 @@ def finish(
     alice_final = table[rule.a1_index] * a1_before
     bob_final = table[rule.b2_index] * b2_before
     recovered = (
-        same_ray(alice_final, _equatorial_amplitudes(bob)),
-        same_ray(bob_final, _equatorial_amplitudes(alice)),
+        same_ray(alice_final, equatorial_state(bob).amplitudes),
+        same_ray(bob_final, equatorial_state(alice).amplitudes),
     )
     return ProtocolResult(
         outcome,

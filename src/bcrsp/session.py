@@ -19,11 +19,11 @@ so they are built once per (step, outcomes) and shared between sessions.
 splicing each message's indented block, encoded once per message object,
 into the header. An export is therefore a function of (dimension,
 status, l, n, m, k), and `import_transcript` accepts exactly the
-documents export can write: a text equal to the export of the values it
-reads is returned without parsing, and any other text is decoded: a
-document equal to an export's imports, and any other is rejected, with
-one ValueError line, at its first malformed field or first difference
-from an export.
+documents export can write, by one of two routes: a text equal to the
+export of the values it reads is returned without parsing, and any other
+text is decoded and read field by field, then imports if it equals an
+export and is otherwise rejected, with one ValueError line, at its first
+malformed field or first difference from an export.
 """
 
 from __future__ import annotations
@@ -341,12 +341,10 @@ def import_transcript(serialized: str) -> TranscriptDocument:
     without `json.loads`. The messages are the shared announcements a
     session holds.
 
-    Any other text is decoded. A document equal to the export of the
-    outcomes it holds, with every `step` and `outcome_index` an int,
-    returns the shared messages without the field readers. Otherwise
-    ValueError names the first malformed field: a non-object document or
-    message, a missing field, a non-list `messages`, a boolean or
-    non-integral integer field, another version, a running or unknown
+    Any other text is decoded, and every field is read. ValueError names
+    the first malformed field: a non-object document or message, a missing
+    field, a non-list `messages`, a boolean or non-integral integer
+    field, another version, a running or unknown
     status, an unknown party, a non-string `kind` or `basis_label`, a
     dimension below 2, a step below 1, or an outcome index outside
     [0, dimension). Then, reading l, n, m and k from
@@ -355,7 +353,7 @@ def import_transcript(serialized: str) -> TranscriptDocument:
     message count that is not 4 for `aborted` or 8 for `completed`, or a
     field (`kind`, `step`, route, label, outcome) other than the export's.
     Integral floats such as `3.0` read as ints, so a re-indented or compact
-    `json.dumps` of an export imports.
+    `json.dumps` of an export imports, with the same shared messages.
     """
     head = _EXPORT_HEAD.match(serialized) if type(serialized) is str else None
     if head is not None:
@@ -387,18 +385,6 @@ def _parse_transcript(serialized) -> TranscriptDocument:
     except KeyError as exc:
         raise ValueError(f"{where} has no {exc.args[0]!r} field") from None
     raw, count = doc["messages"], _MESSAGE_COUNT[status]
-    # a decoded export, such as a re-indented one, needs no field readers. Its
-    # integer fields must be ints, for no bool may pass as 0 or 1, and only
-    # ints in range may key the message cache.
-    if len(doc) == len(_DOCUMENT_KEYS) and len(raw) == count and all(
-        type(m) is dict and type(m.get("step")) is int and type(m.get("outcome_index")) is int
-        for m in raw
-    ):
-        indices = [m["outcome_index"] for m in raw]
-        if 0 <= min(indices) and max(indices) < dimension:
-            exported = _exported(status, indices)
-            if raw == [msg._json_fields for msg in exported]:
-                return TranscriptDocument(version, dimension, status, exported)
     indices = [_outcome_index(i, m, dimension) for i, m in enumerate(raw)]
     # every field is well formed; reject what an export could not have written
     for key in doc:

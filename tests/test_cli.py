@@ -119,6 +119,15 @@ class TestRun:
         assert row["correction_a1"] == 2
         assert row["correction_b2"] == 3
 
+    def test_forced_run_is_one_trial_whatever_trials_and_seed(self, tmp_path, capsys):
+        reports = []
+        for extra in ({"trials": 5, "seed": 3}, {}):
+            cfg = {**RUN_BASE, "forced_outcome": [2, 1, 0, 2], **extra}
+            assert main(["run", "--config", write_config(tmp_path, "run.json", cfg)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert [row["trial"] for row in json.loads(reports[0])["trials"]] == [0]
+
     def test_zero_trials_is_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -541,6 +550,12 @@ class TestTable:
 
     def test_oversized_dimension_rejected(self, capsys):
         assert main(["table", "--dimension", "9"]) == 2
+
+    @pytest.mark.parametrize("payload", [{"dimension": 3}, {"dimension": 5, "bogus": 1}])
+    def test_dimension_and_config_are_exclusive(self, tmp_path, payload):
+        cfg = write_config(tmp_path, "table.json", payload)
+        code, err = run_main(["table", "--dimension", "3", "--config", cfg])
+        assert (code, err) == (2, "error: table takes --dimension or --config, not both\n")
 
 
 class TestDecompose:

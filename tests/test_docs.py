@@ -9,13 +9,21 @@ Every snake_case identifier inside a backticked span of README.md has to
 occur in the Python sources under `src/` or `perfbench/`, or be the name of
 a test under `tests/`, so the README cannot name a function, field or
 config key that is gone. Spans that name a file are skipped.
+
+Every `Owner.attr` in such a span whose owner is a `bcrsp` submodule, or a
+class defined in one, has to name an attribute the owner has, so a removed
+method is caught even when its name is one word.
 """
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
+
+import bcrsp
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER = r"(\d{1,3}(?:,\d{3})+|\d+)"
@@ -56,14 +64,43 @@ FILE_SPAN = re.compile(r"/|\.(?:py|json|md|csv|txt|toml)\b")
 SNAKE_CASE = re.compile(r"\b_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b")
 
 
+DOTTED = re.compile(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)\b")
+MODULES = {
+    info.name: importlib.import_module(f"bcrsp.{info.name}")
+    for info in pkgutil.iter_modules(bcrsp.__path__)
+}
+
+
+def readme_spans() -> list[str]:
+    """README.md's backticked spans, leaving out spans that name a file."""
+    spans = SPAN.findall((ROOT / "README.md").read_text())
+    return [span for span in spans if not FILE_SPAN.search(span)]
+
+
 def readme_identifiers() -> list[str]:
-    """The distinct snake_case identifiers of README.md's backticked spans,
-    leaving out spans that name a file."""
-    found = set()
-    for span in SPAN.findall((ROOT / "README.md").read_text()):
-        if not FILE_SPAN.search(span):
-            found.update(SNAKE_CASE.findall(span))
-    return sorted(found)
+    """The distinct snake_case identifiers of README.md's backticked spans."""
+    return sorted({name for span in readme_spans() for name in SNAKE_CASE.findall(span)})
+
+
+def owner_object(name: str):
+    """The `bcrsp` submodule `name`, or the class `name` defined in one, else None."""
+    if name in MODULES:
+        return MODULES[name]
+    for module in MODULES.values():
+        value = getattr(module, name, None)
+        if isinstance(value, type) and value.__module__ == module.__name__:
+            return value
+    return None
+
+
+def readme_attributes() -> list[tuple[str, str]]:
+    """The distinct (owner, attr) of each `Owner.attr` whose owner is in `bcrsp`."""
+    return sorted({
+        (owner, attr)
+        for span in readme_spans()
+        for owner, attr in DOTTED.findall(span)
+        if owner_object(owner) is not None
+    })
 
 
 def _words(paths) -> set[str]:
@@ -73,6 +110,7 @@ def _words(paths) -> set[str]:
 FIGURES = readme_figures()
 RECORDED = recorded_ops_per_s()
 IDENTIFIERS = readme_identifiers()
+ATTRIBUTES = readme_attributes()
 SOURCE_WORDS = _words(p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py")))
 TEST_NAMES = set(re.findall(r"def (test_\w+)", " ".join(
     p.read_text() for p in sorted((ROOT / "tests").glob("test_*.py"))
@@ -101,4 +139,18 @@ def test_readme_quotes_identifiers():
 def test_readme_identifier_exists(name):
     assert name in SOURCE_WORDS or name in TEST_NAMES, (
         f"README names `{name}`, which occurs in neither src/ nor perfbench/ and names no test"
+    )
+
+
+def test_readme_quotes_attributes():
+    # a broken pattern would make the check below vacuous
+    assert len(ATTRIBUTES) >= 10
+
+
+@pytest.mark.parametrize("owner,attr", ATTRIBUTES, ids=[".".join(a) for a in ATTRIBUTES])
+def test_readme_attribute_exists(owner, attr):
+    target = owner_object(owner)
+    # a dataclass field without a default is no class attribute
+    assert hasattr(target, attr) or attr in getattr(target, "__dataclass_fields__", ()), (
+        f"README names `{owner}.{attr}`, which {owner} does not have"
     )

@@ -94,6 +94,29 @@ class TestStates:
         with pytest.raises(AttributeError):
             cached.amplitudes = np.zeros(5, dtype=complex)
 
+    def test_each_target_is_built_once_for_every_caller(self, tmp_path, monkeypatch):
+        # phases no other test uses, so no cache built on the targets holds them yet
+        phases = {"alice_phases": [0.123, 4.567], "bob_phases": [2.345, 0.678]}
+        alice, bob = (PhaseVector(3, tuple(phases[key])) for key in phases)
+        checked = []
+        monkeypatch.setattr(protocol, "same_ray", lambda a, b: checked.append(b) or same_ray(a, b))
+        equatorial_state.cache_clear()
+        run_protocol(alice, bob, 3, OutcomeTuple(1, 2, 0, 1))
+        assert equatorial_state.cache_info().misses == 2
+        before = noise._target_pieces.cache_info().misses
+        run = noise.noisy_protocol_run(alice, bob, 3, NoiseKind.DEPHASING, 0.3)
+        noise.run_fidelities(run, alice, bob)
+        assert noise._target_pieces.cache_info().misses == before + 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dimension": 3, **phases, "trials": 2, "seed": 1}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
+        info = equatorial_state.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        # finish checks A1 against Bob's target and B2 against Alice's, once per run
+        targets = [equatorial_state(bob).amplitudes, equatorial_state(alice).amplitudes] * 3
+        assert len(checked) == len(targets)
+        assert all(a is b for a, b in zip(checked, targets))
+
     def test_ghz_qubit(self):
         out = ghz_state(2)
         expected = np.zeros(8)
