@@ -6,7 +6,11 @@ states or as dense density matrices. A `StateVector` checks its amplitude
 count and its norm (one `vdot`) on every construction, so building one is
 cheap but never unchecked. The weighted-list form (`BranchEnsemble`,
 `ensemble_from_density`) serves only the eigen-views of noisy results
-and the branch-by-branch oracles in the tests.
+and the branch-by-branch oracles in the tests. An ensemble keeps its
+weights and amplitude rows as two read-only arrays, checked once with the
+tolerances `StateVector` uses, and builds `StateVector` branches only when
+they are read. `ensemble_from_density` of a stack of density matrices,
+such as a noisy run's (2, N, N) output block, runs one batched `eigh`.
 
 The general tensor operations (`apply_on`, `project`, `measure`,
 `reduced_density`) share one idiom: move the target axes to the front
@@ -23,6 +27,7 @@ makes only that last step per draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -171,52 +176,103 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class BranchEnsemble:
-    """Mixed state as a weighted list of pure branches (weights sum to 1)."""
+    """Mixed state as weighted pure branches: row k of `amplitudes` is
+    branch k, with weight `weights[k]`.
 
-    branches: tuple[tuple[float, StateVector], ...]
+    The two arrays are stored read-only and checked once, here, with the
+    tolerances of `StateVector`: at least one branch, one row of
+    prod(dims) amplitudes per weight, no weight below -WEIGHT_ATOL, weights
+    summing to one within WEIGHT_ATOL and every row of unit norm within
+    ATOL. `branches` builds the `(weight, StateVector)` pairs on first read;
+    `from_branches` builds an ensemble from such pairs.
+    """
+
+    weights: np.ndarray
+    amplitudes: np.ndarray
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        brs = tuple((float(w), s) for w, s in self.branches)
-        if not brs:
+        dims = tuple(map(int, self.dims))
+        if dims and min(dims) < 1:
+            raise ValueError(f"invalid dims {dims}")
+        object.__setattr__(self, "dims", dims)
+        weights = np.ascontiguousarray(self.weights, dtype=float)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if not weights.size:
             raise ValueError("ensemble needs at least one branch")
-        if any(w < -WEIGHT_ATOL for w, _ in brs):
+        if weights.ndim != 1 or amps.shape != (weights.size, math.prod(dims)):
+            raise ValueError(
+                f"branch amplitudes of shape {amps.shape} do not match "
+                f"{weights.size} weights on dims {dims}"
+            )
+        ws = weights.tolist()
+        if any(w < -WEIGHT_ATOL for w in ws):
             raise ValueError("negative branch weight")
-        total = sum(w for w, _ in brs)
+        total = sum(ws)
         if not abs(total - 1.0) <= WEIGHT_ATOL:
             raise ValueError(f"branch weights sum to {total!r}, expected 1")
-        dims = brs[0][1].dims
-        if any(s.dims != dims for _, s in brs):
-            raise ValueError("branches live on different subsystem layouts")
-        object.__setattr__(self, "branches", brs)
+        for sq in np.einsum("kd,kd->k", amps.conj(), amps).real.tolist():
+            norm = math.sqrt(sq)
+            if not abs(norm - 1.0) <= ATOL:
+                raise ValueError(f"state is not normalized (|psi| = {norm!r})")
+        weights.setflags(write=False)
+        amps.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.branches[0][1].dims
+    @classmethod
+    def from_branches(cls, pairs: Sequence[tuple[float, StateVector]]) -> BranchEnsemble:
+        """The ensemble of `(weight, StateVector)` pairs on one subsystem layout."""
+        pairs = tuple(pairs)
+        if not pairs:
+            raise ValueError("ensemble needs at least one branch")
+        dims = pairs[0][1].dims
+        if any(s.dims != dims for _, s in pairs):
+            raise ValueError("branches live on different subsystem layouts")
+        weights = np.array([w for w, _ in pairs], dtype=float)
+        return cls(weights, np.array([s.amplitudes for _, s in pairs]), dims)
+
+    @functools.cached_property
+    def branches(self) -> tuple[tuple[float, StateVector], ...]:
+        """The `(weight, StateVector)` pairs, each row a checked state view."""
+        states = (StateVector(self.dims, row) for row in self.amplitudes)
+        return tuple(zip(self.weights.tolist(), states))
 
     def density_matrix(self) -> np.ndarray:
         """Dense sum_b w_b |b><b| (fine at desk scale, O(dim^2) memory)."""
-        weights = np.array([w for w, _ in self.branches])
-        amps = np.array([s.amplitudes for _, s in self.branches])
-        return (amps.T * weights) @ amps.conj()
+        return (self.amplitudes.T * self.weights) @ self.amplitudes.conj()
 
 
-def ensemble_from_density(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:
-    """Exact pure-branch decomposition of a density matrix via eigensystem.
+def ensemble_from_density(rho: np.ndarray, dims: tuple[int, ...]):
+    """Exact pure-branch decomposition of a density matrix via its eigensystem.
 
-    Tiny negative eigenvalues from roundoff are clipped; weights are
-    renormalized so they sum to one.
+    `rho` is one D x D matrix, D = prod(dims), which gives one
+    `BranchEnsemble`, or a stack (L, D, D), which gives a tuple of L. A
+    stack runs one batched `np.linalg.eigh`, whose eigenpairs are those of
+    each matrix alone. The branches are the eigenvectors as LAPACK returns
+    them, largest eigenvalue first; `BranchEnsemble` checks their norms.
+    Eigenvalues below 1e-14 (roundoff) are dropped and the rest
+    renormalized so they sum to one. Any other shape raises ValueError.
     """
+    dims = tuple(map(int, dims))
+    size = math.prod(dims)
+    shape = np.shape(rho)
+    if len(shape) not in (2, 3) or shape[-2:] != (size, size):
+        raise ValueError(f"density matrix shape {shape} does not match dims {dims}")
     vals, vecs = np.linalg.eigh(rho)
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    pairs = [
-        (float(w), StateVector(dims, v))
-        for w, v in zip(vals[::-1], vecs.T[::-1])
-        if w >= 1e-14
-    ]
-    total = sum(w for w, _ in pairs)
+    if len(shape) == 2:
+        return _eigen_ensemble(vals.tolist(), vecs, dims)
+    return tuple(_eigen_ensemble(w, v, dims) for w, v in zip(vals.tolist(), vecs))
+
+
+def _eigen_ensemble(vals: list[float], vecs: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:
+    """The ensemble of one matrix's ascending eigenvalues and eigenvector columns."""
+    # ascending, so the kept eigenvalues lead the reversed order
+    kept = [w for w in reversed(vals) if w >= 1e-14]
+    total = sum(kept)
     if total <= 0:
         raise ValueError("density matrix has no positive weight")
-    return BranchEnsemble(tuple((w / total, s) for w, s in pairs))
+    return BranchEnsemble([w / total for w in kept], vecs.T[::-1][: len(kept)], dims)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +422,7 @@ def fidelity_density(target: StateVector, rho: np.ndarray) -> float:
     v = target.amplitudes
     if rho.shape != (len(v), len(v)):
         raise ValueError(f"target dims {target.dims} do not match rho shape {rho.shape}")
-    return float(np.sqrt(max(np.real(np.vdot(v, rho @ v)), 0.0)))
+    return math.sqrt(max(float(np.vdot(v, rho @ v).real), 0.0))
 
 
 def reduced_density(state: StateVector, keep: int | Sequence[int]) -> np.ndarray:

@@ -14,11 +14,23 @@ Phi_deph twice, or Phi_sp then Delta_g(rho) = (1-g) rho + g diag(rho), with
 Phi_k the channel `kraus_for(k, g, N)`. Each map is a gamma-weighted sum of
 two pieces cached per target, so the map costs O(N^2) and is exact over
 every Kraus history without enumerating them. A call is O(N^2) too: it
-checks completeness, Phi(I) = I, on every call, and leaves the O(N^3)
-invariant residuals, one batched `eigvalsh` of both outputs, to the first
-read of `NoisyRunResult.residuals`. The closed-form fidelity
+checks completeness, Phi(I) = I, on every call, and returns both outputs
+as one read-only (2, N, N) block, `NoisyRunResult.rhos`. What is O(N^3)
+waits for a first read and then runs once over the whole block: the
+invariant residuals, one batched `eigvalsh`, on `NoisyRunResult.residuals`,
+and both pure-branch views, one batched `eigh`, on `a1_ensemble` or
+`b2_ensemble`. The closed-form fidelity
 expressions quoted alongside are reference evaluators only; agreement with
 the exact simulation is reported, never assumed.
+
+Why the outcome policy leaves the outputs alone: the corrections are
+diagonal, so every outcome tuple gives the same outputs for every noise
+channel that commutes with diagonal phases, as all three kinds here do.
+That covariance is a condition, not a law. With the tests' Kraus-stack
+factors at N=4, qudit amplitude damping (not modeled here) also gives every
+(n, m) the same A1 fidelity, 0.781025 at gamma = 0.4, while a fixed
+random-unitary error of weight 0.4 spreads it over 0.634-0.823. A channel
+without the covariance would need the policy to select the outputs again.
 
 `kraus_for` returns each channel use as a `KrausSet` from one raw
 (K, N, N) stack filled by fancy indexing; `KrausSet` checks completeness.
@@ -118,55 +130,77 @@ def kraus_for(kind: NoiseKind, gamma: float, n: int = 4) -> KrausSet:
 class NoisyRunResult:
     """The exact A1 and B2 outputs of a noisy run.
 
-    `diagnostics` holds what the call decided: noise, gamma, policy,
-    branch_count and, for a conditioned run, conditioned_outcome and
-    outcome_probability. `residuals` holds what checks the outputs: trace,
-    hermiticity, smallest eigenvalue and trace error per output, from one
-    batched `eigvalsh`, computed on first read and kept.
+    `rhos` is one read-only (2, N, N) block, the A1 output then the B2
+    output; `rho_a1` and `rho_b2` are views of it. `diagnostics` holds what
+    the call decided: noise, gamma, policy, branch_count and, for a
+    conditioned run, conditioned_outcome and outcome_probability.
+    `residuals` holds what checks the outputs: trace, hermiticity, smallest
+    eigenvalue and trace error per output, from one batched `eigvalsh` of
+    the block, computed on first read and kept. The first read of
+    `a1_ensemble` or `b2_ensemble` runs one batched `eigh` of the block
+    and keeps both ensembles.
     """
 
-    rho_a1: np.ndarray
-    rho_b2: np.ndarray
+    rhos: np.ndarray
     diagnostics: dict
+
+    @property
+    def rho_a1(self) -> np.ndarray:
+        """The A1 output, Bob's target through its leg (a view of `rhos`)."""
+        return self.rhos[0]
+
+    @property
+    def rho_b2(self) -> np.ndarray:
+        """The B2 output, Alice's target through its leg (a view of `rhos`)."""
+        return self.rhos[1]
 
     @functools.cached_property
     def residuals(self) -> dict:
         """The eight invariant residuals, `trace_*`, `hermiticity_*`,
         `min_eigenvalue_*` and `trace_error_*` for a1 and b2."""
-        return _invariant_residuals(np.stack((self.rho_a1, self.rho_b2)))
+        return _invariant_residuals(self.rhos)
+
+    @functools.cached_property
+    def _ensembles(self) -> tuple[BranchEnsemble, BranchEnsemble]:
+        return ensemble_from_density(self.rhos, (self.rhos.shape[1],))
 
     @property
     def a1_ensemble(self) -> BranchEnsemble:
         """Pure-branch view of rho_a1 (eigendecomposition)."""
-        return ensemble_from_density(self.rho_a1, (self.rho_a1.shape[0],))
+        return self._ensembles[0]
 
     @property
     def b2_ensemble(self) -> BranchEnsemble:
         """Pure-branch view of rho_b2 (eigendecomposition)."""
-        return ensemble_from_density(self.rho_b2, (self.rho_b2.shape[0],))
+        return self._ensembles[1]
 
 
-def _leg_weights(kind: NoiseKind, gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W, V) with the leg's whole channel Phi(rho) = W * rho + V * circ(rho), where
+def _leg_weights(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
+    """The (2, N, N) block (W, V) with the leg's whole channel
+    Phi(rho) = W * rho + V * circ(rho), where
     circ(rho)[a, q] = sum_b rho[a+b, q+b] and tr(rho) is its diagonal. Flip:
     Phi_flip(rho) = (1-g) rho + (g/N) circ(rho). Dephasing: Phi_deph twice,
     (d d^T)^2 * rho off the diagonal, d = (1, sqrt(1-g), ...). Shift-and-phase:
     Phi_sp(rho) = w0 rho + w (N tr(rho) I - circ(rho) - N diag(rho) + rho), with
     w0 = 1-(N-1)g/N and w = g/(N(N-1)), then Delta_g scales the coherences by 1-g.
     """
+    block = np.zeros((2, n, n))
+    weights, circ_weights = block
+    diagonals = block.reshape(2, n * n)[:, :: n + 1]
     if kind is NoiseKind.QUDIT_FLIP:
-        return np.full((n, n), 1 - gamma), np.full((n, n), gamma / n)
-    if kind is NoiseKind.DEPHASING:
-        weights = np.full((n, n), (1 - gamma) ** 2)
+        weights.fill(1 - gamma)
+        circ_weights.fill(gamma / n)
+    elif kind is NoiseKind.DEPHASING:
+        weights.fill((1 - gamma) ** 2)
         weights[0] = weights[:, 0] = 1 - gamma
-        np.fill_diagonal(weights, 1.0)
-        return weights, np.zeros((n, n))
-    w0, w = 1 - (n - 1) * gamma / n, gamma / (n * (n - 1))
-    weights = np.full((n, n), (1 - gamma) * (w0 + w))
-    circ_weights = np.full((n, n), -(1 - gamma) * w)
-    np.fill_diagonal(weights, w0 + w - n * w)
-    np.fill_diagonal(circ_weights, (n - 1) * w)
-    return weights, circ_weights
+        diagonals[0] = 1.0
+    else:
+        w0, w = 1 - (n - 1) * gamma / n, gamma / (n * (n - 1))
+        weights.fill((1 - gamma) * (w0 + w))
+        circ_weights.fill(-(1 - gamma) * w)
+        diagonals[0] = w0 + w - n * w
+        diagonals[1] = (n - 1) * w
+    return block
 
 
 @functools.lru_cache(maxsize=512)
@@ -222,12 +256,14 @@ def noisy_protocol_run(
     post-selected, all zeros by default) share them.
     """
     _check_dims(alice, bob, n)
-    weights, circ_weights = _leg_weights(noise, _check_gamma(gamma), n)
+    weights = _leg_weights(noise, _check_gamma(gamma), n)
     probe = _identity_probe(n)
     # A1 holds Bob's target, B2 Alice's; the probe's leg checks completeness,
     # Phi(I) = I, on every entry, so a NaN weight anywhere fails it
     pieces = np.array((_target_pieces(bob), _target_pieces(alice), probe))
-    out = weights * pieces[:, 0] + circ_weights * pieces[:, 1]
+    terms = weights * pieces
+    # not terms.sum(axis=1), which starts from +0.0 and so turns a -0.0 entry into +0.0
+    out = terms[:, 0] + terms[:, 1]
     if not (dev := float(np.abs(out[2] - probe[0]).max())) <= ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
 
@@ -245,8 +281,7 @@ def noisy_protocol_run(
         diagnostics["outcome_probability"] = 1.0 / n**4
 
     # a copy, so a kept result does not hold the probe's block alive
-    rho_a1, rho_b2 = out[:2].copy()
-    return NoisyRunResult(rho_a1=rho_a1, rho_b2=rho_b2, diagnostics=diagnostics)
+    return NoisyRunResult(rhos=_read_only(out[:2].copy()), diagnostics=diagnostics)
 
 
 def run_fidelities(

@@ -5,8 +5,11 @@ instead of applying the N^2 x N^2 controlled shift, `compose_network` and
 `reck_decompose` update two columns per element instead of multiplying
 element matrices, and the exact noisy evaluator sends each target
 through its leg's channel in closed form instead of splitting branches
-one Kraus operator at a time. The oracles that check those shortcuts
-build the dense objects here, from the package's own checked types.
+one Kraus operator at a time. `ensemble_from_density` decomposes a whole
+stack of density matrices with one batched `eigh` and checks the
+eigenvectors as arrays; `per_leg_ensemble` is the one-matrix-at-a-time
+construction it replaced. The oracles that check those shortcuts build
+the dense objects here, from the package's own checked types.
 """
 
 import numpy as np
@@ -55,7 +58,24 @@ def apply_kraus(ens: BranchEnsemble, kraus: KrausSet, target: int) -> BranchEnse
                 (w, StateVector(state.dims, image.amplitudes / np.sqrt(norm_sq)))
             )
     # completeness of the set guarantees the weights still sum to one
-    return BranchEnsemble(tuple(out))
+    return BranchEnsemble.from_branches(tuple(out))
+
+
+def per_leg_ensemble(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:
+    """One density matrix's eigen-view built branch by branch: one `eigh`,
+    every column rescaled to unit norm, one `StateVector` per eigenvalue
+    of at least 1e-14 (largest first), weights renormalized to sum to one."""
+    vals, vecs = np.linalg.eigh(rho)
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    pairs = [
+        (float(w), StateVector(dims, v))
+        for w, v in zip(vals[::-1], vecs.T[::-1])
+        if w >= 1e-14
+    ]
+    total = sum(w for w, _ in pairs)
+    if total <= 0:
+        raise ValueError("density matrix has no positive weight")
+    return BranchEnsemble.from_branches(tuple((w / total, s) for w, s in pairs))
 
 
 def _unnormalized(state: StateVector) -> StateVector:

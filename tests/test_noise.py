@@ -28,7 +28,7 @@ from bcrsp.protocol import (
     sender_basis,
 )
 from conftest import random_phase_vector
-from dense import apply_kraus
+from dense import apply_kraus, per_leg_ensemble
 
 ZERO4 = PhaseVector.zero(4)
 
@@ -424,7 +424,7 @@ class TestLegChannels:
 def naive_noisy_marginals(alice, bob, n, kind, gamma, conditioned=None):
     """Independent slow-path oracle: explicit branch ensemble via apply_kraus,
     then per-branch sequential projection over outcome tuples."""
-    ens = BranchEnsemble(((1.0, tensor(ghz_state(n), ghz_state(n))),))
+    ens = BranchEnsemble.from_branches(((1.0, tensor(ghz_state(n), ghz_state(n))),))
     chan = kraus_for(kind, gamma, n)
     for site in (1, 2, 3, 5):  # B1, C1, A2, C2
         ens = apply_kraus(ens, chan, site)
@@ -595,6 +595,87 @@ class TestExactEvaluator:
             run = noisy_protocol_run(alice, bob, n, kind, 0.4)
             owners = {id(owner(a)): owner(a) for a in (run.rho_a1, run.rho_b2)}
             assert sum(o.size for o in owners.values()) == 2 * n * n
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_ensembles_run_one_eigh_of_the_block_on_first_read(self, n, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rng = np.random.default_rng(n + 40)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        for kind in NoiseKind:
+            calls.clear()
+            run = noisy_protocol_run(alice, bob, n, kind, 0.37)
+            run_fidelities(run, alice, bob)
+            assert calls == []
+            a1 = run.a1_ensemble
+            assert calls == [(2, n, n)]
+            assert run.b2_ensemble is run.b2_ensemble
+            assert run.a1_ensemble is a1
+            assert calls == [(2, n, n)]
+
+    def test_residuals_read_the_block_without_stacking(self, monkeypatch):
+        calls = []
+
+        def counter(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        rng = np.random.default_rng(43)
+        alice, bob = random_phase_vector(8, rng), random_phase_vector(8, rng)
+        for kind in NoiseKind:
+            run = noisy_protocol_run(alice, bob, 8, kind, 0.37)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np, "stack", counter("stack", np.stack))
+                m.setattr(np.linalg, "eigvalsh", counter("eigvalsh", np.linalg.eigvalsh))
+                m.setattr(np.linalg, "eigh", counter("eigh", np.linalg.eigh))
+                run.residuals
+            assert calls == ["eigvalsh"]
+            assert run.rho_a1.base is run.rhos and run.rho_b2.base is run.rhos
+
+    def test_outputs_are_one_read_only_block(self):
+        rng = np.random.default_rng(44)
+        alice, bob = random_phase_vector(5, rng), random_phase_vector(5, rng)
+        run = noisy_protocol_run(alice, bob, 5, NoiseKind.QUDIT_PHASE_FLIP, 0.6)
+        assert run.rhos.shape == (2, 5, 5) and not run.rhos.flags.writeable
+        np.testing.assert_array_equal(run.rhos[0], run.rho_a1)
+        np.testing.assert_array_equal(run.rhos[1], run.rho_b2)
+        with pytest.raises(ValueError):
+            run.rho_a1[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_batched_eigen_views_equal_per_leg_construction(self, kind):
+        # oracle: the former per-leg view, one eigh, rescaled columns and one
+        # StateVector per branch (`dense.per_leg_ensemble`)
+        rng = np.random.default_rng(45)
+        for n in range(2, 17):
+            alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+            for gamma in (0.0, 0.3, 0.7, 1.0):
+                run = noisy_protocol_run(alice, bob, n, kind, gamma)
+                vals, vecs = np.linalg.eigh(run.rhos)
+                legs = (run.a1_ensemble, run.b2_ensemble)
+                for i, ens in enumerate(legs):
+                    one_vals, one_vecs = np.linalg.eigh(run.rhos[i])
+                    assert vals[i].tobytes() == one_vals.tobytes()
+                    assert vecs[i].tobytes() == one_vecs.tobytes()
+                    ref = per_leg_ensemble(run.rhos[i], (n,))
+                    assert ens.dims == ref.dims == (n,)
+                    assert ens.weights.tolist() == ref.weights.tolist()
+                    k = len(ens.weights)
+                    assert ens.amplitudes.tobytes() == vecs[i].T[::-1][:k].tobytes()
+                    np.testing.assert_allclose(ens.amplitudes, ref.amplitudes, rtol=0, atol=1e-15)
+                    np.testing.assert_allclose(
+                        ens.density_matrix(), ref.density_matrix(), rtol=0, atol=1e-15
+                    )
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_sizes_beyond_history_enumeration(self, n):
