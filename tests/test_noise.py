@@ -640,13 +640,13 @@ class TestExactEvaluator:
                 m.setattr(np.linalg, "eigh", counter("eigh", np.linalg.eigh))
                 run.residuals
             assert calls == ["eigvalsh"]
-            assert run.rho_a1.base is run.rhos and run.rho_b2.base is run.rhos
 
     def test_outputs_are_one_read_only_block(self):
         rng = np.random.default_rng(44)
         alice, bob = random_phase_vector(5, rng), random_phase_vector(5, rng)
         run = noisy_protocol_run(alice, bob, 5, NoiseKind.QUDIT_PHASE_FLIP, 0.6)
         assert run.rhos.shape == (2, 5, 5) and not run.rhos.flags.writeable
+        assert run.rho_a1.base is run.rhos and run.rho_b2.base is run.rhos
         np.testing.assert_array_equal(run.rhos[0], run.rho_a1)
         np.testing.assert_array_equal(run.rhos[1], run.rho_b2)
         with pytest.raises(ValueError):
