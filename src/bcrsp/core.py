@@ -9,8 +9,8 @@ cheap but never unchecked. The weighted-list form (`BranchEnsemble`,
 and the branch-by-branch oracles in the tests. An ensemble keeps its
 weights and amplitude rows as two read-only arrays, checked once with the
 tolerances `StateVector` uses, and builds `StateVector` branches only when
-they are read. `ensemble_from_density` of a stack of density matrices,
-such as a noisy run's (2, N, N) output block, runs one batched `eigh`.
+they are read. `ensemble_from_density` takes a stack of density matrices,
+such as a noisy run's (2, N, N) output block, and runs one batched `eigh`.
 
 The general tensor operations (`apply_on`, `project`, `measure`,
 `reduced_density`) share one idiom: move the target axes to the front
@@ -183,8 +183,7 @@ class BranchEnsemble:
     tolerances of `StateVector`: at least one branch, one row of
     prod(dims) amplitudes per weight, no weight below -WEIGHT_ATOL, weights
     summing to one within WEIGHT_ATOL and every row of unit norm within
-    ATOL. `branches` builds the `(weight, StateVector)` pairs on first read;
-    `from_branches` builds an ensemble from such pairs.
+    ATOL. `branches` builds the `(weight, StateVector)` pairs on first read.
     """
 
     weights: np.ndarray
@@ -220,18 +219,6 @@ class BranchEnsemble:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def from_branches(cls, pairs: Sequence[tuple[float, StateVector]]) -> BranchEnsemble:
-        """The ensemble of `(weight, StateVector)` pairs on one subsystem layout."""
-        pairs = tuple(pairs)
-        if not pairs:
-            raise ValueError("ensemble needs at least one branch")
-        dims = pairs[0][1].dims
-        if any(s.dims != dims for _, s in pairs):
-            raise ValueError("branches live on different subsystem layouts")
-        weights = np.array([w for w, _ in pairs], dtype=float)
-        return cls(weights, np.array([s.amplitudes for _, s in pairs]), dims)
-
     @functools.cached_property
     def branches(self) -> tuple[tuple[float, StateVector], ...]:
         """The `(weight, StateVector)` pairs, each row a checked state view."""
@@ -243,25 +230,25 @@ class BranchEnsemble:
         return (self.amplitudes.T * self.weights) @ self.amplitudes.conj()
 
 
-def ensemble_from_density(rho: np.ndarray, dims: tuple[int, ...]):
-    """Exact pure-branch decomposition of a density matrix via its eigensystem.
+def ensemble_from_density(
+    rhos: np.ndarray, dims: tuple[int, ...]
+) -> tuple[BranchEnsemble, ...]:
+    """Exact pure-branch decompositions of a stack of density matrices.
 
-    `rho` is one D x D matrix, D = prod(dims), which gives one
-    `BranchEnsemble`, or a stack (L, D, D), which gives a tuple of L. A
-    stack runs one batched `np.linalg.eigh`, whose eigenpairs are those of
-    each matrix alone. The branches are the eigenvectors as LAPACK returns
-    them, largest eigenvalue first; `BranchEnsemble` checks their norms.
-    Eigenvalues below 1e-14 (roundoff) are dropped and the rest
-    renormalized so they sum to one. Any other shape raises ValueError.
+    `rhos` has shape (L, D, D), D = prod(dims); the result is one
+    `BranchEnsemble` per matrix. One batched `np.linalg.eigh` runs over the
+    stack, and its eigenpairs are those of each matrix alone. The branches
+    are the eigenvectors as LAPACK returns them, largest eigenvalue first;
+    `BranchEnsemble` checks their norms. Eigenvalues below 1e-14 (roundoff)
+    are dropped and the rest renormalized so they sum to one. Any other
+    shape raises ValueError.
     """
     dims = tuple(map(int, dims))
     size = math.prod(dims)
-    shape = np.shape(rho)
-    if len(shape) not in (2, 3) or shape[-2:] != (size, size):
+    shape = np.shape(rhos)
+    if len(shape) != 3 or shape[1:] != (size, size):
         raise ValueError(f"density matrix shape {shape} does not match dims {dims}")
-    vals, vecs = np.linalg.eigh(rho)
-    if len(shape) == 2:
-        return _eigen_ensemble(vals.tolist(), vecs, dims)
+    vals, vecs = np.linalg.eigh(rhos)
     return tuple(_eigen_ensemble(w, v, dims) for w, v in zip(vals.tolist(), vecs))
 
 

@@ -8,8 +8,9 @@ through its leg's channel in closed form instead of splitting branches
 one Kraus operator at a time. `ensemble_from_density` decomposes a whole
 stack of density matrices with one batched `eigh` and checks the
 eigenvectors as arrays; `per_leg_ensemble` is the one-matrix-at-a-time
-construction it replaced. The oracles that check those shortcuts build
-the dense objects here, from the package's own checked types.
+construction it replaced. `ensemble_of` builds a `BranchEnsemble` from
+`(weight, StateVector)` pairs. The oracles that check those shortcuts
+build the dense objects here, from the package's own checked types.
 """
 
 import numpy as np
@@ -35,6 +36,18 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector((dim,), amps)
 
 
+def ensemble_of(pairs) -> BranchEnsemble:
+    """The ensemble of `(weight, StateVector)` pairs on one subsystem layout."""
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("ensemble needs at least one branch")
+    dims = pairs[0][1].dims
+    if any(s.dims != dims for _, s in pairs):
+        raise ValueError("branches live on different subsystem layouts")
+    weights = [w for w, _ in pairs]
+    return BranchEnsemble(weights, np.array([s.amplitudes for _, s in pairs]), dims)
+
+
 def apply_kraus(ens: BranchEnsemble, kraus: KrausSet, target: int) -> BranchEnsemble:
     """Push an ensemble through a channel acting on one subsystem.
 
@@ -58,7 +71,7 @@ def apply_kraus(ens: BranchEnsemble, kraus: KrausSet, target: int) -> BranchEnse
                 (w, StateVector(state.dims, image.amplitudes / np.sqrt(norm_sq)))
             )
     # completeness of the set guarantees the weights still sum to one
-    return BranchEnsemble.from_branches(tuple(out))
+    return ensemble_of(tuple(out))
 
 
 def per_leg_ensemble(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:
@@ -75,7 +88,7 @@ def per_leg_ensemble(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:
     total = sum(w for w, _ in pairs)
     if total <= 0:
         raise ValueError("density matrix has no positive weight")
-    return BranchEnsemble.from_branches(tuple((w / total, s) for w, s in pairs))
+    return ensemble_of(tuple((w / total, s) for w, s in pairs))
 
 
 def _unnormalized(state: StateVector) -> StateVector:

@@ -32,7 +32,7 @@ from bcrsp.protocol import (
     sender_basis,
 )
 from conftest import random_state
-from dense import apply_kraus, basis_state
+from dense import apply_kraus, basis_state, ensemble_of
 
 
 class TestStateVector:
@@ -90,7 +90,7 @@ NON_FINITE = {
     ),
     "nan-kraus": (lambda: KrausSet(2, (Operator(np.full((2, 2), NAN)),)), "not complete"),
     "nan-weight": (
-        lambda: BranchEnsemble.from_branches(((NAN, basis_state(2, 0)),)), "sum to nan"
+        lambda: ensemble_of(((NAN, basis_state(2, 0)),)), "sum to nan"
     ),
 }
 
@@ -389,7 +389,7 @@ CHANNELS = {
 class TestApplyKraus:
     def test_identity_channel_is_noop(self):
         chan = KrausSet(2, (Operator(np.eye(2, dtype=complex)),))
-        ens = BranchEnsemble.from_branches(((1.0, tensor(basis_state(2, 0), basis_state(2, 1))),))
+        ens = ensemble_of(((1.0, tensor(basis_state(2, 0), basis_state(2, 1))),))
         out = apply_kraus(ens, chan, 0)
         assert len(out.branches) == 1
         w, s = out.branches[0]
@@ -398,7 +398,7 @@ class TestApplyKraus:
 
     def test_flip_channel_at_zero_strength(self):
         target = equatorial_state(PhaseVector(4, (0.3, 0.6, 0.9)))
-        ens = BranchEnsemble.from_branches(((1.0, target),))
+        ens = ensemble_of(((1.0, target),))
         out = apply_kraus(ens, kraus_for(NoiseKind.QUDIT_FLIP, 0.0, 4), 0)
         assert len(out.branches) == 1
         fid = fidelity_density(ens.branches[0][1], out.density_matrix())
@@ -416,7 +416,7 @@ class TestApplyKraus:
         for op in chan.operators:
             big = np.kron(np.eye(dim), op.entries)
             expected += big @ rho @ big.conj().T
-        out = apply_kraus(BranchEnsemble.from_branches(((1.0, state),)), chan, 1)
+        out = apply_kraus(ensemble_of(((1.0, state),)), chan, 1)
         np.testing.assert_allclose(out.density_matrix(), expected, atol=1e-10)
 
     @pytest.mark.parametrize("kind", CHANNELS.values(), ids=CHANNELS.keys())
@@ -424,7 +424,7 @@ class TestApplyKraus:
         rng = np.random.default_rng(5)
         state = StateVector((4, 4), random_state(rng, 16))
         for gamma in np.linspace(0.0, 1.0, 20):
-            ens = BranchEnsemble.from_branches(((1.0, state),))
+            ens = ensemble_of(((1.0, state),))
             out = apply_kraus(ens, kraus_for(kind, gamma, 4), 0)
             assert sum(w for w, _ in out.branches) == pytest.approx(1.0, abs=1e-12)
 
@@ -456,17 +456,10 @@ class TestBranchEnsemble:
         with pytest.raises(ValueError, match=message):
             BranchEnsemble(weights, amplitudes, (2,))
 
-    def test_pair_form_rejections(self):
-        with pytest.raises(ValueError, match="ensemble needs at least one branch"):
-            BranchEnsemble.from_branches(())
-        pairs = ((0.5, basis_state(2, 0)), (0.5, basis_state(3, 0)))
-        with pytest.raises(ValueError, match="branches live on different subsystem layouts"):
-            BranchEnsemble.from_branches(pairs)
-
     def test_branches_are_checked_views_of_the_rows(self):
         rng = np.random.default_rng(12)
         states = [StateVector((2, 3), random_state(rng, 6)) for _ in range(3)]
-        ens = BranchEnsemble.from_branches(zip((0.5, 0.25, 0.25), states))
+        ens = ensemble_of(zip((0.5, 0.25, 0.25), states))
         assert ens.dims == (2, 3) and ens.weights.shape == (3,)
         assert not ens.weights.flags.writeable and not ens.amplitudes.flags.writeable
         branches = ens.branches
@@ -479,8 +472,8 @@ class TestBranchEnsemble:
 
     @pytest.mark.parametrize(
         "shape,dims",
-        [((2, 3), (2,)), ((3, 3), (2,)), ((4, 4), (2, 3)), ((4,), (4,)), ((1, 2, 2, 2), (2,)),
-         ((2, 3, 3), (2,))],
+        [((1, 2, 3), (2,)), ((1, 3, 3), (2,)), ((1, 4, 4), (2, 3)), ((2, 2), (2,)),
+         ((4,), (4,)), ((1, 2, 2, 2), (2,)), ((2, 3, 3), (2,))],
     )
     def test_density_shape_is_checked_before_eigh(self, shape, dims):
         rho = np.zeros(shape, dtype=complex)
@@ -491,7 +484,7 @@ class TestBranchEnsemble:
 
     def test_zero_density_has_no_positive_weight(self):
         with pytest.raises(ValueError, match="density matrix has no positive weight"):
-            ensemble_from_density(np.zeros((2, 2)), (2,))
+            ensemble_from_density(np.zeros((1, 2, 2)), (2,))
 
     def test_stack_gives_each_matrix_its_own_ensemble(self):
         rng = np.random.default_rng(13)
@@ -503,7 +496,7 @@ class TestBranchEnsemble:
         stack = ensemble_from_density(np.array(rhos), (2, 2))
         assert isinstance(stack, tuple) and len(stack) == 3
         for ens, rho in zip(stack, rhos):
-            one = ensemble_from_density(rho, (2, 2))
+            (one,) = ensemble_from_density(rho[None], (2, 2))
             assert ens.dims == one.dims == (2, 2)
             assert ens.weights.tobytes() == one.weights.tobytes()
             assert ens.amplitudes.tobytes() == one.amplitudes.tobytes()
@@ -513,11 +506,11 @@ class TestBranchEnsemble:
 class TestFidelity:
     def test_pure_self(self):
         psi = equatorial_state(PhaseVector(3, (0.2, 1.9)))
-        rho = BranchEnsemble.from_branches(((1.0, psi),)).density_matrix()
+        rho = ensemble_of(((1.0, psi),)).density_matrix()
         assert fidelity_density(psi, rho) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
-        rho = BranchEnsemble.from_branches(((1.0, basis_state(2, 1)),)).density_matrix()
+        rho = ensemble_of(((1.0, basis_state(2, 1)),)).density_matrix()
         assert fidelity_density(basis_state(2, 0), rho) == 0.0
 
     def test_dimension_mismatch_names_both(self):
@@ -531,7 +524,7 @@ class TestFidelity:
         gamma = 0.4
         target = equatorial_state(PhaseVector.zero(4))
         chan = kraus_for(NoiseKind.QUDIT_PHASE_FLIP, gamma, 4)
-        ens = apply_kraus(BranchEnsemble.from_branches(((1.0, target),)), chan, 0)
+        ens = apply_kraus(ensemble_of(((1.0, target),)), chan, 0)
         fid = fidelity_density(target, ens.density_matrix())
         assert fid == pytest.approx(np.sqrt(1 - 3 * gamma / 4), abs=1e-12)
 
@@ -542,12 +535,12 @@ class TestFidelity:
         psi = StateVector((3,), random_state(rng, 3))
         a = StateVector((3,), random_state(rng, 3))
         b = StateVector((3,), random_state(rng, 3))
-        ens_a = BranchEnsemble.from_branches(((1.0, a),))
-        ens_b = BranchEnsemble.from_branches(((1.0, b),))
+        ens_a = ensemble_of(((1.0, a),))
+        ens_b = ensemble_of(((1.0, b),))
         if lam in (0.0, 1.0):
             mixed = ens_a if lam == 1.0 else ens_b
         else:
-            mixed = BranchEnsemble.from_branches(((lam, a), (1.0 - lam, b)))
+            mixed = ensemble_of(((lam, a), (1.0 - lam, b)))
         def squared(ens):
             return fidelity_density(psi, ens.density_matrix()) ** 2
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcrsp import noise
-from bcrsp.core import BranchEnsemble, apply_on, fidelity_density, project, tensor
+from bcrsp.core import apply_on, fidelity_density, project, tensor
 from bcrsp.noise import (
     NoiseKind,
     OutcomePolicy,
@@ -28,7 +28,7 @@ from bcrsp.protocol import (
     sender_basis,
 )
 from conftest import random_phase_vector
-from dense import apply_kraus, per_leg_ensemble
+from dense import apply_kraus, ensemble_of, per_leg_ensemble
 
 ZERO4 = PhaseVector.zero(4)
 
@@ -424,7 +424,7 @@ class TestLegChannels:
 def naive_noisy_marginals(alice, bob, n, kind, gamma, conditioned=None):
     """Independent slow-path oracle: explicit branch ensemble via apply_kraus,
     then per-branch sequential projection over outcome tuples."""
-    ens = BranchEnsemble.from_branches(((1.0, tensor(ghz_state(n), ghz_state(n))),))
+    ens = ensemble_of(((1.0, tensor(ghz_state(n), ghz_state(n))),))
     chan = kraus_for(kind, gamma, n)
     for site in (1, 2, 3, 5):  # B1, C1, A2, C2
         ens = apply_kraus(ens, chan, site)
@@ -563,23 +563,29 @@ class TestExactEvaluator:
 
     @pytest.mark.parametrize("policy", list(OutcomePolicy))
     def test_residuals_run_one_eigvalsh_on_first_read(self, policy, monkeypatch):
+        # the block is read as it is: no np.stack, and no eigh beside the eigvalsh
         calls = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def counted(a):
-            calls.append(np.shape(a))
-            return eigvalsh(a)
+        def counter(name, fn):
+            def counted(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counter("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counter("eigh", np.linalg.eigh))
         rng = np.random.default_rng(31)
         alice, bob = random_phase_vector(16, rng), random_phase_vector(16, rng)
         run = noisy_protocol_run(alice, bob, 16, NoiseKind.QUDIT_PHASE_FLIP, 0.37, policy)
         run_fidelities(run, alice, bob)
         assert calls == []
-        residuals = run.residuals
-        assert calls == [(2, 16, 16)]
+        with monkeypatch.context() as m:
+            m.setattr(np, "stack", counter("stack", np.stack))
+            residuals = run.residuals
+        assert calls == [("eigvalsh", (2, 16, 16))]
         assert run.residuals is residuals
-        assert calls == [(2, 16, 16)]
+        assert calls == [("eigvalsh", (2, 16, 16))]
         assert len(residuals) == 8 and not set(residuals) & set(run.diagnostics)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
@@ -618,28 +624,6 @@ class TestExactEvaluator:
             assert run.b2_ensemble is run.b2_ensemble
             assert run.a1_ensemble is a1
             assert calls == [(2, n, n)]
-
-    def test_residuals_read_the_block_without_stacking(self, monkeypatch):
-        calls = []
-
-        def counter(name, fn):
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-
-            return counted
-
-        rng = np.random.default_rng(43)
-        alice, bob = random_phase_vector(8, rng), random_phase_vector(8, rng)
-        for kind in NoiseKind:
-            run = noisy_protocol_run(alice, bob, 8, kind, 0.37)
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(np, "stack", counter("stack", np.stack))
-                m.setattr(np.linalg, "eigvalsh", counter("eigvalsh", np.linalg.eigvalsh))
-                m.setattr(np.linalg, "eigh", counter("eigh", np.linalg.eigh))
-                run.residuals
-            assert calls == ["eigvalsh"]
 
     def test_outputs_are_one_read_only_block(self):
         rng = np.random.default_rng(44)
