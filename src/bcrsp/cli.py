@@ -216,6 +216,7 @@ def cmd_run(args) -> int:
             raise ValueError(f"forced_outcome needs four indices l, n, m, k, got {forced!r}")
         forced = OutcomeTuple(*[_number(v, int, "forced_outcome index") for v in forced])
     noise_cfg = cfg.get("noise")
+    policy = _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
 
     report: dict = {"dimension": n, "trials": []}
     all_recovered = True
@@ -226,7 +227,6 @@ def cmd_run(args) -> int:
         noise_cfg = _noise_block(noise_cfg, ("kind", "gamma"))
         kind = _choice(NoiseKind, noise_cfg["kind"], "noise kind")
         gamma = _number(noise_cfg["gamma"], float, "gamma")
-        policy = _choice(OutcomePolicy, cfg.get("policy", "averaged"), "policy")
         if forced is not None and policy is not OutcomePolicy.CONDITIONED:
             raise ValueError(
                 f"forced_outcome needs policy 'conditioned' in a noisy run, got {policy.value!r}"
@@ -364,6 +364,8 @@ _BUILTIN_MATRICES = {
 
 
 def cmd_decompose(args) -> int:
+    if args.builtin and args.input:
+        raise ValueError("decompose takes --builtin or --input, not both")
     if args.builtin:
         if args.builtin not in _BUILTIN_MATRICES:
             raise ValueError(

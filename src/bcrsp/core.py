@@ -52,7 +52,7 @@ def _as_complex_vector(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of one or more qudits with explicit subsystem dims."""
 
@@ -86,7 +86,7 @@ def same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     return abs(abs(complex(np.vdot(a, b))) - 1.0) <= ATOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Complex matrix acting on one or more qudits."""
 
@@ -174,7 +174,7 @@ class KrausSet:
         return float(np.max(np.abs(acc - np.eye(dim))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchEnsemble:
     """Mixed state as weighted pure branches: row k of `amplitudes` is
     branch k, with weight `weights[k]`.

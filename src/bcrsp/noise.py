@@ -12,7 +12,7 @@ phase, so each outcome tuple has probability 1/N^4 and leaves each kept qudit
 in its target |t><t| sent through one single-qudit map: Phi_flip once,
 Phi_deph twice, or Phi_sp then Delta_g(rho) = (1-g) rho + g diag(rho), with
 Phi_k the channel `kraus_for(k, g, N)`. Each map is a gamma-weighted sum of
-two pieces cached per target, so the map costs O(N^2) and is exact over
+two pieces kept on the target's record, so the map costs O(N^2) and is exact over
 every Kraus history without enumerating them. A call is O(N^2) too: it
 checks completeness, Phi(I) = I, on every call, and returns both outputs
 as one read-only (2, N, N) block, `NoisyRunResult.rhos`. What is O(N^3)
@@ -56,10 +56,10 @@ from .core import (
 from .protocol import (
     OutcomeTuple,
     PhaseVector,
+    _TARGETS,
     _check_dimension,
     _check_dims,
     _read_only,
-    equatorial_state,
     phase_table,
 )
 
@@ -126,7 +126,7 @@ def kraus_for(kind: NoiseKind, gamma: float, n: int = 4) -> KrausSet:
 # exact noisy protocol evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyRunResult:
     """The exact A1 and B2 outputs of a noisy run.
 
@@ -203,18 +203,6 @@ def _leg_weights(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
     return block
 
 
-@functools.lru_cache(maxsize=512)
-def _target_pieces(p: PhaseVector) -> np.ndarray:
-    """Read-only (rho_t, circ(rho_t)) of one target with amplitudes x: rho_t = x x+
-    and circ(rho_t)[a, q] = c[q-a], with c[d] = sum_j x[j] conj(x[j+d])."""
-    x = equatorial_state(p).amplitudes
-    wrap = -np.subtract.outer(np.arange(p.dim), np.arange(p.dim)) % p.dim  # (q-a) mod N
-    c = (x @ x.conj()[wrap.T])[wrap[:, 0]]
-    pieces = np.stack((np.outer(x, x.conj()), c[wrap]))
-    # a fused multiply-add can leave A+ an ulp from A; the mean is exactly Hermitian
-    return _read_only((pieces + pieces.conj().transpose(0, 2, 1)) / 2)
-
-
 @functools.lru_cache(maxsize=64)
 def _identity_probe(n: int) -> np.ndarray:
     """Read-only (I, circ(I)) = (I, N I): a map is complete when Phi(I) = I."""
@@ -260,7 +248,7 @@ def noisy_protocol_run(
     probe = _identity_probe(n)
     # A1 holds Bob's target, B2 Alice's; the probe's leg checks completeness,
     # Phi(I) = I, on every entry, so a NaN weight anywhere fails it
-    pieces = np.array((_target_pieces(bob), _target_pieces(alice), probe))
+    pieces = np.array((_TARGETS[bob].pieces, _TARGETS[alice].pieces, probe))
     terms = weights * pieces
     # not terms.sum(axis=1), which starts from +0.0 and so turns a -0.0 entry into +0.0
     out = terms[:, 0] + terms[:, 1]
@@ -289,8 +277,8 @@ def run_fidelities(
 ) -> tuple[float, float]:
     """(A1, B2) fidelities of a run: A1 against Bob's target, B2 against Alice's."""
     return (
-        fidelity_density(equatorial_state(bob), run.rho_a1),
-        fidelity_density(equatorial_state(alice), run.rho_b2),
+        fidelity_density(_TARGETS[bob].state, run.rho_a1),
+        fidelity_density(_TARGETS[alice].state, run.rho_b2),
     )
 
 

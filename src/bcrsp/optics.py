@@ -206,7 +206,7 @@ _QUOTED_SHIFTER_THETAS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedNetworkReport:
     network: InterferometerNetwork
     composed: np.ndarray

@@ -15,35 +15,29 @@ starting at 1/sqrt(N); a projected slot is one elementwise product, and
 the leg ends as the kept qudit's amplitudes.
 
 A leg's outcome is the pair (s, t) of its sender's and controller's
-indices, (n, m) on A1's leg and (l, k) on B2's. The sender's slot acts on
-a fresh GHZ leg, so `_leg_table` projects it for every s once per target
-and caches the N probabilities and N diagonals; `_forced_legs` reads one
-row per leg and projects only the two controller slots. A run is fully
-described by its outcome tuple, so every run reaches its kept diagonals
-that way: forced runs, sampled runs, a session's corrections and
-`outcome_probability` (on the zero target). A sampled run first draws
-the tuple from the Born CDFs `_born_table` caches per target, the
-sender's slot's and the controller's slot's after each s: one
-`rng.random()` and one O(log N) search per slot, in protocol order.
-`finish` corrects the kept diagonals and checks recovery on raw arrays;
-a `ProtocolResult` holds them read-only and builds each validated
-`StateVector` view only when it is first read, so a run whose caller
-reads only `recovered` builds none. `leg_state` builds views of a leg as
-a tensor. The bras are read-only rows of `phase_table`, conjugated and, for
-a sender, shifted by the target's phases; `sender_basis` and
-`fourier_basis` are their validated views, which no run, session,
-`outcome_probability` or decomposition check builds. The four-basis
-expansion is checked per leg as well. The six-qudit order (A1, B1, C1,
-A2, B2, C2) is used only by `channel_state`, the whole resource as one
-register.
+indices, (n, m) on A1's leg and (l, k) on B2's. What is precomputed for a
+target lives on its `_TargetRecord`, one per target in `_TARGETS`, a cache
+bounded by TARGET_CACHE_BYTES. The sender's slot acts on a fresh GHZ leg,
+so the record's `leg` projects it for every s once; every run (forced,
+sampled, a session's corrections, `outcome_probability` on the zero
+target) reads one row per leg and projects only the two controller slots
+(`_forced_legs`). A sampled run first draws its outcome tuple from the
+record's `born` CDFs: one `rng.random()` and one O(log N) search per slot,
+in protocol order. `finish` corrects on raw arrays; a `ProtocolResult`
+builds each validated `StateVector` view only when it is first read. The
+bras are read-only rows of `phase_table`, conjugated and, for a sender,
+shifted by the target's phases; `sender_basis` and `fourier_basis` are
+their validated views, which no run, session or check builds. The
+six-qudit order (A1, B1, C1, A2, B2, C2) is used only by `channel_state`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -135,7 +129,7 @@ class CorrectionRule:
     b2_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """One run: the outcome tuple, its probability, the corrections and whether
     both targets were recovered.
@@ -200,10 +194,9 @@ def phase_table(n: int) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * (np.outer(j, j) % n) / n))
 
 
-@functools.lru_cache(maxsize=1024)
 def equatorial_state(p: PhaseVector) -> StateVector:
-    """(1/sqrt(N)) sum_j e^{i theta_j} |j>; cached, frozen and read-only."""
-    return StateVector((p.dim,), np.exp(1j * p.full()) / np.sqrt(p.dim))
+    """(1/sqrt(N)) sum_j e^{i theta_j} |j>; the target record's frozen, read-only `state`."""
+    return _TARGETS[p].state
 
 
 def _diagonal_tensor(diagonal: np.ndarray, slots: int) -> np.ndarray:
@@ -233,12 +226,6 @@ def ghz_state(n: int) -> StateVector:
     return leg_state(_ghz_diagonal(n), 3)
 
 
-@functools.lru_cache(maxsize=1024)
-def _sender_bras(p: PhaseVector) -> np.ndarray:
-    """Read-only conjugated rows of sender_basis(p); row i is the bra of outcome i."""
-    return _read_only(np.conj(phase_table(p.dim) * np.exp(-1j * p.full()) / np.sqrt(p.dim)))
-
-
 @functools.lru_cache(maxsize=64)
 def _fourier_bras(n: int) -> np.ndarray:
     """Read-only conjugated rows of fourier_basis(n)."""
@@ -255,7 +242,7 @@ def _basis(bras: np.ndarray) -> MeasurementBasis:
 @functools.lru_cache(maxsize=1024)
 def sender_basis(p: PhaseVector) -> MeasurementBasis:
     """Measurement family tau_l = (1/sqrt(N)) sum_j e^{i 2pi jl/N} e^{-i theta_j} |j>."""
-    return _basis(_sender_bras(p))
+    return _basis(_TARGETS[p].bras)
 
 
 @functools.lru_cache(maxsize=64)
@@ -277,7 +264,7 @@ def _collapsed_rows(p: PhaseVector) -> np.ndarray:
     the target phases.
 
     The exponent sign is the one that makes correction_unitary(idx) map row
-    idx back onto equatorial_state(p). The rows equal `_sender_bras(p)` bit
+    idx back onto equatorial_state(p). The rows equal the record's `bras` bit
     for bit, but the decomposition check derives them here on its own: read
     against the conjugate of the matrix it expands in, a sign error in the
     target phases would cancel out of the check.
@@ -303,90 +290,112 @@ def _project_leg(diagonal: np.ndarray, bra: np.ndarray) -> tuple[float, Optional
     return prob, remainder / np.sqrt(prob)
 
 
-class LegTable(NamedTuple):
-    """One leg of a target after its sender's slot, for every sender index s.
-
-    after[s] is the leg's diagonal projected on the sender's bra s, with
-    probability sender_probs[s]; the controller's slot is projected per run.
-    """
-
-    sender_probs: np.ndarray  # (N,)
-    after: np.ndarray         # (N, N)
+TARGET_CACHE_BYTES = 256 * 2**20  # three records at N = 1024, the CLI's ceiling
 
 
-# 16 N^2 + 8 N bytes of arrays per entry: about 1.1 MB for 256 targets at
-# N = 16, 4.2 MB at N = 32 and 17 MB at N = 64
-@functools.lru_cache(maxsize=256)
-def _leg_table(target: PhaseVector) -> LegTable:
-    """Read-only sender half of the outcome table of a leg whose sender holds `target`.
-
-    Row s is the fresh GHZ diagonal projected on the sender's bra s by the
-    same `_project_leg` call a slot-by-slot run makes, so it holds that
-    slot's values bit for bit. N projections in all; every bra has entries of
-    modulus 1/sqrt(N), so no projection vanishes.
-    """
-    n = target.dim
-    ghz = _ghz_diagonal(n)
-    sender_probs = np.empty(n)
-    after = np.empty((n, n), dtype=complex)
-    for s, bra in enumerate(_sender_bras(target)):
-        sender_probs[s], after[s] = _project_leg(ghz, bra)
-    return LegTable(_read_only(sender_probs), _read_only(after))
+def _record_charge(n: int) -> int:
+    """Worst-case bytes of a record: 72 N^2 + 32 N of arrays with every part
+    built, 32 N of its key's phases and 2 KiB of other Python objects."""
+    return 72 * n * n + 64 * n + 2048
 
 
-class BornTable(NamedTuple):
-    """The Born CDFs a sampled run inverts on one leg, from `born_cdf`.
+class _TargetRecord:
+    """Everything precomputed for one target, each part built on first read and
+    read-only. `bras` are the conjugated rows of sender_basis(target); `leg`
+    and `born` hold the outcome table of a leg whose sender holds the target."""
 
-    sender_cdf is the sender's slot on the fresh GHZ leg; controller_cdf[s]
-    is the controller's slot on `_leg_table`'s after[s].
-    """
+    def __init__(self, target: PhaseVector):
+        self.target = target
 
-    sender_cdf: np.ndarray      # (N,)
-    controller_cdf: np.ndarray  # (N, N)
+    @functools.cached_property
+    def state(self) -> StateVector:
+        p = self.target
+        return StateVector((p.dim,), np.exp(1j * p.full()) / np.sqrt(p.dim))
+
+    @functools.cached_property
+    def bras(self) -> np.ndarray:
+        p = self.target
+        return _read_only(np.conj(phase_table(p.dim) * np.exp(-1j * p.full()) / np.sqrt(p.dim)))
+
+    @functools.cached_property
+    def leg(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sender_probs (N,), after (N, N)): the fresh GHZ diagonal projected on
+        the sender's bra s, by the `_project_leg` call a slot-by-slot run
+        makes, is after[s] with probability sender_probs[s], bit for bit.
+        Every bra has entries of modulus 1/sqrt(N), so none vanishes."""
+        n = self.target.dim
+        ghz = _ghz_diagonal(n)
+        sender_probs = np.empty(n)
+        after = np.empty((n, n), dtype=complex)
+        for s, bra in enumerate(self.bras):
+            sender_probs[s], after[s] = _project_leg(ghz, bra)
+        return _read_only(sender_probs), _read_only(after)
+
+    @functools.cached_property
+    def born(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sender_cdf (N,), controller_cdf (N, N)): the sender's slot on the
+        fresh GHZ leg, and in row s the controller's on `leg`'s after[s]. Each
+        row is the matvec |bras|^2 @ |v|^2 a per-draw Born draw computes, so
+        the CDFs hold the floats `born_draw` would invert, bit for bit; the
+        controller's rows are one matmul against a stack of N column vectors,
+        which numpy runs as N matvecs (one (N, N) product rounds differently)."""
+        n = self.target.dim
+        # row 0 is the sender's slot, row 1 + s the controller's after s
+        probs = np.empty((n + 1, n))
+        probs[0] = np.abs(self.bras) ** 2 @ np.abs(_ghz_diagonal(n)) ** 2
+        columns = (np.abs(self.leg[1]) ** 2)[:, :, None]
+        np.matmul(np.abs(_fourier_bras(n)) ** 2, columns, out=probs[1:, :, None])
+        cdfs = _read_only(born_cdf(probs))
+        return cdfs[0], cdfs[1:]
+
+    @functools.cached_property
+    def pieces(self) -> np.ndarray:
+        """(rho_t, circ(rho_t)) of amplitudes x: rho_t = x x+ and
+        circ(rho_t)[a, q] = c[q-a], with c[d] = sum_j x[j] conj(x[j+d])."""
+        p = self.target
+        x = self.state.amplitudes
+        wrap = -np.subtract.outer(np.arange(p.dim), np.arange(p.dim)) % p.dim  # (q-a) mod N
+        c = (x @ x.conj()[wrap.T])[wrap[:, 0]]
+        pieces = np.stack((np.outer(x, x.conj()), c[wrap]))
+        # a fused multiply-add can leave A+ an ulp from A; the mean is exactly Hermitian
+        return _read_only((pieces + pieces.conj().transpose(0, 2, 1)) / 2)
 
 
-# 8 N^2 + 8 N bytes of arrays per entry: at most about 8.5 MB for 256
-# targets at N = 64
-@functools.lru_cache(maxsize=256)
-def _born_table(target: PhaseVector) -> BornTable:
-    """Read-only Born CDFs of a leg whose sender holds `target`.
+class _TargetCache(OrderedDict):
+    """PhaseVector -> `_TargetRecord`. A hit is one dict read and reorders
+    nothing; a miss charges the new record `_record_charge(N)` and evicts the
+    oldest records, never the newest, until `held` <= TARGET_CACHE_BYTES."""
 
-    Each row's probabilities are the matvec |bras|^2 @ |v|^2 on the leg's
-    diagonal v that a per-draw Born draw computes, so the CDFs hold the
-    floats `born_draw` would invert, bit for bit. The controller's rows are
-    one matmul of |bras|^2 against a stack of N column vectors, which numpy
-    runs as N such matvecs; a single (N, N) matrix product rounds some rows
-    differently. `born_cdf` checks every row once, with the messages of a
-    per-draw check. Building a table costs O(N^3), once per target.
-    """
-    n = target.dim
-    # row 0 is the sender's slot, row 1 + s the controller's after s
-    probs = np.empty((n + 1, n))
-    probs[0] = np.abs(_sender_bras(target)) ** 2 @ np.abs(_ghz_diagonal(n)) ** 2
-    columns = (np.abs(_leg_table(target).after) ** 2)[:, :, None]
-    np.matmul(np.abs(_fourier_bras(n)) ** 2, columns, out=probs[1:, :, None])
-    cdfs = _read_only(born_cdf(probs))
-    return BornTable(cdfs[0], cdfs[1:])
+    held = 0
+
+    def __missing__(self, target: PhaseVector) -> _TargetRecord:
+        record = self[target] = _TargetRecord(target)
+        self.held += _record_charge(target.dim)
+        while self.held > TARGET_CACHE_BYTES and len(self) > 1:
+            oldest, _ = self.popitem(last=False)
+            self.held -= _record_charge(oldest.dim)
+        return record
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+_TARGETS = _TargetCache()
 
 
 def _draw_senders(
     alice: PhaseVector, bob: PhaseVector, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Born-draw the senders' (l, n), Alice's A2 then Bob's B1, from the cached CDFs."""
-    return (
-        _invert_cdf(_born_table(alice).sender_cdf, rng),
-        _invert_cdf(_born_table(bob).sender_cdf, rng),
-    )
+    return _invert_cdf(_TARGETS[alice].born[0], rng), _invert_cdf(_TARGETS[bob].born[0], rng)
 
 
 def _draw_controller(
     alice: PhaseVector, bob: PhaseVector, l: int, n: int, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Born-draw the controller's (m, k) after (l, n): C1 on Bob's leg, then C2 on Alice's."""
-    return (
-        _invert_cdf(_born_table(bob).controller_cdf[n], rng),
-        _invert_cdf(_born_table(alice).controller_cdf[l], rng),
-    )
+    return _invert_cdf(_TARGETS[bob].born[1][n], rng), _invert_cdf(_TARGETS[alice].born[1][l], rng)
 
 
 def _forced_legs(
@@ -395,15 +404,15 @@ def _forced_legs(
     """Joint probability and kept diagonals [A1, B2] of a forced outcome tuple.
 
     A1's leg is indexed by (n, m) and carries Bob's target, B2's by (l, k)
-    and Alice's: each reads its sender's row from `_leg_table` and projects
-    the controller's slot on it, and p_l p_n p_m p_k is multiplied in
-    protocol order, so both equal the four slots projected one by one.
+    and Alice's: each reads its sender's row from the target's `leg` and
+    projects the controller's slot on it, and p_l p_n p_m p_k is multiplied
+    in protocol order, so both equal the four slots projected one by one.
     """
     four = _fourier_bras(alice.dim)
-    a1, b2 = _leg_table(bob), _leg_table(alice)
-    p_m, a1_kept = _project_leg(a1.after[outcome.n], four[outcome.m])
-    p_k, b2_kept = _project_leg(b2.after[outcome.l], four[outcome.k])
-    p_l, p_n = float(b2.sender_probs[outcome.l]), float(a1.sender_probs[outcome.n])
+    (a1_probs, a1_after), (b2_probs, b2_after) = _TARGETS[bob].leg, _TARGETS[alice].leg
+    p_m, a1_kept = _project_leg(a1_after[outcome.n], four[outcome.m])
+    p_k, b2_kept = _project_leg(b2_after[outcome.l], four[outcome.k])
+    p_l, p_n = float(b2_probs[outcome.l]), float(a1_probs[outcome.n])
     return p_l * p_n * p_m * p_k, [a1_kept, b2_kept]
 
 
@@ -426,8 +435,8 @@ def finish(
     alice_final = table[rule.a1_index] * a1_before
     bob_final = table[rule.b2_index] * b2_before
     recovered = (
-        same_ray(alice_final, equatorial_state(bob).amplitudes),
-        same_ray(bob_final, equatorial_state(alice).amplitudes),
+        same_ray(alice_final, _TARGETS[bob].state.amplitudes),
+        same_ray(bob_final, _TARGETS[alice].state.amplitudes),
     )
     return ProtocolResult(
         outcome,
@@ -519,7 +528,7 @@ def _leg_deviation(target: PhaseVector, n: int) -> float:
     s = np.arange(n)
     kept = _collapsed_rows(target)[(s[:, None] + s[None, :]) % n]
     acc = np.einsum(
-        "sta,sb,tc->abc", kept, _sender_bras(target).conj(), _fourier_bras(n).conj()
+        "sta,sb,tc->abc", kept, _TARGETS[target].bras.conj(), _fourier_bras(n).conj()
     ) / n
     return float(np.max(np.abs(acc - _diagonal_tensor(_ghz_diagonal(n), 3))))
 

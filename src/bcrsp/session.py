@@ -8,9 +8,9 @@ measurements and the senders' leftover qudits carry no information about
 the targets.
 
 A session keeps only the outcomes drawn so far. It draws them as a
-sampled engine run does, two per step from the targets' cached Born CDFs,
-and step 3 corrects the drawn tuple through the engine's forced path, so
-equal seeds give bitwise-equal results. `Session.legs` rebuilds each
+sampled engine run does, two per step from the Born CDFs on the targets'
+records, and step 3 corrects the drawn tuple through the engine's forced
+path, so equal seeds give bitwise-equal results. `Session.legs` rebuilds each
 leg's tensor view from the outcomes on demand.
 
 Each step's four announcements depend only on its two drawn outcomes,
@@ -43,12 +43,12 @@ from .protocol import (
     OutcomeTuple,
     PhaseVector,
     ProtocolResult,
+    _TARGETS,
     _check_dims,
     _draw_controller,
     _draw_senders,
     _drawn_result,
     _forced_legs,
-    _leg_table,
     ghz_state,
     leg_state,
 )
@@ -154,8 +154,8 @@ class Session:
             return [leg_state(v, 1) for v in kept]
         if self.outcomes:
             # each leg's sender-projected row: B1's n on leg 0, A2's l on leg 1
-            tables = _leg_table(self.bob), _leg_table(self.alice)
-            return [leg_state(t.after[self.outcomes[s]], 2) for t, s in zip(tables, "nl")]
+            records = _TARGETS[self.bob], _TARGETS[self.alice]
+            return [leg_state(r.leg[1][self.outcomes[s]], 2) for r, s in zip(records, "nl")]
         return [ghz_state(self.n) for _ in range(2)]
 
     def advance(self) -> SessionStatus:

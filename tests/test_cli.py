@@ -128,6 +128,14 @@ class TestRun:
         assert reports[0] == reports[1]
         assert [row["trial"] for row in json.loads(reports[0])["trials"]] == [0]
 
+    def test_noiseless_run_accepts_every_policy_and_ignores_it(self, tmp_path, capsys):
+        reports = []
+        for extra in ({}, *({"policy": p.value} for p in OutcomePolicy)):
+            cfg = {**RUN_BASE, "trials": 3, "seed": 4, **extra}
+            assert main(["run", "--config", write_config(tmp_path, "run.json", cfg)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1:] == reports[:1] * len(OutcomePolicy)
+
     def test_zero_trials_is_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -238,6 +246,11 @@ MALFORMED = {
     "sweep-phase-over-zero": ("sweep", {**SWEEP_BASE, "bob_phases": [0, "-2pi/0.0"]}),
     "run-unknown-policy": ("run", {**NOISY_BASE, "policy": "bogus"}),
     "run-null-policy": ("run", {**NOISY_BASE, "policy": None}),
+    # a noiseless run does not use the policy, but a bad one is still an error
+    "run-noiseless-unknown-policy": ("run", {**RUN_BASE, "policy": "bogus"}),
+    "run-noiseless-null-policy": ("run", {**RUN_BASE, "policy": None}),
+    "run-noiseless-forced-list-policy": ("run", {**RUN_BASE, "forced_outcome": [0, 1, 2, 0],
+                                                 "policy": ["averaged"]}),
     "sweep-list-policy": ("sweep", {**SWEEP_BASE, "policy": ["averaged"]}),
     "sweep-zero-dimension": ("sweep", {**SWEEP_BASE, "dimension": 0}),
     # a key the command does not read would leave its default silently in place
@@ -332,6 +345,8 @@ class TestMalformedConfig:
               "'bob_phases', 'trials', 'seed', 'forced_outcome', 'noise', 'policy']"]),
             ("table", {"dimension": 3, "seed": 1},
              ["unknown config key 'seed'; expected one of ['dimension']"]),
+            ("run", {**RUN_BASE, "policy": "bogus"},
+             ["policy 'bogus'", "['averaged', 'conditioned']"]),
         ],
     )
     def test_message_names_the_field(self, tmp_path, capsys, command, payload, words):
@@ -593,6 +608,12 @@ class TestDecompose:
 
     def test_unknown_builtin(self, capsys):
         assert main(["decompose", "--builtin", "nosuch"]) == 2
+
+    def test_builtin_and_input_are_exclusive(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[1, 0], [0, 1]]))
+        code, err = run_main(["decompose", "--builtin", "identity4", "--input", str(path)])
+        assert (code, err) == (2, "error: decompose takes --builtin or --input, not both\n")
 
     @pytest.mark.parametrize(
         "doc",

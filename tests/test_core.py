@@ -21,14 +21,17 @@ from bcrsp.core import (
     same_ray,
     tensor,
 )
-from bcrsp.noise import NoiseKind, kraus_for
+from bcrsp.noise import NoiseKind, kraus_for, noisy_protocol_run
+from bcrsp.optics import paper_network_4d
 from bcrsp.protocol import (
+    OutcomeTuple,
     PhaseVector,
     _collapsed_rows,
     correction_unitary,
     equatorial_state,
     fourier_basis,
     ghz_state,
+    run_protocol,
     sender_basis,
 )
 from conftest import random_state
@@ -100,6 +103,30 @@ def test_non_finite_values_fail_tolerance_checks(build, message):
     # `dev > tol` is False for NaN; every check must reject it instead
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# each builds a fresh instance, so two calls give equal but distinct twins
+ARRAY_DATACLASSES = {
+    "state": lambda: StateVector((2,), np.array([1.0, 0.0])),
+    "operator": lambda: Operator(np.eye(2)),
+    "ensemble": lambda: BranchEnsemble(np.array([0.5, 0.5]), np.eye(2), (2,)),
+    "protocol-result": lambda: run_protocol(
+        PhaseVector.zero(3), PhaseVector.zero(3), 3, OutcomeTuple(1, 0, 2, 1)
+    ),
+    "noisy-result": lambda: noisy_protocol_run(
+        PhaseVector.zero(3), PhaseVector.zero(3), 3, NoiseKind.DEPHASING, 0.4
+    ),
+    "fixed-network": paper_network_4d,
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_DATACLASSES.values(), ids=ARRAY_DATACLASSES.keys())
+def test_array_dataclasses_compare_by_identity(build):
+    # generated equality would compare the arrays and raise on their truth value
+    value, twin = build(), build()
+    assert value == value
+    assert not value == twin and value != twin
+    assert hash(value) != hash(twin) and {value, twin} == {twin, value}
 
 
 class TestTensor:

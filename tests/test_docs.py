@@ -13,6 +13,9 @@ config key that is gone. Spans that name a file are skipped.
 Every `Owner.attr` in such a span whose owner is a `bcrsp` submodule, or a
 class defined in one, has to name an attribute the owner has, so a removed
 method is caught even when its name is one word.
+
+The target cache's budget that README.md states equals
+`protocol.TARGET_CACHE_BYTES`.
 """
 
 import importlib
@@ -24,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import bcrsp
+from bcrsp.protocol import TARGET_CACHE_BYTES
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER = r"(\d{1,3}(?:,\d{3})+|\d+)"
@@ -154,3 +158,10 @@ def test_readme_attribute_exists(owner, attr):
     assert hasattr(target, attr) or attr in getattr(target, "__dataclass_fields__", ()), (
         f"README names `{owner}.{attr}`, which {owner} does not have"
     )
+
+
+def test_readme_states_the_target_cache_budget():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = re.findall(r"budget of ([\d,]+) MiB", text)
+    assert quoted, "README does not state the target cache's budget"
+    assert [int(v.replace(",", "")) * 2**20 for v in quoted] == [TARGET_CACHE_BYTES] * len(quoted)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcrsp import noise
+from bcrsp import noise, protocol
 from bcrsp.core import apply_on, fidelity_density, project, tensor
 from bcrsp.noise import (
     NoiseKind,
@@ -297,17 +297,17 @@ class TestClosedFormTwirls:
     def test_piece_cache_is_keyed_by_target_only(self):
         rng = np.random.default_rng(41)
         alice, bob = random_phase_vector(5, rng), random_phase_vector(5, rng)
-        noise._target_pieces.cache_clear()
-        calls = 0
+        protocol._TARGETS.clear()
+        noisy_protocol_run(alice, bob, 5, NoiseKind.DEPHASING, 0.5)
+        pieces = {target: protocol._TARGETS[target].pieces for target in (alice, bob)}
         for kind in NoiseKind:
             for gamma in (0.0, 0.1, 0.37, 1.0):
                 for policy in OutcomePolicy:
-                    noisy_protocol_run(alice, bob, 5, kind, gamma, policy)
-                    calls += 1
-        info = noise._target_pieces.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 2 * calls - 2, 2)
+                    noisy_protocol_run(alice, PhaseVector(5, bob.phases), 5, kind, gamma, policy)
+        assert set(protocol._TARGETS) == {alice, bob}
         for target in (alice, bob):
-            assert not noise._target_pieces(target).flags.writeable
+            assert protocol._TARGETS[target].pieces is pieces[target]
+            assert not pieces[target].flags.writeable
 
     def test_hermiticity_is_exact(self):
         rng = np.random.default_rng(43)

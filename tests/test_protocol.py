@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +85,8 @@ class TestStates:
         p = PhaseVector(5, (0.3, 1.7, 2.2, 5.9))
         cached = equatorial_state(p)
         assert equatorial_state(PhaseVector(5, (0.3, 1.7, 2.2, 5.9))) is cached
-        fresh = equatorial_state.__wrapped__(p)
+        assert protocol._TARGETS[p].state is cached
+        fresh = protocol._TargetRecord(p).state
         assert fresh is not cached
         assert fresh.dims == cached.dims
         assert cached.amplitudes.tobytes() == fresh.amplitudes.tobytes()
@@ -100,18 +102,21 @@ class TestStates:
         alice, bob = (PhaseVector(3, tuple(phases[key])) for key in phases)
         checked = []
         monkeypatch.setattr(protocol, "same_ray", lambda a, b: checked.append(b) or same_ray(a, b))
-        equatorial_state.cache_clear()
+        protocol._TARGETS.clear()
         run_protocol(alice, bob, 3, OutcomeTuple(1, 2, 0, 1))
-        assert equatorial_state.cache_info().misses == 2
-        before = noise._target_pieces.cache_info().misses
+        records = dict(protocol._TARGETS)
+        states = {target: record.state for target, record in records.items()}
+        assert set(records) == {alice, bob}
         run = noise.noisy_protocol_run(alice, bob, 3, NoiseKind.DEPHASING, 0.3)
         noise.run_fidelities(run, alice, bob)
-        assert noise._target_pieces.cache_info().misses == before + 2
+        pieces = {target: record.pieces for target, record in records.items()}
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"dimension": 3, **phases, "trials": 2, "seed": 1}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
-        info = equatorial_state.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        # every caller read the two records the first run built, and no part twice
+        assert dict(protocol._TARGETS) == records
+        for target, record in records.items():
+            assert record.state is states[target] and record.pieces is pieces[target]
         # finish checks A1 against Bob's target and B2 against Alice's, once per run
         targets = [equatorial_state(bob).amplitudes, equatorial_state(alice).amplitudes] * 3
         assert len(checked) == len(targets)
@@ -202,7 +207,7 @@ class TestBases:
             assert np.array_equal(controller_basis_matrix(n), four), n
             for _ in range(4):
                 p = random_phase_vector(n, rng)
-                bras = protocol._sender_bras(p)
+                bras = protocol._TARGETS[p].bras
                 assert np.array_equal(sender_basis(p).matrix(), bras.conj()), n
                 assert np.array_equal(protocol._collapsed_rows(p), bras), n
 
@@ -553,8 +558,9 @@ class TestValidation:
         assert dataclasses.astuple(p) == (4, (0.1, 0.2, 3.0))
         for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
             assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
-        # equal targets share one cache entry
-        assert noise._target_pieces(p) is noise._target_pieces(q)
+        # equal targets share one record
+        assert protocol._TARGETS[p] is protocol._TARGETS[q]
+        assert protocol._TARGETS[p].pieces is protocol._TARGETS[q].pieces
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.dim = 5
 
@@ -780,20 +786,19 @@ class TestLegTables:
         n = 4
         rng = np.random.default_rng(41)
         alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
-        protocol._leg_table.cache_clear()
-        try:
-            for oc in all_outcomes(n):
-                run_protocol(alice, bob, n, outcome=oc)
-                run_protocol(PhaseVector(n, alice.phases), bob, n, outcome=oc)
-            info = protocol._leg_table.cache_info()
-            assert (info.misses, info.currsize) == (2, 2)
-            for target in (alice, bob):
-                for arr in protocol._leg_table(target):
-                    assert not arr.flags.writeable
-                    with pytest.raises(ValueError):
-                        arr.reshape(-1)[0] = 0
-        finally:
-            protocol._leg_table.cache_clear()
+        protocol._TARGETS.clear()
+        run_protocol(alice, bob, n, outcome=OutcomeTuple(0, 0, 0, 0))
+        legs = {target: protocol._TARGETS[target].leg for target in (alice, bob)}
+        for oc in all_outcomes(n):
+            run_protocol(alice, bob, n, outcome=oc)
+            run_protocol(PhaseVector(n, alice.phases), bob, n, outcome=oc)
+        assert set(protocol._TARGETS) == {alice, bob}
+        for target in (alice, bob):
+            assert protocol._TARGETS[target].leg is legs[target]
+            for arr in legs[target]:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.reshape(-1)[0] = 0
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_results_do_not_share_memory_with_the_cache(self, n):
@@ -801,7 +806,7 @@ class TestLegTables:
         rng = np.random.default_rng(43 + n)
         alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
         res = run_protocol(alice, bob, n, outcome=OutcomeTuple(1, 0, n - 1, 1))
-        tables = [protocol._leg_table(alice), protocol._leg_table(bob)]
+        tables = [protocol._TARGETS[alice].leg, protocol._TARGETS[bob].leg]
         for field in ("a1_before", "b2_before", "alice_final", "bob_final"):
             amps = getattr(res, field).amplitudes
             for arr in (arr for table in tables for arr in table):
@@ -865,44 +870,64 @@ class TestBornTables:
         ghz = channel_legs(n)[0]
         for _ in range(6):
             target = random_phase_vector(n, rng)
-            table = protocol._born_table(target)
+            sender_cdf, controller_cdf = protocol._TARGETS[target].born
             bras = sender_basis(target).matrix().conj()
             probs = np.abs(bras) ** 2 @ np.abs(ghz) ** 2
-            assert table.sender_cdf.tobytes() == born_cdf(probs).tobytes()
+            assert sender_cdf.tobytes() == born_cdf(probs).tobytes()
             for s, bra in enumerate(bras):
                 _, after = protocol._project_leg(ghz, bra)
-                assert protocol._leg_table(target).after[s].tobytes() == after.tobytes()
+                assert protocol._TARGETS[target].leg[1][s].tobytes() == after.tobytes()
                 cdf = born_cdf(four @ np.abs(after) ** 2)
-                assert table.controller_cdf[s].tobytes() == cdf.tobytes(), s
+                assert controller_cdf[s].tobytes() == cdf.tobytes(), s
 
     def test_cache_is_keyed_by_target_only(self):
         n = 4
         rng = np.random.default_rng(47)
         alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
-        protocol._born_table.cache_clear()
-        try:
-            for seed in range(50):
-                run_protocol(alice, bob, n, rng=seed)
-                new_session(PhaseVector(n, alice.phases), bob, n, seed=seed).run_to_completion()
-                run_protocol(bob, alice, n, rng=seed)
-            info = protocol._born_table.cache_info()
-            assert (info.misses, info.currsize) == (2, 2)
-            for target in (alice, bob):
-                for arr in protocol._born_table(target):
-                    assert not arr.flags.writeable
-                    with pytest.raises(ValueError):
-                        arr.reshape(-1)[0] = 0
-        finally:
-            protocol._born_table.cache_clear()
+        protocol._TARGETS.clear()
+        run_protocol(alice, bob, n, rng=0)
+        borns = {target: protocol._TARGETS[target].born for target in (alice, bob)}
+        for seed in range(50):
+            run_protocol(alice, bob, n, rng=seed)
+            new_session(PhaseVector(n, alice.phases), bob, n, seed=seed).run_to_completion()
+            run_protocol(bob, alice, n, rng=seed)
+        assert set(protocol._TARGETS) == {alice, bob}
+        for target in (alice, bob):
+            assert protocol._TARGETS[target].born is borns[target]
+            for arr in borns[target]:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.reshape(-1)[0] = 0
 
     def test_forced_runs_build_no_born_table(self):
+        # counted for every kind of call: the parts each builds on a cleared
+        # cache, and that repeating it builds nothing more
         rng = np.random.default_rng(53)
         alice, bob = random_phase_vector(3, rng), random_phase_vector(3, rng)
-        protocol._born_table.cache_clear()
-        for oc in all_outcomes(3):
-            run_protocol(alice, bob, 3, outcome=oc)
-            outcome_probability(3, oc)
-        assert protocol._born_table.cache_info().currsize == 0
+        zero = PhaseVector.zero(3)
+
+        def built():
+            return {t: set(vars(r)) - {"target"} for t, r in protocol._TARGETS.items()}
+
+        calls = [
+            ("forced", lambda oc: run_protocol(alice, bob, 3, outcome=oc),
+             {alice: {"state", "bras", "leg"}, bob: {"state", "bras", "leg"}}),
+            # the zero target's record holds the sender rows only; no state is compared
+            ("probability", lambda oc: outcome_probability(3, oc), {zero: {"bras", "leg"}}),
+            ("sampled", lambda oc: run_protocol(alice, bob, 3, rng=sum(oc.as_tuple())),
+             {alice: {"state", "bras", "leg", "born"}, bob: {"state", "bras", "leg", "born"}}),
+            ("noisy", lambda oc: noise.noisy_protocol_run(alice, bob, 3, NoiseKind.DEPHASING, 0.2),
+             {alice: {"state", "pieces"}, bob: {"state", "pieces"}}),
+        ]
+        for name, call, parts in calls:
+            protocol._TARGETS.clear()
+            call(OutcomeTuple(0, 1, 2, 0))
+            assert built() == parts, name
+            records = dict(protocol._TARGETS)
+            for oc in all_outcomes(3):
+                call(oc)
+            # a repeat call builds nothing
+            assert built() == parts and dict(protocol._TARGETS) == records, name
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     @pytest.mark.parametrize("consents", [True, False])
@@ -914,7 +939,7 @@ class TestBornTables:
         tables = [
             arr
             for target in (alice, bob)
-            for table in (protocol._born_table(target), protocol._leg_table(target))
+            for table in (protocol._TARGETS[target].born, protocol._TARGETS[target].leg)
             for arr in table
         ]
         for seed in range(10):
@@ -933,6 +958,75 @@ class TestBornTables:
             for view in views:
                 for arr in tables:
                     assert not np.shares_memory(view.amplitudes, arr)
+
+
+PARTS = ("state", "bras", "leg", "born", "pieces")
+
+
+def part_bytes(record, part: str) -> list[bytes]:
+    """The bytes of every array of one part of a target record."""
+    value = getattr(record, part)
+    arrays = [value.amplitudes] if part == "state" else value if part in ("leg", "born") else [value]
+    return [arr.tobytes() for arr in arrays]
+
+
+class TestTargetCache:
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_cache_holds_at_most_its_budget(self, n, monkeypatch):
+        # fresh targets with every part built, counted by the charge and by
+        # what tracemalloc sees allocated; the oldest records make room
+        budget = 3 * 2**20
+        monkeypatch.setattr(protocol, "TARGET_CACHE_BYTES", budget)
+        rng = np.random.default_rng(67 + n)
+        first = random_phase_vector(n, rng)
+        protocol._TARGETS.clear()
+        # the first fill also builds the per-N tables, which are not the record's
+        expected = {part: part_bytes(protocol._TARGETS[first], part) for part in PARTS}
+        protocol._TARGETS.clear()
+        count = 2 * budget // protocol._record_charge(n) + 2
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for i in range(count):
+                target = first if i == 0 else random_phase_vector(n, rng)
+                record = protocol._TARGETS[target]
+                for part in PARTS:
+                    getattr(record, part)
+                assert protocol._TARGETS.held <= budget
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        del record
+        assert grown <= budget
+        charges = sum(protocol._record_charge(t.dim) for t in protocol._TARGETS)
+        assert protocol._TARGETS.held == charges
+        assert budget - protocol._record_charge(n) < charges
+        # the newest record survives, the first was evicted
+        assert next(reversed(protocol._TARGETS)) == target
+        assert first not in protocol._TARGETS
+        rebuilt = protocol._TARGETS[first]
+        for part in PARTS:
+            assert part_bytes(rebuilt, part) == expected[part], part
+
+    def test_newest_record_is_kept_above_the_budget(self, monkeypatch):
+        monkeypatch.setattr(protocol, "TARGET_CACHE_BYTES", 0)
+        protocol._TARGETS.clear()
+        alice, bob = PhaseVector(3, (0.5, 1.5)), PhaseVector(3, (2.5, 0.25))
+        assert all(run_protocol(alice, bob, 3, rng=3).recovered)
+        # the run's last read is of Alice's record, when `finish` checks B2
+        assert list(protocol._TARGETS) == [alice]
+        assert protocol._TARGETS.held == protocol._record_charge(3)
+
+    def test_charge_covers_every_array(self):
+        for n in (2, 5, 16):
+            record = protocol._TargetRecord(PhaseVector.zero(n))
+            arrays = [record.state.amplitudes, record.bras, *record.leg, record.pieces]
+            # `born` is two views of one (N + 1, N) block
+            arrays.append(record.born[0].base)
+            assert record.born[1].base is arrays[-1]
+            # the rest of the charge is the key's phases and the Python objects
+            held = sum(arr.nbytes for arr in arrays)
+            assert held == protocol._record_charge(n) - 32 * n - 2048, n
 
 
 @pytest.fixture
@@ -1016,7 +1110,7 @@ class TestLazyViews:
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_raw_arrays_are_read_only_and_not_cached_rows(self, n):
         alice, bob = self._targets(n)
-        tables = [arr for target in (alice, bob) for arr in protocol._leg_table(target)]
+        tables = [arr for target in (alice, bob) for arr in protocol._TARGETS[target].leg]
         for res in (run_protocol(alice, bob, n, outcome=OutcomeTuple(0, n - 1, 1, 0)),
                     run_protocol(alice, bob, n, rng=13)):
             for name in VIEWS:
