@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -31,7 +32,7 @@ from .protocol import (
     OutcomeTuple,
     PhaseVector,
     all_outcomes,
-    build_correction_table,
+    correction_rows,
     equatorial_state,
     ghz_state,
     outcome_probability,
@@ -307,7 +308,6 @@ def cmd_table(args) -> int:
         n = _number(cfg.get("dimension", 3), int, "dimension")
     if not 2 <= n <= 6:
         raise ValueError(f"table dimension must be in 2..6, got {n}")
-    table = build_correction_table(n)
     lines = [
         "# feed-forward corrections: A1 receives U_{m+n mod N}, B2 receives U_{k+l mod N}",
         "# note: a previously published 3-dimensional listing attaches the",
@@ -317,10 +317,8 @@ def cmd_table(args) -> int:
         "# that listing.",
         "l,n,m,k,U_A1,U_B2",
     ]
-    for oc, rule in table.items():
-        lines.append(
-            f"{oc.l},{oc.n},{oc.m},{oc.k},U{rule.a1_index},U{rule.b2_index}"
-        )
+    # integer rows straight from the rule; no outcome or rule object is built
+    lines.extend("%d,%d,%d,%d,U%d,U%d" % row for row in correction_rows(n))
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -421,8 +419,7 @@ def cmd_verify(args) -> int:
     )
 
     for kind in NoiseKind:
-        sets = [kraus_for(kind, g, 4) for g in np.linspace(0, 1, 20)]
-        devs = [ks.completeness_deviation(ks.operators) for ks in sets]
+        devs = [kraus_for(kind, g, 4).deviation for g in np.linspace(0, 1, 20)]
         record(f"kraus completeness {kind.value}", max(devs) <= 1e-10, f"max {max(devs):.2e}")
 
     zero4 = PhaseVector.zero(4)
@@ -467,8 +464,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises ValueError on a bad command line instead
+    of printing its usage and exiting; `--help` still prints and exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing keeps no state in it."""
+    parser = _Parser(
         prog="bcrsp",
         description="Simulate bidirectional controlled remote state preparation.",
     )
@@ -507,10 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a bad command line ends like bad input: one error line, exit 2;
     # an OverflowError is a number too large for its use
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -146,10 +146,15 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Finite family {E_l} with sum E+ E = identity (a CPTP channel)."""
+    """Finite family {E_l} with sum E+ E = identity (a CPTP channel).
+
+    The completeness deviation is computed once, on construction, and kept
+    as `deviation`.
+    """
 
     dim: int
     operators: tuple[Operator, ...]
+    deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(self.operators)
@@ -164,14 +169,18 @@ class KrausSet:
         if not dev <= ATOL:
             raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "deviation", dev)
 
     @staticmethod
     def completeness_deviation(ops: Sequence[Operator]) -> float:
-        dim = ops[0].entries.shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for op in ops:
-            acc += op.entries.conj().T @ op.entries
-        return float(np.max(np.abs(acc - np.eye(dim))))
+        """max |sum_l E_l+ E_l - I| over entries.
+
+        One batched matmul over the (K, N, N) stack, then a sum over the
+        first axis, which adds the K products in order, as a loop would.
+        """
+        stack = np.array([op.entries for op in ops])
+        acc = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
+        return float(np.max(np.abs(acc - np.eye(len(acc)))))
 
 
 @dataclass(frozen=True, eq=False)

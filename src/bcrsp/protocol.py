@@ -168,9 +168,14 @@ class ProtocolResult:
         return StateVector(self.bob_final_amps.shape, self.bob_final_amps)
 
 
-def _correction_rule(outcome: OutcomeTuple, n: int) -> CorrectionRule:
-    """U_{m+n} on A1 (C1 with B1) and U_{k+l} on B2 (C2 with A2), indices mod N."""
-    return CorrectionRule((outcome.m + outcome.n) % n, (outcome.k + outcome.l) % n)
+def correction_indices(l: int, n: int, m: int, k: int, dim: int) -> tuple[int, int]:
+    """The feed-forward rule of outcome (l, n, m, k): U_{m+n} on A1 (C1 with
+    B1) and U_{k+l} on B2 (C2 with A2), indices mod `dim`.
+
+    The one body of the rule: runs, sessions, `correction_rows` and
+    `build_correction_table` all read it.
+    """
+    return (m + n) % dim, (k + l) % dim
 
 
 def _check_dims(alice: PhaseVector, bob: PhaseVector, n: int, owner: str = "protocol") -> None:
@@ -239,7 +244,9 @@ def _basis(bras: np.ndarray) -> MeasurementBasis:
     return MeasurementBasis(n, tuple(StateVector((n,), ket) for ket in bras.conj()))
 
 
-@functools.lru_cache(maxsize=1024)
+# a cached basis holds 16 N^2 bytes of amplitudes and under 512 N of
+# StateVector objects, so 15 bases at N = 1024 fit TARGET_CACHE_BYTES
+@functools.lru_cache(maxsize=15)
 def sender_basis(p: PhaseVector) -> MeasurementBasis:
     """Measurement family tau_l = (1/sqrt(N)) sum_j e^{i 2pi jl/N} e^{-i theta_j} |j>."""
     return _basis(_TARGETS[p].bras)
@@ -429,7 +436,9 @@ def finish(
     of `phase_table`. Recovery means the same ray as the target, up to ATOL,
     on the raw arrays; no `StateVector` is built here.
     """
-    rule = _correction_rule(outcome, alice.dim)
+    rule = CorrectionRule(
+        *correction_indices(outcome.l, outcome.n, outcome.m, outcome.k, alice.dim)
+    )
     a1_before, b2_before = legs
     table = phase_table(alice.dim)
     alice_final = table[rule.a1_index] * a1_before
@@ -500,14 +509,23 @@ def all_outcomes(n: int) -> Iterable[OutcomeTuple]:
     return itertools.starmap(OutcomeTuple, itertools.product(range(n), repeat=4))
 
 
-def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
-    """All N^4 outcome rows mapped to their feed-forward rule.
+def correction_rows(n: int) -> list[tuple[int, int, int, int, int, int]]:
+    """All N^4 rows (l, n, m, k, a1_index, b2_index) of the feed-forward
+    table, in `all_outcomes` order, as plain integers.
 
     A1 is corrected by U_{m (+) n} (controller's C1 with Bob's B1) and B2 by
     U_{k (+) l} (controller's C2 with Alice's A2).
     """
     _check_dimension(n)
-    return {oc: _correction_rule(oc, n) for oc in all_outcomes(n)}
+    return [
+        (l, b, m, k, *correction_indices(l, b, m, k, n))
+        for l, b, m, k in itertools.product(range(n), repeat=4)
+    ]
+
+
+def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
+    """All N^4 outcome tuples mapped to their feed-forward rule (`correction_rows`)."""
+    return {OutcomeTuple(*row[:4]): CorrectionRule(*row[4:]) for row in correction_rows(n)}
 
 
 @dataclass(frozen=True)

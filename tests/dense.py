@@ -9,8 +9,10 @@ one Kraus operator at a time. `ensemble_from_density` decomposes a whole
 stack of density matrices with one batched `eigh` and checks the
 eigenvectors as arrays; `per_leg_ensemble` is the one-matrix-at-a-time
 construction it replaced. `ensemble_of` builds a `BranchEnsemble` from
-`(weight, StateVector)` pairs. The oracles that check those shortcuts
-build the dense objects here, from the package's own checked types.
+`(weight, StateVector)` pairs. `KrausSet` sums its K products E+ E
+with one batched matmul; `completeness_deviation` is the one-operator-at-
+a-time loop it replaced. The oracles that check those shortcuts build the
+dense objects here, from the package's own checked types.
 """
 
 import numpy as np
@@ -72,6 +74,15 @@ def apply_kraus(ens: BranchEnsemble, kraus: KrausSet, target: int) -> BranchEnse
             )
     # completeness of the set guarantees the weights still sum to one
     return ensemble_of(tuple(out))
+
+
+def completeness_deviation(ops) -> float:
+    """max |sum_l E_l+ E_l - I| over entries, one operator at a time."""
+    dim = ops[0].entries.shape[0]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for op in ops:
+        acc += op.entries.conj().T @ op.entries
+    return float(np.max(np.abs(acc - np.eye(dim))))
 
 
 def per_leg_ensemble(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcrsp.noise
+import bcrsp.protocol
 from bcrsp import cli
 from bcrsp.cli import main, parse_phase
 from bcrsp.noise import (
@@ -20,7 +22,7 @@ from bcrsp.noise import (
     noisy_protocol_run,
     run_fidelities,
 )
-from bcrsp.protocol import PhaseVector
+from bcrsp.protocol import CorrectionRule, OutcomeTuple, PhaseVector, build_correction_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -541,6 +543,20 @@ class TestSweep:
         assert "unknown noise kind" in capsys.readouterr().err
 
 
+def printed_table_rows(n: int, capsys) -> list[str]:
+    """The data rows that `bcrsp table --dimension n` prints."""
+    assert main(["table", "--dimension", str(n)]) == 0
+    return [line for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
+
+
+def library_table_rows(n: int) -> list[str]:
+    """`build_correction_table(n)` as CSV data rows."""
+    return [
+        f"{oc.l},{oc.n},{oc.m},{oc.k},U{rule.a1_index},U{rule.b2_index}"
+        for oc, rule in build_correction_table(n).items()
+    ]
+
+
 class TestTable:
     def test_qutrit_table(self, capsys):
         assert main(["table", "--dimension", "3"]) == 0
@@ -571,6 +587,89 @@ class TestTable:
         cfg = write_config(tmp_path, "table.json", payload)
         code, err = run_main(["table", "--dimension", "3", "--config", cfg])
         assert (code, err) == (2, "error: table takes --dimension or --config, not both\n")
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rows_equal_the_library_table_in_order(self, capsys, n):
+        assert printed_table_rows(n, capsys) == library_table_rows(n)
+
+    def test_one_rule_body_feeds_table_and_library(self, capsys, monkeypatch):
+        # a different rule patched into its one body shows in both the
+        # library table and the printed rows
+        monkeypatch.setattr(
+            bcrsp.protocol, "correction_indices",
+            lambda l, n, m, k, dim: ((m - n) % dim, (k * l) % dim),
+        )
+        assert build_correction_table(3)[OutcomeTuple(2, 1, 0, 2)] == CorrectionRule(2, 1)
+        rows = printed_table_rows(3, capsys)
+        assert "2,1,0,2,U2,U1" in rows
+        assert rows == library_table_rows(3)
+
+    def test_builds_no_outcome_or_rule_object(self, capsys, monkeypatch):
+        built = []
+        for cls in (OutcomeTuple, CorrectionRule):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert main(["table", "--dimension", "6"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7 + 6**4
+        assert built == []
+
+
+class TestParser:
+    def test_built_once_across_calls(self, tmp_path, monkeypatch):
+        # a parser the cache already holds would hide a rebuild on the first call
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        out = str(tmp_path / "out")
+        calls = [["table", "--dimension", "3"], ["decompose", "--builtin", "charlie4"], ["verify"]]
+        assert main([*calls[0], "--out", out]) == 0
+        # the root parser and one parser per subcommand
+        assert len(built) == 6
+        for argv in calls * 2:
+            assert main([*argv, "--out", out]) == 0
+        assert len(built) == 6
+
+    @pytest.mark.parametrize("argv,message", [
+        (["table", "--dimension", "x"], "argument --dimension: invalid int value: 'x'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["table", "--dimension", "3", "--bogus"], "unrecognized arguments: --bogus"),
+        (["decompose", "--builtin"], "argument --builtin: expected one argument"),
+        (["sweep", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ])
+    def test_bad_argv_is_one_error_line(self, tmp_path, argv, message):
+        code, err = run_main(argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+        # the shared parser carries nothing from the bad call into a good one
+        out = tmp_path / "out"
+        for good, golden in [
+            (["table", "--dimension", "3"], "table-n3.csv"),
+            (["decompose", "--builtin", "charlie4"], "decompose-charlie4.json"),
+            (["verify"], "verify.txt"),
+        ]:
+            assert main([*good, "--out", str(out)]) == 0
+            assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
+    def test_help_prints_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: bcrsp")
+        assert "error" not in out
 
 
 class TestDecompose:

@@ -16,6 +16,10 @@ method is caught even when its name is one word.
 
 The target cache's budget that README.md states equals
 `protocol.TARGET_CACHE_BYTES`.
+
+The in-process `bcrsp verify` time that README.md quotes equals, at the
+precision quoted, the number of a `*_ms` key of the `BENCH_*.json` it
+names.
 """
 
 import importlib
@@ -165,3 +169,34 @@ def test_readme_states_the_target_cache_budget():
     quoted = re.findall(r"budget of ([\d,]+) MiB", text)
     assert quoted, "README does not state the target cache's budget"
     assert [int(v.replace(",", "")) * 2**20 for v in quoted] == [TARGET_CACHE_BYTES] * len(quoted)
+
+
+VERIFY_FIGURE = re.compile(
+    r"`bcrsp verify` takes (\d+(?:\.\d+)?) ms in-process \(`(BENCH_\d+\.json)`\)"
+)
+
+
+def recorded_ms(name: str) -> list[float]:
+    """Every number that is the value of a key ending in `_ms` in the file
+    `name` at the root; numbers inside a list under such a key are runs,
+    not recorded figures."""
+    found: list[float] = []
+
+    def collect(obj: dict) -> dict:
+        found.extend(v for k, v in obj.items() if k.endswith("_ms") and type(v) in (int, float))
+        return obj
+
+    json.loads((ROOT / name).read_text(), object_hook=collect)
+    return found
+
+
+def test_readme_verify_figure_is_recorded():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    quoted = VERIFY_FIGURE.findall(text)
+    assert quoted, "README does not quote the in-process `bcrsp verify` time"
+    for figure, name in quoted:
+        places = len(figure.partition(".")[2])
+        recorded = {round(v, places) for v in recorded_ms(name)}
+        assert float(figure) in recorded, (
+            f"README quotes `bcrsp verify` at {figure} ms, which {name} does not record"
+        )

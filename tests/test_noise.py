@@ -28,7 +28,7 @@ from bcrsp.protocol import (
     sender_basis,
 )
 from conftest import random_phase_vector
-from dense import apply_kraus, ensemble_of, per_leg_ensemble
+from dense import apply_kraus, completeness_deviation, ensemble_of, per_leg_ensemble
 
 ZERO4 = PhaseVector.zero(4)
 
@@ -122,6 +122,32 @@ class TestKrausSets:
         for gamma in np.linspace(0.0, 1.0, 20):
             chan = kraus_for(kind, gamma, 4)
             assert chan.completeness_deviation(chan.operators) <= 1e-10
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_kept_deviation_equals_sequential_oracle(self, kind):
+        # the batched sum adds the K products in the loop's order, so the
+        # kept value is the loop's value bit for bit
+        for n in range(2, 9):
+            for gamma in np.linspace(0.0, 1.0, 20):
+                chan = kraus_for(kind, gamma, n)
+                assert chan.deviation == completeness_deviation(chan.operators), (n, gamma)
+                assert chan.completeness_deviation(chan.operators) == chan.deviation
+
+    def test_verify_checks_each_set_once(self, monkeypatch, tmp_path):
+        from bcrsp import cli
+        from bcrsp.core import KrausSet
+
+        calls = []
+        check = KrausSet.completeness_deviation
+
+        def counted(ops):
+            calls.append(len(ops))
+            return check(ops)
+
+        monkeypatch.setattr(KrausSet, "completeness_deviation", staticmethod(counted))
+        assert cli.main(["verify", "--out", str(tmp_path / "verify.txt")]) == 0
+        # three kinds times 20 gammas, one check per set
+        assert len(calls) == 3 * 20
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_gamma_range_enforced(self, kind):

@@ -1017,6 +1017,33 @@ class TestTargetCache:
         assert list(protocol._TARGETS) == [alice]
         assert protocol._TARGETS.held == protocol._record_charge(3)
 
+    def test_sender_basis_cache_is_bounded(self):
+        # more fresh targets than the cache holds: it stays at its bound
+        rng = np.random.default_rng(4404)
+        bound = sender_basis.cache_info().maxsize
+        for _ in range(bound + 10):
+            sender_basis(random_phase_vector(3, rng))
+        assert sender_basis.cache_info().currsize == bound
+
+    def test_full_sender_basis_cache_fits_the_budget(self):
+        # what one basis holds, seen by tracemalloc at N = 128, is at most
+        # 16 N^2 bytes of amplitudes plus 512 N of objects; a full cache of
+        # such bases at the CLI's ceiling N = 1024 fits the record budget
+        n = 128
+        target = random_phase_vector(n, np.random.default_rng(4405))
+        protocol._TARGETS[target].bras  # the record's rows are not the basis's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            basis = sender_basis(target)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(basis.vectors) == n
+        assert held <= 16 * n * n + 512 * n
+        bound = sender_basis.cache_info().maxsize
+        assert bound * (16 * 1024**2 + 512 * 1024) <= protocol.TARGET_CACHE_BYTES
+
     def test_charge_covers_every_array(self):
         for n in (2, 5, 16):
             record = protocol._TargetRecord(PhaseVector.zero(n))
