@@ -15,20 +15,26 @@ starting at 1/sqrt(N); a projected slot is one elementwise product, and
 the leg ends as the kept qudit's amplitudes.
 
 A leg's outcome is the pair (s, t) of its sender's and controller's
-indices, (n, m) on A1's leg and (l, k) on B2's. What is precomputed for a
-target lives on its `_TargetRecord`, one per target in `_TARGETS`, a cache
-bounded by TARGET_CACHE_BYTES. The sender's slot acts on a fresh GHZ leg,
-so the record's `leg` projects it for every s once; every run (forced,
-sampled, a session's corrections, `outcome_probability` on the zero
-target) reads one row per leg and projects only the two controller slots
-(`_forced_legs`). A sampled run first draws its outcome tuple from the
+indices, (n, m) on A1's leg and (l, k) on B2's, and the leg's result
+depends on its target and (s, t) alone: the N^4 outcome tuples hold 2N^2
+leg results per target pair. What is precomputed for a target lives on
+its `_TargetRecord`, one per target in `_TARGETS`, a cache bounded by
+TARGET_CACHE_BYTES. The sender's slot acts on a fresh GHZ leg, so the
+record's `leg` projects it for every s once; the record's `outcomes` keeps
+the controller's half, entry by entry on first use: for (s, t), the
+controller's probability, the kept diagonal, the corrected output and the
+recovered flag, each computed once and read-only. Every run (forced,
+sampled, a session's corrections) and `outcome_probability` on the zero
+target read one entry per leg (`_legs`) and project nothing once the
+entries exist. A sampled run first draws its outcome tuple from the
 record's `born` CDFs: one `rng.random()` and one O(log N) search per slot,
-in protocol order. `finish` corrects on raw arrays; a `ProtocolResult`
+in protocol order. A `ProtocolResult` keeps its entries' raw arrays and
 builds each validated `StateVector` view only when it is first read. The
 bras are read-only rows of `phase_table`, conjugated and, for a sender,
 shifted by the target's phases; `sender_basis` and `fourier_basis` are
 their validated views, which no run, session or check builds. The
-six-qudit order (A1, B1, C1, A2, B2, C2) is used only by `channel_state`.
+six-qudit order (A1, B1, C1, A2, B2, C2) is used only by `channel_state`,
+which keeps nothing.
 """
 
 from __future__ import annotations
@@ -136,9 +142,10 @@ class ProtocolResult:
 
     The one-qudit remainders of A1 and B2 before correction and the
     corrected outputs are kept as raw read-only amplitude arrays (the `_amps`
-    fields). `a1_before`, `b2_before`, `alice_final` and `bob_final` are
-    their `StateVector` views, validated and built on first read and then
-    kept (`functools.cached_property`), so a run whose caller reads only
+    fields), the ones the targets' outcome entries hold. `a1_before`,
+    `b2_before`, `alice_final` and `bob_final` are their `StateVector` views,
+    validated and built on first read and then kept
+    (`functools.cached_property`), so a run whose caller reads only
     `recovered` builds none.
     """
 
@@ -279,9 +286,14 @@ def _collapsed_rows(p: PhaseVector) -> np.ndarray:
     return np.conj(phase_table(p.dim)) * np.exp(1j * p.full()) / np.sqrt(p.dim)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=0)
 def channel_state(n: int) -> StateVector:
-    """The full resource: GHZ on (A1,B1,C1) tensor GHZ on (A2,B2,C2)."""
+    """The full resource: GHZ on (A1,B1,C1) tensor GHZ on (A2,B2,C2).
+
+    Built anew on every call and never kept: it holds N^6 amplitudes (268 MB
+    at N = 16) and no engine path reads it. The zero-size `lru_cache` stays
+    only because `perfbench/tracer.py` reads its `cache_info()`.
+    """
     return tensor(ghz_state(n), ghz_state(n))
 
 
@@ -301,18 +313,55 @@ TARGET_CACHE_BYTES = 256 * 2**20  # three records at N = 1024, the CLI's ceiling
 
 
 def _record_charge(n: int) -> int:
-    """Worst-case bytes of a record: 72 N^2 + 32 N of arrays with every part
-    built, 32 N of its key's phases and 2 KiB of other Python objects."""
+    """Worst-case bytes of a record without outcome entries: 72 N^2 + 32 N of
+    arrays with every part built, 32 N of its key's phases and 2 KiB of other
+    Python objects."""
     return 72 * n * n + 64 * n + 2048
+
+
+def _entry_charge(n: int) -> int:
+    """Worst-case bytes of one outcome entry: its two N-vectors, 32 N, and
+    512 bytes of Python objects (the entry and key tuples, the probability,
+    the array headers, two int keys above 256 and its share of the dict);
+    the dict's first table is within the record's 2 KiB."""
+    return 32 * n + 512
 
 
 class _TargetRecord:
     """Everything precomputed for one target, each part built on first read and
     read-only. `bras` are the conjugated rows of sender_basis(target); `leg`
-    and `born` hold the outcome table of a leg whose sender holds the target."""
+    and `born` hold the sender half of the outcome table of a leg whose sender
+    holds the target, and `outcomes` its controller half, entry by entry."""
 
     def __init__(self, target: PhaseVector):
         self.target = target
+        # (s, t) -> (p_t, kept, corrected, recovered); see `outcome`
+        self.outcomes: dict[tuple[int, int], tuple] = {}
+
+    def charge(self) -> int:
+        n = self.target.dim
+        return _record_charge(n) + len(self.outcomes) * _entry_charge(n)
+
+    def outcome(self, s: int, t: int, u: int) -> tuple[float, np.ndarray, np.ndarray, bool]:
+        """Entry (s, t) of the leg: the controller's probability p_t after the
+        sender's s, the kept diagonal, the output corrected by U_u and whether
+        it is the target's ray. `u` is the leg's correction index of (s, t),
+        read only when the entry is built.
+
+        Each entry is built once, by one `_project_leg` call, the product
+        with row u of `phase_table` and one `same_ray` check, so its floats
+        are those of the leg projected and corrected slot by slot, bit for
+        bit; it is then read-only and kept while `_TARGETS` holds the record.
+        """
+        entry = self.outcomes.get((s, t))
+        if entry is None:
+            n = self.target.dim
+            p_t, kept = _project_leg(self.leg[1][s], _fourier_bras(n)[t])
+            corrected = phase_table(n)[u] * kept
+            recovered = same_ray(corrected, self.state.amplitudes)
+            entry = (p_t, _read_only(kept), _read_only(corrected), recovered)
+            _TARGETS.keep(self, (int(s), int(t)), entry)
+        return entry
 
     @functools.cached_property
     def state(self) -> StateVector:
@@ -370,18 +419,34 @@ class _TargetRecord:
 
 class _TargetCache(OrderedDict):
     """PhaseVector -> `_TargetRecord`. A hit is one dict read and reorders
-    nothing; a miss charges the new record `_record_charge(N)` and evicts the
-    oldest records, never the newest, until `held` <= TARGET_CACHE_BYTES."""
+    nothing. A miss charges the new record `_record_charge(N)`, and a new
+    outcome entry `_entry_charge(N)`; then the oldest records are evicted,
+    never the newest, until `held` <= TARGET_CACHE_BYTES, and if the newest
+    alone is over, its entries are dropped."""
 
     held = 0
 
     def __missing__(self, target: PhaseVector) -> _TargetRecord:
         record = self[target] = _TargetRecord(target)
         self.held += _record_charge(target.dim)
-        while self.held > TARGET_CACHE_BYTES and len(self) > 1:
-            oldest, _ = self.popitem(last=False)
-            self.held -= _record_charge(oldest.dim)
+        self._evict()
         return record
+
+    def keep(self, record: _TargetRecord, key: tuple[int, int], entry: tuple) -> None:
+        """Store a new outcome entry on `record` if the cache still holds it."""
+        if self.get(record.target) is record:
+            record.outcomes[key] = entry
+            self.held += _entry_charge(record.target.dim)
+            self._evict()
+
+    def _evict(self) -> None:
+        while self.held > TARGET_CACHE_BYTES and len(self) > 1:
+            _, oldest = self.popitem(last=False)
+            self.held -= oldest.charge()
+        if self.held > TARGET_CACHE_BYTES and self:
+            newest = next(reversed(self.values()))
+            self.held -= newest.charge() - _record_charge(newest.target.dim)
+            newest.outcomes.clear()
 
     def clear(self) -> None:
         super().clear()
@@ -405,64 +470,51 @@ def _draw_controller(
     return _invert_cdf(_TARGETS[bob].born[1][n], rng), _invert_cdf(_TARGETS[alice].born[1][l], rng)
 
 
-def _forced_legs(
+def _legs(
     alice: PhaseVector, bob: PhaseVector, outcome: OutcomeTuple
-) -> tuple[float, list[np.ndarray]]:
-    """Joint probability and kept diagonals [A1, B2] of a forced outcome tuple.
+) -> tuple[float, tuple[int, int], tuple, tuple]:
+    """Joint probability, correction indices and the A1 and B2 outcome entries
+    of an outcome tuple: the one path of every run, session and probability.
 
     A1's leg is indexed by (n, m) and carries Bob's target, B2's by (l, k)
-    and Alice's: each reads its sender's row from the target's `leg` and
-    projects the controller's slot on it, and p_l p_n p_m p_k is multiplied
-    in protocol order, so both equal the four slots projected one by one.
+    and Alice's; U_{m+n} corrects A1 and U_{k+l} B2. p_l p_n p_m p_k is
+    multiplied in protocol order, so the probability and every array equal
+    the four slots projected one by one and then corrected.
     """
-    four = _fourier_bras(alice.dim)
-    (a1_probs, a1_after), (b2_probs, b2_after) = _TARGETS[bob].leg, _TARGETS[alice].leg
-    p_m, a1_kept = _project_leg(a1_after[outcome.n], four[outcome.m])
-    p_k, b2_kept = _project_leg(b2_after[outcome.l], four[outcome.k])
-    p_l, p_n = float(b2_probs[outcome.l]), float(a1_probs[outcome.n])
-    return p_l * p_n * p_m * p_k, [a1_kept, b2_kept]
+    l, n, m, k = outcome.l, outcome.n, outcome.m, outcome.k
+    rule = correction_indices(l, n, m, k, alice.dim)
+    bob_record, alice_record = _TARGETS[bob], _TARGETS[alice]
+    a1 = bob_record.outcome(n, m, rule[0])
+    b2 = alice_record.outcome(l, k, rule[1])
+    p_l, p_n = float(alice_record.leg[0][l]), float(bob_record.leg[0][n])
+    return p_l * p_n * a1[0] * b2[0], rule, a1, b2
 
 
-def finish(
+def _result(
     alice: PhaseVector,
     bob: PhaseVector,
     outcome: OutcomeTuple,
-    legs: list[np.ndarray],
-    probability: float,
+    probability: Optional[float] = None,
 ) -> ProtocolResult:
-    """Correct the two one-qudit remainders: U_{m+n} on A1, U_{k+l} on B2.
-
-    U_p is diagonal, so each correction is an elementwise product with row p
-    of `phase_table`. Recovery means the same ray as the target, up to ATOL,
-    on the raw arrays; no `StateVector` is built here.
-    """
-    rule = CorrectionRule(
-        *correction_indices(outcome.l, outcome.n, outcome.m, outcome.k, alice.dim)
-    )
-    a1_before, b2_before = legs
-    table = phase_table(alice.dim)
-    alice_final = table[rule.a1_index] * a1_before
-    bob_final = table[rule.b2_index] * b2_before
-    recovered = (
-        same_ray(alice_final, _TARGETS[bob].state.amplitudes),
-        same_ray(bob_final, _TARGETS[alice].state.amplitudes),
-    )
+    """The run of `outcome`, read from its two outcome entries; `probability`
+    replaces the tuple's joint probability when given. The result's arrays
+    are the entries' own read-only N-vectors; no `StateVector` is built."""
+    joint, rule, a1, b2 = _legs(alice, bob, outcome)
     return ProtocolResult(
         outcome,
-        probability,
-        rule,
-        _read_only(a1_before),
-        _read_only(b2_before),
-        _read_only(alice_final),
-        _read_only(bob_final),
-        recovered,
+        joint if probability is None else probability,
+        CorrectionRule(*rule),
+        a1[1],
+        b2[1],
+        a1[2],
+        b2[2],
+        (a1[3], b2[3]),
     )
 
 
 def _drawn_result(alice: PhaseVector, bob: PhaseVector, outcome: OutcomeTuple) -> ProtocolResult:
     """The result of a Born-drawn tuple; every tuple has probability 1/N^4."""
-    _, legs = _forced_legs(alice, bob, outcome)
-    return finish(alice, bob, outcome, legs, 1.0 / alice.dim**4)
+    return _result(alice, bob, outcome, 1.0 / alice.dim**4)
 
 
 def run_protocol(
@@ -484,8 +536,7 @@ def run_protocol(
         controller = _draw_controller(alice, bob, *senders, rng)
         return _drawn_result(alice, bob, OutcomeTuple(*senders, *controller))
     outcome.validate(n)
-    probability, legs = _forced_legs(alice, bob, outcome)
-    return finish(alice, bob, outcome, legs, probability)
+    return _result(alice, bob, outcome)
 
 
 def outcome_probability(n: int, outcome: OutcomeTuple) -> float:
@@ -496,7 +547,7 @@ def outcome_probability(n: int, outcome: OutcomeTuple) -> float:
     """
     outcome.validate(n)
     zero = _zero_target(n)
-    return _forced_legs(zero, zero, outcome)[0]
+    return _legs(zero, zero, outcome)[0]
 
 
 @functools.lru_cache(maxsize=64)

@@ -9,9 +9,9 @@ the targets.
 
 A session keeps only the outcomes drawn so far. It draws them as a
 sampled engine run does, two per step from the Born CDFs on the targets'
-records, and step 3 corrects the drawn tuple through the engine's forced
-path, so equal seeds give bitwise-equal results. `Session.legs` rebuilds each
-leg's tensor view from the outcomes on demand.
+records, and step 3 reads the drawn tuple's outcome entries, the path
+every engine run takes, so equal seeds give bitwise-equal results.
+`Session.legs` rebuilds each leg's tensor view from the outcomes on demand.
 
 Each step's four announcements depend only on its two drawn outcomes,
 so they are built once per (step, outcomes) and shared between sessions.
@@ -48,7 +48,7 @@ from .protocol import (
     _draw_controller,
     _draw_senders,
     _drawn_result,
-    _forced_legs,
+    _legs,
     ghz_state,
     leg_state,
 )
@@ -150,8 +150,8 @@ class Session:
         from the outcomes drawn so far.
         """
         if len(self.outcomes) == len(PROTOCOL_ORDER):
-            _, kept = _forced_legs(self.alice, self.bob, self.outcome_tuple())
-            return [leg_state(v, 1) for v in kept]
+            entries = _legs(self.alice, self.bob, self.outcome_tuple())[2:]
+            return [leg_state(entry[1], 1) for entry in entries]
         if self.outcomes:
             # each leg's sender-projected row: B1's n on leg 0, A2's l on leg 1
             records = _TARGETS[self.bob], _TARGETS[self.alice]

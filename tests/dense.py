@@ -11,8 +11,11 @@ eigenvectors as arrays; `per_leg_ensemble` is the one-matrix-at-a-time
 construction it replaced. `ensemble_of` builds a `BranchEnsemble` from
 `(weight, StateVector)` pairs. `KrausSet` sums its K products E+ E
 with one batched matmul; `completeness_deviation` is the one-operator-at-
-a-time loop it replaced. The oracles that check those shortcuts build the
-dense objects here, from the package's own checked types.
+a-time loop it replaced. The engine keeps each leg outcome's corrected
+output once per target; `corrected_result` corrects kept diagonals the
+way a run did before, for the oracles that check those entries. The
+oracles that check those shortcuts build the dense objects here, from the
+package's own checked types.
 """
 
 import numpy as np
@@ -24,9 +27,16 @@ from bcrsp.core import (
     Operator,
     StateVector,
     apply_on,
+    same_ray,
 )
 from bcrsp.optics import BeamSplitter, NetworkElement, PhaseShifter
-from bcrsp.protocol import _check_dimension
+from bcrsp.protocol import (
+    CorrectionRule,
+    ProtocolResult,
+    _check_dimension,
+    equatorial_state,
+    phase_table,
+)
 
 
 def basis_state(dim: int, index: int) -> StateVector:
@@ -83,6 +93,26 @@ def completeness_deviation(ops) -> float:
     for op in ops:
         acc += op.entries.conj().T @ op.entries
     return float(np.max(np.abs(acc - np.eye(dim))))
+
+
+def corrected_result(alice, bob, outcome, legs, probability: float) -> ProtocolResult:
+    """The run whose kept diagonals are `legs` = [A1, B2]: A1 corrected by
+    U_{m+n} and checked against Bob's target, B2 by U_{k+l} against Alice's.
+
+    Each correction is the product with one row of `phase_table`, on the
+    raw arrays, and recovery is `same_ray` with the target's amplitudes.
+    """
+    n = alice.dim
+    rule = CorrectionRule((outcome.m + outcome.n) % n, (outcome.k + outcome.l) % n)
+    alice_final = phase_table(n)[rule.a1_index] * legs[0]
+    bob_final = phase_table(n)[rule.b2_index] * legs[1]
+    recovered = (
+        same_ray(alice_final, equatorial_state(bob).amplitudes),
+        same_ray(bob_final, equatorial_state(alice).amplitudes),
+    )
+    return ProtocolResult(
+        outcome, probability, rule, legs[0], legs[1], alice_final, bob_final, recovered
+    )
 
 
 def per_leg_ensemble(rho: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:

@@ -39,7 +39,6 @@ from bcrsp.protocol import (
     channel_state,
     correction_unitary,
     equatorial_state,
-    finish,
     fourier_basis,
     ghz_state,
     leg_state,
@@ -51,7 +50,7 @@ from bcrsp.protocol import (
 )
 from bcrsp.session import SessionStatus, new_session
 from conftest import random_phase_vector
-from dense import cnot_gate
+from dense import cnot_gate, corrected_result
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -117,10 +116,12 @@ class TestStates:
         assert dict(protocol._TARGETS) == records
         for target, record in records.items():
             assert record.state is states[target] and record.pieces is pieces[target]
-        # finish checks A1 against Bob's target and B2 against Alice's, once per run
-        targets = [equatorial_state(bob).amplitudes, equatorial_state(alice).amplitudes] * 3
-        assert len(checked) == len(targets)
-        assert all(a is b for a, b in zip(checked, targets))
+        # each outcome entry is checked once, when it is built, against its
+        # record's target: A1's entries on Bob's record, B2's on Alice's
+        for target, record in records.items():
+            ours = [b for b in checked if b is equatorial_state(target).amplitudes]
+            assert len(ours) == len(record.outcomes) >= 1
+        assert len(checked) == sum(len(record.outcomes) for record in records.values())
 
     def test_ghz_qubit(self):
         out = ghz_state(2)
@@ -728,8 +729,8 @@ def sequential_forced_run(alice, bob, n, outcome) -> ProtocolResult:
     """Oracle: the four slots projected one after another on fresh legs.
 
     Each forced slot collapses its leg's diagonal in protocol order, the
-    joint probability is the running product, and `finish` corrects the
-    remainders; no outcome table is read.
+    joint probability is the running product, and `corrected_result`
+    corrects the remainders; no outcome table or entry is read.
     """
     bras = slot_bras(alice, bob, n)
     legs = channel_legs(n)
@@ -738,7 +739,7 @@ def sequential_forced_run(alice, bob, n, outcome) -> ProtocolResult:
         prob, legs[leg] = protocol._project_leg(legs[leg], bras[slot][getattr(outcome, slot)])
         assert legs[leg] is not None
         joint *= prob
-    return finish(alice, bob, outcome, legs, joint)
+    return corrected_result(alice, bob, outcome, legs, joint)
 
 
 def assert_same_result(res, expected, probability=True):
@@ -802,15 +803,70 @@ class TestLegTables:
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_results_do_not_share_memory_with_the_cache(self, n):
-        # a kept result must not pin a cached table after the cache drops it
+        # a kept result must not pin a cached table after the cache drops it;
+        # it holds only its own read-only N-vectors, which its two outcome
+        # entries share: (n, m) = (0, n - 1) on Bob's record, (l, k) = (1, 1)
+        # on Alice's
         rng = np.random.default_rng(43 + n)
         alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
         res = run_protocol(alice, bob, n, outcome=OutcomeTuple(1, 0, n - 1, 1))
         tables = [protocol._TARGETS[alice].leg, protocol._TARGETS[bob].leg]
+        a1 = protocol._TARGETS[bob].outcomes[(0, n - 1)]
+        b2 = protocol._TARGETS[alice].outcomes[(1, 1)]
+        assert [res.a1_before_amps, res.alice_final_amps] == [a1[1], a1[2]]
+        assert [res.b2_before_amps, res.bob_final_amps] == [b2[1], b2[2]]
         for field in ("a1_before", "b2_before", "alice_final", "bob_final"):
             amps = getattr(res, field).amplitudes
+            assert not amps.flags.writeable, field
             for arr in (arr for table in tables for arr in table):
                 assert not np.shares_memory(amps, arr), field
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_each_leg_outcome_is_projected_once(self, n, monkeypatch):
+        # A1's result depends on (n, m) and B2's on (l, k): the N^4 tuples
+        # make one controller projection per leg outcome, 2 N^2 with the
+        # senders' `leg` rows built, and a second pass makes none
+        rng = np.random.default_rng(4500 + n)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        expected = [sequential_forced_run(alice, bob, n, oc) for oc in all_outcomes(n)]
+        protocol._TARGETS.clear()
+        protocol._TARGETS[alice].leg, protocol._TARGETS[bob].leg
+        calls = []
+        project_leg = protocol._project_leg
+        monkeypatch.setattr(
+            protocol, "_project_leg", lambda *args: calls.append(args) or project_leg(*args)
+        )
+        for repeat, made in ((0, 2 * n * n), (1, 0)):
+            calls.clear()
+            for oc, want in zip(all_outcomes(n), expected):
+                assert_same_result(run_protocol(alice, bob, n, outcome=oc), want)
+            assert len(calls) == made, repeat
+        assert {len(protocol._TARGETS[t].outcomes) for t in (alice, bob)} == {n * n}
+
+    def test_numpy_outcomes_hit_the_int_entries(self):
+        # `bcrsp verify` passes np.int64 outcome indices; they read the same
+        # entries as int indices, which are kept under int keys
+        n = 3
+        rng = np.random.default_rng(4510)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        protocol._TARGETS.clear()
+        first = {}
+        for oc in all_outcomes(n):
+            wide = OutcomeTuple(*np.array(oc.as_tuple(), dtype=np.int64))
+            first[oc] = run_protocol(alice, bob, n, outcome=wide)
+        entries = {t: dict(protocol._TARGETS[t].outcomes) for t in (alice, bob)}
+        for record in entries.values():
+            assert len(record) == n * n
+            assert {type(i) for key in record for i in key} == {int}
+        for oc in all_outcomes(n):
+            res = run_protocol(alice, bob, n, outcome=oc)
+            assert_same_result(res, first[oc])
+            assert res.a1_before_amps is first[oc].a1_before_amps
+            assert res.b2_before_amps is first[oc].b2_before_amps
+        for target, record in entries.items():
+            held = protocol._TARGETS[target].outcomes
+            assert held.keys() == record.keys()
+            assert all(held[key] is entry for key, entry in record.items())
 
 
 def per_draw_sample(bras, weights, legs, drawn, slots, rng):
@@ -852,7 +908,7 @@ class TestBornTables:
                     assert view.amplitudes.tobytes() == leg_state(leg, 2).amplitudes.tobytes()
                 continue
             per_draw_sample(bras, weights, legs, drawn, PROTOCOL_ORDER[2:], oracle_rng)
-            expected = finish(alice, bob, OutcomeTuple(**drawn), legs, 1.0 / n**4)
+            expected = corrected_result(alice, bob, OutcomeTuple(**drawn), legs, 1.0 / n**4)
             run_rng = np.random.default_rng(seed)
             assert_same_result(run_protocol(alice, bob, n, rng=run_rng), expected)
             assert run_rng.bit_generator.state == oracle_rng.bit_generator.state, seed
@@ -907,27 +963,44 @@ class TestBornTables:
         zero = PhaseVector.zero(3)
 
         def built():
-            return {t: set(vars(r)) - {"target"} for t, r in protocol._TARGETS.items()}
+            return {t: set(vars(r)) - {"target", "outcomes"} for t, r in protocol._TARGETS.items()}
 
+        def entries():
+            return {t: dict(r.outcomes) for t, r in protocol._TARGETS.items()}
+
+        # every run reads entry (n, m) of Bob's record and (l, k) of Alice's,
+        # here (1, 2) and (0, 0); the zero target serves both legs
         calls = [
             ("forced", lambda oc: run_protocol(alice, bob, 3, outcome=oc),
-             {alice: {"state", "bras", "leg"}, bob: {"state", "bras", "leg"}}),
-            # the zero target's record holds the sender rows only; no state is compared
-            ("probability", lambda oc: outcome_probability(3, oc), {zero: {"bras", "leg"}}),
+             {alice: {"state", "bras", "leg"}, bob: {"state", "bras", "leg"}},
+             {alice: {(0, 0)}, bob: {(1, 2)}}),
+            # the zero target's state is built for its entries' recovery check
+            ("probability", lambda oc: outcome_probability(3, oc),
+             {zero: {"state", "bras", "leg"}}, {zero: {(0, 0), (1, 2)}}),
             ("sampled", lambda oc: run_protocol(alice, bob, 3, rng=sum(oc.as_tuple())),
-             {alice: {"state", "bras", "leg", "born"}, bob: {"state", "bras", "leg", "born"}}),
+             {alice: {"state", "bras", "leg", "born"}, bob: {"state", "bras", "leg", "born"}},
+             None),
             ("noisy", lambda oc: noise.noisy_protocol_run(alice, bob, 3, NoiseKind.DEPHASING, 0.2),
-             {alice: {"state", "pieces"}, bob: {"state", "pieces"}}),
+             {alice: {"state", "pieces"}, bob: {"state", "pieces"}},
+             {alice: set(), bob: set()}),
         ]
-        for name, call, parts in calls:
+        for name, call, parts, keys in calls:
             protocol._TARGETS.clear()
-            call(OutcomeTuple(0, 1, 2, 0))
+            res = call(OutcomeTuple(0, 1, 2, 0))
+            if keys is None:  # a sampled run reads the entries of the tuple it drew
+                oc = res.outcome
+                keys = {alice: {(oc.l, oc.k)}, bob: {(oc.n, oc.m)}}
             assert built() == parts, name
+            assert {t: set(e) for t, e in entries().items()} == keys, name
             records = dict(protocol._TARGETS)
             for oc in all_outcomes(3):
                 call(oc)
-            # a repeat call builds nothing
+            held = entries()
+            for oc in all_outcomes(3):
+                call(oc)
+            # a repeat call builds nothing, not even an outcome entry
             assert built() == parts and dict(protocol._TARGETS) == records, name
+            assert entries() == held, name
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     @pytest.mark.parametrize("consents", [True, False])
@@ -942,22 +1015,33 @@ class TestBornTables:
             for table in (protocol._TARGETS[target].born, protocol._TARGETS[target].leg)
             for arr in table
         ]
+        fields = ("a1_before", "b2_before", "alice_final", "bob_final")
+        views, results = [], []
         for seed in range(10):
             ses = new_session(alice, bob, n, charlie_consents=consents, seed=seed)
-            views = list(ses.legs)
+            views += ses.legs
             while ses.advance() is SessionStatus.RUNNING:
                 views += ses.legs
             views += ses.legs
             if consents:
-                res = ses.result()
-                views += [getattr(res, f) for f in ("a1_before", "b2_before")]
-                views += [getattr(res, f) for f in ("alice_final", "bob_final")]
+                results += [getattr(ses.result(), f) for f in fields]
                 sampled = run_protocol(alice, bob, n, rng=seed)
-                views += [sampled.a1_before, sampled.b2_before]
-                views += [sampled.alice_final, sampled.bob_final]
-            for view in views:
-                for arr in tables:
-                    assert not np.shares_memory(view.amplitudes, arr)
+                results += [getattr(sampled, f) for f in fields]
+        # a result's views are its outcome entries' own N-vectors; a leg view
+        # is a copy, and neither shares a byte with a table
+        entries = [
+            arr
+            for target in (alice, bob)
+            for entry in protocol._TARGETS[target].outcomes.values()
+            for arr in entry[1:3]
+        ]
+        for view in views:
+            for arr in tables + entries:
+                assert not np.shares_memory(view.amplitudes, arr)
+        for view in results:
+            assert sum(view.amplitudes is arr for arr in entries) == 1
+            for arr in tables:
+                assert not np.shares_memory(view.amplitudes, arr)
 
 
 PARTS = ("state", "bras", "leg", "born", "pieces")
@@ -1013,9 +1097,85 @@ class TestTargetCache:
         protocol._TARGETS.clear()
         alice, bob = PhaseVector(3, (0.5, 1.5)), PhaseVector(3, (2.5, 0.25))
         assert all(run_protocol(alice, bob, 3, rng=3).recovered)
-        # the run's last read is of Alice's record, when `finish` checks B2
+        # the run's last read is of Alice's record, for its B2 entry
         assert list(protocol._TARGETS) == [alice]
         assert protocol._TARGETS.held == protocol._record_charge(3)
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_outcome_entries_stay_within_the_budget(self, n, monkeypatch):
+        # sampled runs on fresh target pairs: the charge of every record and
+        # entry held is `held`, at most the budget, and at least what
+        # tracemalloc sees the cache grow by
+        budget = 40 * protocol._record_charge(n) // 3
+        monkeypatch.setattr(protocol, "TARGET_CACHE_BYTES", budget)
+        rng = np.random.default_rng(4520 + n)
+
+        def sampled(pairs):
+            for alice, bob in pairs:
+                for seed in range(60):
+                    run_protocol(alice, bob, n, rng=seed)
+                    charges = sum(
+                        protocol._record_charge(n) + len(r.outcomes) * protocol._entry_charge(n)
+                        for r in protocol._TARGETS.values()
+                    )
+                    assert protocol._TARGETS.held == charges <= budget
+
+        def fresh_pairs():
+            return [(random_phase_vector(n, rng), random_phase_vector(n, rng)) for _ in range(10)]
+
+        # the same loop on other targets first: the per-N tables and what numpy
+        # and the interpreter keep per process are not the cache's
+        protocol._TARGETS.clear()
+        sampled(fresh_pairs())
+        pairs = fresh_pairs()
+        protocol._TARGETS.clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sampled(pairs)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown <= protocol._TARGETS.held
+        # entries were kept and evicted with their records, oldest first
+        assert sum(len(r.outcomes) for r in protocol._TARGETS.values()) > 0
+        assert pairs[0][0] not in protocol._TARGETS
+        assert set(pairs[-1]) <= set(protocol._TARGETS)
+
+    @pytest.mark.parametrize("spare", [None, 0, 3])
+    def test_lone_record_drops_its_entries(self, spare, monkeypatch):
+        # one target on both legs, so the newest record is the only one: over
+        # the budget it drops its entries, never itself; `spare` entries fit
+        # beside its own charge, or with None the budget is below that charge
+        n = 3
+        base, entry = protocol._record_charge(n), protocol._entry_charge(n)
+        budget = base // 2 if spare is None else base + spare * entry
+        monkeypatch.setattr(protocol, "TARGET_CACHE_BYTES", budget)
+        rng = np.random.default_rng(4530)
+
+        def forced(target, expected):
+            protocol._TARGETS.clear()
+            for oc, want in zip(all_outcomes(n), expected):
+                assert_same_result(run_protocol(target, target, n, outcome=oc), want)
+                (record,) = protocol._TARGETS.values()
+                assert len(record.outcomes) <= (spare or 0)
+                assert protocol._TARGETS.held == base + len(record.outcomes) * entry
+                assert protocol._TARGETS.held <= max(budget, base)
+
+        targets = [random_phase_vector(n, rng) for _ in range(2)]
+        expected = [
+            [sequential_forced_run(t, t, n, oc) for oc in all_outcomes(n)] for t in targets
+        ]
+        # the same loop on another target first, as in the test above
+        forced(targets[0], expected[0])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            forced(targets[1], expected[1])
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown <= protocol._TARGETS.held
 
     def test_sender_basis_cache_is_bounded(self):
         # more fresh targets than the cache holds: it stays at its bound
@@ -1046,7 +1206,8 @@ class TestTargetCache:
 
     def test_charge_covers_every_array(self):
         for n in (2, 5, 16):
-            record = protocol._TargetRecord(PhaseVector.zero(n))
+            protocol._TARGETS.clear()
+            record = protocol._TARGETS[PhaseVector.zero(n)]
             arrays = [record.state.amplitudes, record.bras, *record.leg, record.pieces]
             # `born` is two views of one (N + 1, N) block
             arrays.append(record.born[0].base)
@@ -1054,6 +1215,15 @@ class TestTargetCache:
             # the rest of the charge is the key's phases and the Python objects
             held = sum(arr.nbytes for arr in arrays)
             assert held == protocol._record_charge(n) - 32 * n - 2048, n
+            # every outcome entry: two N-vectors, and 512 bytes of objects
+            for s, t in np.ndindex(n, n):
+                record.outcome(s, t, (s + t) % n)
+            assert len(record.outcomes) == n * n
+            for entry in record.outcomes.values():
+                held = sum(arr.nbytes for arr in entry[1:3])
+                assert held == protocol._entry_charge(n) - 512, n
+            entries = n * n * protocol._entry_charge(n)
+            assert record.charge() == protocol._record_charge(n) + entries
 
 
 @pytest.fixture
