@@ -9,8 +9,13 @@ cheap but never unchecked. The weighted-list form (`BranchEnsemble`,
 and the branch-by-branch oracles in the tests. An ensemble keeps its
 weights and amplitude rows as two read-only arrays, checked once with the
 tolerances `StateVector` uses, and builds `StateVector` branches only when
-they are read. `ensemble_from_density` takes a stack of density matrices,
-such as a noisy run's (2, N, N) output block, and runs one batched `eigh`.
+they are read. The weight and norm checks are one body, `_check_branches`,
+which the constructor and `ensemble_from_density` both call.
+`ensemble_from_density` takes a stack of density matrices, such as a noisy
+run's (2, N, N) output block, and checks it as a whole: one batched `eigh`,
+one squared-norm pass over one block of eigenvector rows, then
+`_check_branches` per matrix; its ensembles are views of that block and
+are not checked again.
 
 The general tensor operations (`apply_on`, `project`, `measure`,
 `reduced_density`) share one idiom: move the target axes to the front
@@ -183,16 +188,37 @@ class KrausSet:
         return float(np.max(np.abs(acc - np.eye(len(acc)))))
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of the complex rows of a C-contiguous array, in one
+    pass over its float view: re^2 + im^2 summed along the last axis."""
+    flat = rows.view(float)
+    return np.add.reduce(flat * flat, axis=-1)
+
+
+def _check_branches(weights: list[float], squared_norms: list[float]) -> None:
+    """The checks of one ensemble, on its weights and its rows' squared norms:
+    no weight below -WEIGHT_ATOL, weights summing to one within WEIGHT_ATOL,
+    then every row of unit norm within ATOL, as `StateVector` checks a norm."""
+    if any(w < -WEIGHT_ATOL for w in weights):
+        raise ValueError("negative branch weight")
+    total = sum(weights)
+    if not abs(total - 1.0) <= WEIGHT_ATOL:
+        raise ValueError(f"branch weights sum to {total!r}, expected 1")
+    for sq in squared_norms:
+        norm = math.sqrt(sq)
+        if not abs(norm - 1.0) <= ATOL:
+            raise ValueError(f"state is not normalized (|psi| = {norm!r})")
+
+
 @dataclass(frozen=True, eq=False)
 class BranchEnsemble:
     """Mixed state as weighted pure branches: row k of `amplitudes` is
     branch k, with weight `weights[k]`.
 
-    The two arrays are stored read-only and checked once, here, with the
-    tolerances of `StateVector`: at least one branch, one row of
-    prod(dims) amplitudes per weight, no weight below -WEIGHT_ATOL, weights
-    summing to one within WEIGHT_ATOL and every row of unit norm within
-    ATOL. `branches` builds the `(weight, StateVector)` pairs on first read.
+    The two arrays are stored read-only and checked once, here: at least
+    one branch, one row of prod(dims) amplitudes per weight, then
+    `_check_branches`. `branches` builds the `(weight, StateVector)` pairs
+    on first read.
     """
 
     weights: np.ndarray
@@ -213,20 +239,23 @@ class BranchEnsemble:
                 f"branch amplitudes of shape {amps.shape} do not match "
                 f"{weights.size} weights on dims {dims}"
             )
-        ws = weights.tolist()
-        if any(w < -WEIGHT_ATOL for w in ws):
-            raise ValueError("negative branch weight")
-        total = sum(ws)
-        if not abs(total - 1.0) <= WEIGHT_ATOL:
-            raise ValueError(f"branch weights sum to {total!r}, expected 1")
-        for sq in np.einsum("kd,kd->k", amps.conj(), amps).real.tolist():
-            norm = math.sqrt(sq)
-            if not abs(norm - 1.0) <= ATOL:
-                raise ValueError(f"state is not normalized (|psi| = {norm!r})")
+        _check_branches(weights.tolist(), _squared_norms(amps).tolist())
         weights.setflags(write=False)
         amps.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _checked(
+        cls, weights: np.ndarray, amplitudes: np.ndarray, dims: tuple[int, ...]
+    ) -> BranchEnsemble:
+        """The ensemble of arrays that `_check_branches` has passed, read-only
+        and C-contiguous, with `dims` a tuple of ints; nothing is checked again."""
+        ens = object.__new__(cls)
+        object.__setattr__(ens, "weights", weights)
+        object.__setattr__(ens, "amplitudes", amplitudes)
+        object.__setattr__(ens, "dims", dims)
+        return ens
 
     @functools.cached_property
     def branches(self) -> tuple[tuple[float, StateVector], ...]:
@@ -245,30 +274,47 @@ def ensemble_from_density(
     """Exact pure-branch decompositions of a stack of density matrices.
 
     `rhos` has shape (L, D, D), D = prod(dims); the result is one
-    `BranchEnsemble` per matrix. One batched `np.linalg.eigh` runs over the
-    stack, and its eigenpairs are those of each matrix alone. The branches
-    are the eigenvectors as LAPACK returns them, largest eigenvalue first;
-    `BranchEnsemble` checks their norms. Eigenvalues below 1e-14 (roundoff)
-    are dropped and the rest renormalized so they sum to one. Any other
-    shape raises ValueError.
+    `BranchEnsemble` per matrix. The stack is checked once, as a whole:
+    one batched `np.linalg.eigh`, whose eigenpairs are those of each matrix
+    alone; one read-only, C-contiguous, complex (L, D, D) block whose row k
+    of matrix i is its eigenvector of the k-th largest eigenvalue, as
+    LAPACK returns it; one squared-norm pass over the block. Then, per
+    matrix, a lowest eigenvalue below -WEIGHT_ATOL raises ValueError naming
+    the matrix and the eigenvalue; eigenvalues below 1e-14 (roundoff) are
+    dropped, the rest renormalized so they sum to one, and
+    `_check_branches` checks these weights and the norms of the kept rows.
+    Each ensemble holds its weights and a view of the block's leading rows
+    and is not checked again. `eigh` reads only the lower triangle, so a
+    non-Hermitian input is not detected. Any other shape, or a dimension
+    below one, raises ValueError.
     """
     dims = tuple(map(int, dims))
     size = math.prod(dims)
     shape = np.shape(rhos)
     if len(shape) != 3 or shape[1:] != (size, size):
         raise ValueError(f"density matrix shape {shape} does not match dims {dims}")
+    if dims and min(dims) < 1:
+        raise ValueError(f"invalid dims {dims}")
     vals, vecs = np.linalg.eigh(rhos)
-    return tuple(_eigen_ensemble(w, v, dims) for w, v in zip(vals.tolist(), vecs))
-
-
-def _eigen_ensemble(vals: list[float], vecs: np.ndarray, dims: tuple[int, ...]) -> BranchEnsemble:
-    """The ensemble of one matrix's ascending eigenvalues and eigenvector columns."""
-    # ascending, so the kept eigenvalues lead the reversed order
-    kept = [w for w in reversed(vals) if w >= 1e-14]
-    total = sum(kept)
-    if total <= 0:
-        raise ValueError("density matrix has no positive weight")
-    return BranchEnsemble([w / total for w in kept], vecs.T[::-1][: len(kept)], dims)
+    # eigh returns ascending eigenvalues and eigenvectors as columns
+    block = np.ascontiguousarray(vecs.transpose(0, 2, 1)[:, ::-1], dtype=complex)
+    block.setflags(write=False)
+    ensembles = []
+    for i, (ascending, squared_norms) in enumerate(
+        zip(vals.tolist(), _squared_norms(block).tolist())
+    ):
+        if not ascending[0] >= -WEIGHT_ATOL:
+            raise ValueError(f"density matrix {i} has negative eigenvalue {ascending[0]!r}")
+        kept = [w for w in reversed(ascending) if w >= 1e-14]
+        total = sum(kept)
+        if total <= 0:
+            raise ValueError("density matrix has no positive weight")
+        weights = [w / total for w in kept]
+        _check_branches(weights, squared_norms[: len(kept)])
+        stored = np.array(weights)
+        stored.setflags(write=False)
+        ensembles.append(BranchEnsemble._checked(stored, block[i, : len(kept)], dims))
+    return tuple(ensembles)
 
 
 # ---------------------------------------------------------------------------

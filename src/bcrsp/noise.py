@@ -39,6 +39,7 @@ without the covariance would need the policy to select the outputs again.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -293,9 +294,9 @@ def paper_fidelity_dephasing(gamma: float) -> float:
     expression away from gamma = 0 (see compare_paper_vs_exact).
     """
     gamma = _check_gamma(gamma)
-    q = np.sqrt(1 - gamma)
-    return float(
-        np.sqrt((1 + 6 * q + 9 * (1 - gamma)) ** 2 + 6 * gamma * (1 + 3 * q) ** 2 + 9 * gamma**2)
+    q = math.sqrt(1 - gamma)
+    return (
+        math.sqrt((1 + 6 * q + 9 * (1 - gamma)) ** 2 + 6 * gamma * (1 + 3 * q) ** 2 + 9 * gamma**2)
         / 16.0
     )
 

@@ -509,9 +509,46 @@ class TestBranchEnsemble:
         assert type(err.value) is ValueError
         assert str(err.value) == f"density matrix shape {shape} does not match dims {dims}"
 
+    def test_empty_subsystem_is_rejected(self):
+        with pytest.raises(ValueError, match=r"invalid dims \(0,\)"):
+            ensemble_from_density(np.zeros((1, 0, 0)), (0,))
+
     def test_zero_density_has_no_positive_weight(self):
         with pytest.raises(ValueError, match="density matrix has no positive weight"):
             ensemble_from_density(np.zeros((1, 2, 2)), (2,))
+
+    def test_negative_eigenvalue_names_matrix_and_value(self):
+        # a lowest eigenvalue below -WEIGHT_ATOL is no roundoff to drop
+        rhos = np.array([np.eye(2) / 2, np.diag([1.3, -0.3])], dtype=complex)
+        with pytest.raises(ValueError, match=r"density matrix 1 has negative eigenvalue -0\.3"):
+            ensemble_from_density(rhos, (2,))
+
+    def test_roundoff_negative_eigenvalue_is_dropped(self):
+        (ens,) = ensemble_from_density(np.diag([1.0, -1e-13]).astype(complex)[None], (2,))
+        assert ens.weights.tolist() == [1.0]
+        assert ens.amplitudes.tolist() == [[1.0, 0.0]]
+
+    def test_real_stack_gives_complex_rows(self):
+        rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+        (ens,) = ensemble_from_density(rho[None], (2,))
+        vecs = np.linalg.eigh(rho)[1]
+        assert ens.amplitudes.dtype == complex
+        assert ens.amplitudes.tobytes() == vecs.T[::-1].astype(complex).tobytes()
+
+    def test_stack_ensembles_are_views_of_one_read_only_block(self):
+        rng = np.random.default_rng(14)
+        m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        rhos = m @ m.conj().transpose(0, 2, 1)
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        stack = ensemble_from_density(rhos, (2, 2))
+        block = stack[0].amplitudes.base
+        assert block.shape == (3, 4, 4) and block.flags.c_contiguous
+        assert not block.flags.writeable
+        for i, ens in enumerate(stack):
+            assert ens.amplitudes.base is block
+            assert ens.amplitudes.flags.c_contiguous and not ens.amplitudes.flags.writeable
+            assert not ens.weights.flags.writeable
+            assert ens.amplitudes.tobytes() == block[i, : len(ens.weights)].tobytes()
 
     def test_stack_gives_each_matrix_its_own_ensemble(self):
         rng = np.random.default_rng(13)

@@ -20,6 +20,11 @@ The target cache's budget that README.md states equals
 The in-process `bcrsp verify` time that README.md quotes equals, at the
 precision quoted, the number of a `*_ms` key of the `BENCH_*.json` it
 names.
+
+Every `p50 <a> → <b> ms`, `p50 <a> to <b> ms` and `p50 of <x> ms` in
+README.md equals, at the precision quoted, the median of an `op_p50_ms`
+entry of a `BENCH_*.json`, both ends of a figure in the same file, as for
+`ops/s`.
 """
 
 import importlib
@@ -200,3 +205,54 @@ def test_readme_verify_figure_is_recorded():
         assert float(figure) in recorded, (
             f"README quotes `bcrsp verify` at {figure} ms, which {name} does not record"
         )
+
+
+DECIMAL = r"(\d+\.\d+)"
+P50_FIGURE = re.compile(rf"p50 (?:of )?{DECIMAL}(?: (?:→|to) {DECIMAL})? ms")
+
+
+def readme_p50_figures() -> list[tuple[str, ...]]:
+    """Each quoted p50 as its decimal strings: (before, after) or (value,)."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    return [tuple(v for v in groups if v) for groups in P50_FIGURE.findall(text)]
+
+
+def recorded_p50_ms() -> list[tuple[float, float]]:
+    """(parent median, change median) of every `op_p50_ms` entry of every
+    BENCH_*.json."""
+    found: list[tuple[float, float]] = []
+
+    def collect(obj: dict) -> dict:
+        entry = obj.get("op_p50_ms")
+        if isinstance(entry, dict) and "parent" in entry and "change" in entry:
+            found.append((entry["parent"]["median"], entry["change"]["median"]))
+        return obj
+
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        json.loads(path.read_text(), object_hook=collect)
+    return found
+
+
+P50_FIGURES = readme_p50_figures()
+RECORDED_P50 = recorded_p50_ms()
+
+
+def test_readme_quotes_p50_figures():
+    # a broken pattern would make the check below vacuous
+    assert sum(map(len, P50_FIGURES)) >= 5
+
+
+@pytest.mark.parametrize("figure", P50_FIGURES, ids="-".join)
+def test_readme_p50_figure_is_recorded(figure):
+    # a lone figure is a current cost, a change median; a pair is the parent
+    # and change medians of one entry, so both ends come from one file
+    places = [len(v.partition(".")[2]) for v in figure]
+    quoted = tuple(map(float, figure))
+    recorded = {
+        tuple(round(v, p) for v, p in zip((parent, change)[-len(figure):], places))
+        for parent, change in RECORDED_P50
+    }
+    assert quoted in recorded, (
+        f"README quotes a p50 of {' -> '.join(figure)} ms, which no BENCH_*.json "
+        "records as one op_p50_ms entry"
+    )

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcrsp import noise, protocol
-from bcrsp.core import apply_on, fidelity_density, project, tensor
+from bcrsp import core, noise, protocol
+from bcrsp.core import BranchEnsemble, apply_on, fidelity_density, project, tensor
 from bcrsp.noise import (
     NoiseKind,
     OutcomePolicy,
@@ -650,6 +650,40 @@ class TestExactEvaluator:
             assert run.b2_ensemble is run.b2_ensemble
             assert run.a1_ensemble is a1
             assert calls == [(2, n, n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_first_eigen_view_read_checks_the_block_once(self, n, monkeypatch):
+        # one eigh and one norm pass over the (2, N, N) block, then the shared
+        # checks once per leg on its kept weights and rows, and no ensemble
+        # constructor check of rows that came out of that eigh
+        calls = []
+
+        def counter(name, fn):
+            def counted(first, *args, **kwargs):
+                calls.append((name, np.shape(first)))
+                return fn(first, *args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(np.linalg, "eigh", counter("eigh", np.linalg.eigh))
+        monkeypatch.setattr(core, "_squared_norms", counter("norms", core._squared_norms))
+        monkeypatch.setattr(core, "_check_branches", counter("check", core._check_branches))
+        monkeypatch.setattr(
+            BranchEnsemble, "__post_init__", counter("post_init", BranchEnsemble.__post_init__)
+        )
+        rng = np.random.default_rng(n + 60)
+        alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+        for kind in NoiseKind:
+            run = noisy_protocol_run(alice, bob, n, kind, 0.37)
+            calls.clear()
+            legs = (run.a1_ensemble, run.b2_ensemble)
+            for ens in legs:
+                ens.density_matrix()
+            assert calls == [
+                ("eigh", (2, n, n)),
+                ("norms", (2, n, n)),
+                *(("check", ens.weights.shape) for ens in legs),
+            ]
 
     def test_outputs_are_one_read_only_block(self):
         rng = np.random.default_rng(44)
