@@ -41,7 +41,6 @@ from .protocol import (
     OutcomeTuple,
     PhaseVector,
     ProtocolResult,
-    build_correction_table,
     correction_unitary,
     equatorial_state,
     fourier_basis,

@@ -91,7 +91,7 @@ def _kraus_count(kind: NoiseKind, gamma: float, n: int) -> int:
     return n * n - 2 * n + 2 if kind is NoiseKind.QUDIT_PHASE_FLIP else n
 
 
-def kraus_for(kind: NoiseKind, gamma: float, n: int = 4) -> KrausSet:
+def kraus_for(kind: NoiseKind, gamma: float, n: int) -> KrausSet:
     """The K Kraus operators of one channel use, as a validated `KrausSet`.
 
     Dephasing: diag(1, sqrt(1-g), ..., sqrt(1-g)), then sqrt(g) |s><s| for
@@ -206,8 +206,8 @@ def _leg_weights(kind: NoiseKind, gamma: float, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _identity_probe(n: int) -> np.ndarray:
-    """Read-only (I, circ(I)) = (I, N I): a map is complete when Phi(I) = I."""
-    eye = np.eye(n, dtype=complex)
+    """Read-only real (I, circ(I)) = (I, N I): a map is complete when Phi(I) = I."""
+    eye = np.eye(n)
     return _read_only(np.stack((eye, n * eye)))
 
 
@@ -246,14 +246,14 @@ def noisy_protocol_run(
     """
     _check_dims(alice, bob, n)
     weights = _leg_weights(noise, _check_gamma(gamma), n)
-    probe = _identity_probe(n)
     # A1 holds Bob's target, B2 Alice's; the probe's leg checks completeness,
     # Phi(I) = I, on every entry, so a NaN weight anywhere fails it
-    pieces = np.array((_TARGETS[bob].pieces, _TARGETS[alice].pieces, probe))
+    pieces = np.array((_TARGETS[bob].pieces, _TARGETS[alice].pieces, _identity_probe(n)))
     terms = weights * pieces
     # not terms.sum(axis=1), which starts from +0.0 and so turns a -0.0 entry into +0.0
     out = terms[:, 0] + terms[:, 1]
-    if not (dev := float(np.abs(out[2] - probe[0]).max())) <= ATOL:
+    # I as the stack's complex copy, so the subtraction mixes no dtypes
+    if not (dev := float(np.abs(out[2] - pieces[2, 0]).max())) <= ATOL:
         raise ValueError(f"Kraus set is not complete (deviation {dev:.3e})")
 
     diagnostics = {

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .core import ATOL, StateVector, tensor, unitarity_deviation
-from .protocol import PhaseVector, _check_dimension, _fourier_bras, correction_unitary
+from .protocol import PhaseVector, _check_dimension, correction_unitary, phase_table
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,10 @@ def reconstruction_error(net: InterferometerNetwork, u: np.ndarray) -> float:
 # the quoted four-mode network
 
 
-def controller_basis_matrix(n: int = 4) -> np.ndarray:
+def controller_basis_matrix(n: int) -> np.ndarray:
     """Rows are the controller's measurement vectors in path coordinates."""
-    return _fourier_bras(n).conj()
+    _check_dimension(n)
+    return phase_table(n) / np.sqrt(n)
 
 
 # printed coupler parameters of the fixed four-mode mesh, keyed by the
@@ -275,7 +276,7 @@ def sender_network(p: PhaseVector) -> InterferometerNetwork:
     return InterferometerNetwork(dim=p.dim, elements=base.elements + input_phases)
 
 
-def correction_circuit(k: int, n: int = 4) -> list[PhaseShifter]:
+def correction_circuit(k: int, n: int) -> list[PhaseShifter]:
     """Phase-shifter bank realizing the diagonal feed-forward unitary U_k."""
     _check_dimension(n)
     if not 0 <= k < n:
@@ -288,11 +289,11 @@ def correction_circuit(k: int, n: int = 4) -> list[PhaseShifter]:
     return shifters
 
 
-def correction_circuit_matrix(k: int, n: int = 4) -> np.ndarray:
+def correction_circuit_matrix(k: int, n: int) -> np.ndarray:
     return compose_network(InterferometerNetwork(n, tuple(correction_circuit(k, n))))
 
 
-def verify_correction_circuits(n: int = 4) -> bool:
+def verify_correction_circuits(n: int) -> bool:
     """Bank-vs-unitary agreement within ATOL, entry for entry, for every k.
 
     The bank's scalar `cmath.exp` and U_k's vectorised `np.exp` (`phase_table`)

@@ -30,11 +30,13 @@ entries exist. A sampled run first draws its outcome tuple from the
 record's `born` CDFs: one `rng.random()` and one O(log N) search per slot,
 in protocol order. A `ProtocolResult` keeps its entries' raw arrays and
 builds each validated `StateVector` view only when it is first read. The
-bras are read-only rows of `phase_table`, conjugated and, for a sender,
-shifted by the target's phases; `sender_basis` and `fourier_basis` are
-their validated views, which no run, session or check builds. The
-six-qudit order (A1, B1, C1, A2, B2, C2) is used only by `channel_state`,
-which keeps nothing.
+bras are rows of `phase_table`, conjugated: a sender's are shifted by the
+target's phases and kept on its record, a controller's row t is formed
+over sqrt(N) where it is read, so each N holds its Fourier rows once.
+`sender_basis` and `fourier_basis` are their validated views, which no
+run, session or check builds. Neither `fourier_basis` nor `channel_state`,
+the only user of the six-qudit order (A1, B1, C1, A2, B2, C2), keeps
+anything.
 """
 
 from __future__ import annotations
@@ -179,8 +181,7 @@ def correction_indices(l: int, n: int, m: int, k: int, dim: int) -> tuple[int, i
     """The feed-forward rule of outcome (l, n, m, k): U_{m+n} on A1 (C1 with
     B1) and U_{k+l} on B2 (C2 with A2), indices mod `dim`.
 
-    The one body of the rule: runs, sessions, `correction_rows` and
-    `build_correction_table` all read it.
+    The one body of the rule: runs, sessions and `correction_rows` all read it.
     """
     return (m + n) % dim, (k + l) % dim
 
@@ -238,17 +239,10 @@ def ghz_state(n: int) -> StateVector:
     return leg_state(_ghz_diagonal(n), 3)
 
 
-@functools.lru_cache(maxsize=64)
-def _fourier_bras(n: int) -> np.ndarray:
-    """Read-only conjugated rows of fourier_basis(n)."""
-    _check_dimension(n)
-    return _read_only(np.conj(phase_table(n) / np.sqrt(n)))
-
-
-def _basis(bras: np.ndarray) -> MeasurementBasis:
-    """The validated basis whose vectors are the conjugated `bras`."""
-    n = len(bras)
-    return MeasurementBasis(n, tuple(StateVector((n,), ket) for ket in bras.conj()))
+def _basis(kets: np.ndarray) -> MeasurementBasis:
+    """The validated basis whose vectors are the rows of `kets`."""
+    n = len(kets)
+    return MeasurementBasis(n, tuple(StateVector((n,), ket) for ket in kets))
 
 
 # a cached basis holds 16 N^2 bytes of amplitudes and under 512 N of
@@ -256,13 +250,15 @@ def _basis(bras: np.ndarray) -> MeasurementBasis:
 @functools.lru_cache(maxsize=15)
 def sender_basis(p: PhaseVector) -> MeasurementBasis:
     """Measurement family tau_l = (1/sqrt(N)) sum_j e^{i 2pi jl/N} e^{-i theta_j} |j>."""
-    return _basis(_TARGETS[p].bras)
+    return _basis(_TARGETS[p].bras.conj())
 
 
-@functools.lru_cache(maxsize=64)
 def fourier_basis(n: int) -> MeasurementBasis:
-    """tau-bar_k = (1/sqrt(N)) sum_j e^{i 2pi jk/N} |j> (the controller's basis)."""
-    return _basis(_fourier_bras(n))
+    """tau-bar_k = (1/sqrt(N)) sum_j e^{i 2pi jk/N} |j> (the controller's basis):
+    the rows of phase_table(n) / sqrt(N), built anew on every call and never
+    kept, since no run, session or check reads it."""
+    _check_dimension(n)
+    return _basis(phase_table(n) / np.sqrt(n))
 
 
 def correction_unitary(k: int, n: int) -> Operator:
@@ -348,16 +344,18 @@ class _TargetRecord:
         it is the target's ray. `u` is the leg's correction index of (s, t),
         read only when the entry is built.
 
-        Each entry is built once, by one `_project_leg` call, the product
-        with row u of `phase_table` and one `same_ray` check, so its floats
+        Each entry is built once, by one `_project_leg` call on the
+        controller's bra (row t of `phase_table` over sqrt(N), conjugated),
+        the product with row u and one `same_ray` check, so its floats
         are those of the leg projected and corrected slot by slot, bit for
         bit; it is then read-only and kept while `_TARGETS` holds the record.
         """
         entry = self.outcomes.get((s, t))
         if entry is None:
             n = self.target.dim
-            p_t, kept = _project_leg(self.leg[1][s], _fourier_bras(n)[t])
-            corrected = phase_table(n)[u] * kept
+            table = phase_table(n)
+            p_t, kept = _project_leg(self.leg[1][s], np.conj(table[t] / np.sqrt(n)))
+            corrected = table[u] * kept
             recovered = same_ray(corrected, self.state.amplitudes)
             entry = (p_t, _read_only(kept), _read_only(corrected), recovered)
             _TARGETS.keep(self, (int(s), int(t)), entry)
@@ -400,7 +398,7 @@ class _TargetRecord:
         probs = np.empty((n + 1, n))
         probs[0] = np.abs(self.bras) ** 2 @ np.abs(_ghz_diagonal(n)) ** 2
         columns = (np.abs(self.leg[1]) ** 2)[:, :, None]
-        np.matmul(np.abs(_fourier_bras(n)) ** 2, columns, out=probs[1:, :, None])
+        np.matmul(np.abs(phase_table(n) / np.sqrt(n)) ** 2, columns, out=probs[1:, :, None])
         cdfs = _read_only(born_cdf(probs))
         return cdfs[0], cdfs[1:]
 
@@ -574,11 +572,6 @@ def correction_rows(n: int) -> list[tuple[int, int, int, int, int, int]]:
     ]
 
 
-def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
-    """All N^4 outcome tuples mapped to their feed-forward rule (`correction_rows`)."""
-    return {OutcomeTuple(*row[:4]): CorrectionRule(*row[4:]) for row in correction_rows(n)}
-
-
 @dataclass(frozen=True)
 class DecompositionCheck:
     ok: bool
@@ -597,7 +590,7 @@ def _leg_deviation(target: PhaseVector, n: int) -> float:
     s = np.arange(n)
     kept = _collapsed_rows(target)[(s[:, None] + s[None, :]) % n]
     acc = np.einsum(
-        "sta,sb,tc->abc", kept, _TARGETS[target].bras.conj(), _fourier_bras(n).conj()
+        "sta,sb,tc->abc", kept, _TARGETS[target].bras.conj(), phase_table(n) / np.sqrt(n)
     ) / n
     return float(np.max(np.abs(acc - _diagonal_tensor(_ghz_diagonal(n), 3))))
 

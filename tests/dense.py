@@ -13,7 +13,9 @@ construction it replaced. `ensemble_of` builds a `BranchEnsemble` from
 with one batched matmul; `completeness_deviation` is the one-operator-at-
 a-time loop it replaced. The engine keeps each leg outcome's corrected
 output once per target; `corrected_result` corrects kept diagonals the
-way a run did before, for the oracles that check those entries. The
+way a run did before, for the oracles that check those entries.
+`build_correction_table` wraps the feed-forward rows as outcome and rule
+objects, the form the `bcrsp table` tests compare against. The
 oracles that check those shortcuts build the dense objects here, from the
 package's own checked types.
 """
@@ -32,8 +34,10 @@ from bcrsp.core import (
 from bcrsp.optics import BeamSplitter, NetworkElement, PhaseShifter
 from bcrsp.protocol import (
     CorrectionRule,
+    OutcomeTuple,
     ProtocolResult,
     _check_dimension,
+    correction_rows,
     equatorial_state,
     phase_table,
 )
@@ -93,6 +97,13 @@ def completeness_deviation(ops) -> float:
     for op in ops:
         acc += op.entries.conj().T @ op.entries
     return float(np.max(np.abs(acc - np.eye(dim))))
+
+
+def build_correction_table(n: int) -> dict[OutcomeTuple, CorrectionRule]:
+    """All N^4 outcome tuples mapped to their feed-forward rule, as objects
+    built from `correction_rows`: the reference the `bcrsp table` rows are
+    checked against."""
+    return {OutcomeTuple(*row[:4]): CorrectionRule(*row[4:]) for row in correction_rows(n)}
 
 
 def corrected_result(alice, bob, outcome, legs, probability: float) -> ProtocolResult:

@@ -22,7 +22,8 @@ from bcrsp.noise import (
     noisy_protocol_run,
     run_fidelities,
 )
-from bcrsp.protocol import CorrectionRule, OutcomeTuple, PhaseVector, build_correction_table
+from bcrsp.protocol import CorrectionRule, OutcomeTuple, PhaseVector
+from dense import build_correction_table
 
 GOLDEN = Path(__file__).parent / "golden"
 

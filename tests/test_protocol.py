@@ -1,8 +1,11 @@
 import copy
 import dataclasses
+import gc
 import json
 import pickle
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from bcrsp.noise import NoiseKind, kraus_for
 from bcrsp.optics import (
     controller_basis_matrix,
     correction_circuit,
+    correction_circuit_matrix,
     ghz_via_cnot,
     verify_correction_circuits,
 )
@@ -35,8 +39,8 @@ from bcrsp.protocol import (
     OutcomeTuple,
     PhaseVector,
     all_outcomes,
-    build_correction_table,
     channel_state,
+    correction_rows,
     correction_unitary,
     equatorial_state,
     fourier_basis,
@@ -198,12 +202,13 @@ class TestBases:
         assert np.max(np.abs(f @ f.conj().T - np.eye(n))) <= 1e-10
 
     def test_bases_are_views_of_the_engine_bras(self):
-        # the validated bases and the optical controller matrix hold the
-        # engine's bras conjugated, bit for bit, and `_collapsed_rows`, which
-        # the decomposition check derives on its own, gives the sender's bras
+        # the Fourier basis and the optical controller matrix hold the rows
+        # of phase_table / sqrt(N), and the sender basis the record's bras
+        # conjugated, bit for bit; `_collapsed_rows`, which the decomposition
+        # check derives on its own, gives the sender's bras
         rng = np.random.default_rng(2064)
         for n in range(2, 65):
-            four = protocol._fourier_bras(n).conj()
+            four = phase_table(n) / np.sqrt(n)
             assert np.array_equal(fourier_basis(n).matrix(), four), n
             assert np.array_equal(controller_basis_matrix(n), four), n
             for _ in range(4):
@@ -418,24 +423,24 @@ class TestOutcomeProbability:
 
 class TestCorrectionTable:
     def test_row_counts(self):
-        assert len(build_correction_table(2)) == 16
-        assert len(build_correction_table(3)) == 81
-        assert len(build_correction_table(4)) == 256
+        assert len(correction_rows(2)) == 16
+        assert len(correction_rows(3)) == 81
+        assert len(correction_rows(4)) == 256
 
     def test_qutrit_spot_rows(self):
-        table = build_correction_table(3)
-        assert table[OutcomeTuple(1, 1, 0, 1)] == CorrectionRule(1, 2)
-        assert table[OutcomeTuple(0, 0, 0, 0)] == CorrectionRule(0, 0)
+        rows = correction_rows(3)
+        assert (1, 1, 0, 1, 1, 2) in rows
+        assert (0, 0, 0, 0, 0, 0) in rows
 
     def test_four_level_spot_row(self):
-        assert build_correction_table(4)[OutcomeTuple(2, 2, 0, 1)] == CorrectionRule(2, 3)
+        assert (2, 2, 0, 1, 2, 3) in correction_rows(4)
 
     def test_table_agrees_with_protocol_runs(self):
         rng = np.random.default_rng(0)
         a, b = random_phase_vector(3, rng), random_phase_vector(3, rng)
-        table = build_correction_table(3)
-        for oc in all_outcomes(3):
-            assert run_protocol(a, b, 3, outcome=oc).corrections == table[oc]
+        for row in correction_rows(3):
+            run = run_protocol(a, b, 3, outcome=OutcomeTuple(*row[:4]))
+            assert run.corrections == CorrectionRule(*row[4:])
 
 
 def six_qudit_decomposition_deviation(alice, bob, n):
@@ -571,7 +576,7 @@ class TestValidation:
             lambda: PhaseVector(n, ()),
             lambda: ghz_state(n),
             lambda: fourier_basis(n),
-            lambda: build_correction_table(n),
+            lambda: correction_rows(n),
             lambda: cnot_gate(n),
             lambda: ghz_via_cnot(n),
             lambda: correction_unitary(0, n),
@@ -582,6 +587,23 @@ class TestValidation:
         ):
             with pytest.raises(ValueError, match=rf"^dimension must be at least 2, got {n}$"):
                 call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kraus_for(NoiseKind.DEPHASING, 0.5),
+            lambda: controller_basis_matrix(),
+            lambda: correction_circuit(1),
+            lambda: correction_circuit_matrix(1),
+            lambda: verify_correction_circuits(),
+        ],
+        ids=["kraus_for", "controller_basis_matrix", "correction_circuit",
+             "correction_circuit_matrix", "verify_correction_circuits"],
+    )
+    def test_a_missing_dimension_is_an_error(self, call):
+        # no function of an any-N simulator falls back to N = 4
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'n'"):
+            call()
 
     def test_outcome_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -1054,6 +1076,34 @@ def part_bytes(record, part: str) -> list[bytes]:
     return [arr.tobytes() for arr in arrays]
 
 
+# a trace whose traceback has a frame in a module of the package
+PACKAGE_FRAMES = tracemalloc.Filter(True, str(Path(protocol.__file__).parent / "*"), all_frames=True)
+
+
+def package_growth(step) -> int:
+    """Bytes that `step()` allocates with a frame of the package on the
+    stack and that are still held after it, once the garbage is collected.
+
+    What the test and pytest allocate and keep meanwhile is not counted, so
+    the figure does not move with the hash seed. Nor is what the type
+    attribute cache keeps: numpy looks a method up by a fresh name string
+    each time an array is made read-only (`flags.writeable = False`), and
+    the cache holds the last of those strings per slot, a slot picked by
+    the string's address.
+    """
+    gc.collect()
+    tracemalloc.start(32)
+    try:
+        before = tracemalloc.take_snapshot().filter_traces([PACKAGE_FRAMES])
+        step()
+        sys._clear_type_cache()
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces([PACKAGE_FRAMES])
+    finally:
+        tracemalloc.stop()
+    return sum(stat.size_diff for stat in after.compare_to(before, "traceback"))
+
+
 class TestTargetCache:
     @pytest.mark.parametrize("n", [2, 64])
     def test_cache_holds_at_most_its_budget(self, n, monkeypatch):
@@ -1168,14 +1218,29 @@ class TestTargetCache:
         ]
         # the same loop on another target first, as in the test above
         forced(targets[0], expected[0])
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            forced(targets[1], expected[1])
-            grown = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
+        grown = package_growth(lambda: forced(targets[1], expected[1]))
         assert grown <= protocol._TARGETS.held
+
+    def test_each_dimension_keeps_32_n2_bytes_outside_the_records(self):
+        # one sampled run and one noisy call at each of 16 dimensions that no
+        # other test reads, the records cleared after each: what stays is
+        # the per-N tables, phase_table's complex (N, N) and the identity
+        # probe's real (2, N, N), 32 N^2 bytes, plus the GHZ diagonal's 16 N
+        # and under 2 KiB per dimension of array headers, cache entries and
+        # numpy's small-block caches (about 0.9 KiB here)
+        dims = range(100, 116)
+        rng = np.random.default_rng(4540)
+
+        def walk():
+            for n in dims:
+                alice, bob = random_phase_vector(n, rng), random_phase_vector(n, rng)
+                run_protocol(alice, bob, n, rng=n)
+                protocol._TARGETS.clear()
+                noise.noisy_protocol_run(alice, bob, n, NoiseKind.DEPHASING, 0.3)
+                protocol._TARGETS.clear()
+
+        grown = package_growth(walk)
+        assert grown <= sum(32 * n * n + 16 * n + 2048 for n in dims)
 
     def test_sender_basis_cache_is_bounded(self):
         # more fresh targets than the cache holds: it stays at its bound
